@@ -109,12 +109,18 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-def _write(text: str, output: str | None) -> None:
+def _write(text: str, output: str | None) -> int:
+    """Write to stdout or to the --output file; the exit code (2 if the file
+    cannot be written)."""
     if output is None:
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as err:
+        return _usage_error(f"cannot write {output}: {err.strerror or err}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +202,8 @@ def _generate_csv(p: int, q: int, name: str, approx: bool) -> str:
 def _cmd_generate(args: argparse.Namespace) -> int:
     if args.format == "json":
         payload = _generate_payload(args.p, args.q, args.matrix, args.approx)
-        _write(json.dumps(payload) + "\n", args.output)
-    else:
-        _write(_generate_csv(args.p, args.q, args.matrix, args.approx), args.output)
-    return 0
+        return _write(json.dumps(payload) + "\n", args.output)
+    return _write(_generate_csv(args.p, args.q, args.matrix, args.approx), args.output)
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +281,7 @@ def _cmd_weights(args: argparse.Namespace) -> int:
     lines = ["two_t3,three_y,count"]
     for (two_t3, three_y), count in sorted(counts.items()):
         lines.append(f"{two_t3},{three_y},{count}")
-    _write("\n".join(lines) + "\n", args.output)
-    return 0
+    return _write("\n".join(lines) + "\n", args.output)
 
 
 def _squares_csv(squares: dict[tuple[int, int], Fraction]) -> str:
@@ -291,8 +294,7 @@ def _squares_csv(squares: dict[tuple[int, int], Fraction]) -> str:
 def _cmd_unknowns(args: argparse.Namespace) -> int:
     if args.p < args.q:
         return _usage_error("unknowns requires p >= q (use the (q, p) irrep)")
-    _write(_squares_csv(block_unknown_squares(args.p, args.q)), args.output)
-    return 0
+    return _write(_squares_csv(block_unknown_squares(args.p, args.q)), args.output)
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
@@ -300,8 +302,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         return _usage_error("oracle requires p >= q (use the (q, p) irrep)")
     if dimension(args.p, args.q) > 64:
         return _usage_error("oracle is desk-scale only (d <= 64)")
-    _write(_squares_csv(oracle_solve(args.p, args.q)), args.output)
-    return 0
+    return _write(_squares_csv(oracle_solve(args.p, args.q)), args.output)
 
 
 _COMMANDS = {

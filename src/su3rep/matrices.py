@@ -1,14 +1,41 @@
-"""Sparse square matrices over RadicalSum.
+"""Sparse square matrices over RadicalSum, and their one product kernel.
 
 The generator matrices have O(d) nonzero entries out of d*d, and the whole
 verification suite is products, sums and exact zero tests, so a dict-of-rows
 layout keeps everything near-linear in the number of nonzeros.
+
+``RadMatrix`` is the public form: entries are RadicalSums, whose rational
+coefficients are ``Fraction``s.  Multiplying in that form builds and
+normalizes a Fraction for every scalar product and every partial sum, which
+is where nearly all of a verification's time would go.  So every matrix
+product is taken in a private integer form, ``_IntMatrix``: one shared
+positive denominator D for the whole matrix and integer numerators keyed by
+(column, square-free radicand), the entry at (r, c) being
+
+    sum over sf of (numerator / D) * sqrt(sf).
+
+Why this is exact.  Every generator entry is a single term c*sqrt(m), so a
+matrix is a finite set of rational coefficients, one per stored entry, and
+the lcm of their denominators is a D that writes each of them as an integer
+over D; one denominator per matrix suffices.  An entry with several terms,
+such as a corrupted one, simply stores one numerator per radicand.  The
+product of two such matrices has denominator D_A * D_B, and each scalar
+product needs only integers: sqrt(m1) * sqrt(m2) = g * sqrt((m1/g) * (m2/g))
+with g = gcd(m1, m2), whose cofactors are coprime and square-free, so the
+product radicand is square-free with no factoring.  A linear combination
+with rational coefficients rescales numerators to the lcm of the
+denominators.  Square roots of distinct square-free integers are linearly
+independent over the rationals, so a matrix in this form is zero exactly
+when it stores no numerator, and zeros are never stored.  The checks in
+``verify`` build their residuals in this form and convert back to
+RadicalSums only to report a nonzero one.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Iterable, Iterator, Union
 
 from .radical import RadicalSum
 
@@ -114,22 +141,7 @@ class RadMatrix:
 
     def __matmul__(self, other: "RadMatrix") -> "RadMatrix":
         self._check_shape(other)
-        out = RadMatrix(self.n)
-        for r, row in self._rows.items():
-            acc: dict[int, RadicalSum] = {}
-            for k, a in row.items():
-                brow = other._rows.get(k)
-                if not brow:
-                    continue
-                for c, b in brow.items():
-                    tot = acc.get(c, _ZERO) + a * b
-                    if tot:
-                        acc[c] = tot
-                    else:
-                        acc.pop(c, None)
-            if acc:
-                out._rows[r] = acc
-        return out
+        return (_IntMatrix.of(self) @ _IntMatrix.of(other)).to_rad()
 
     def transpose(self) -> "RadMatrix":
         out = RadMatrix(self.n)
@@ -188,5 +200,102 @@ _ZERO = RadicalSum(0)
 _EMPTY_ROW: dict[int, RadicalSum] = {}
 
 
+class _IntMatrix:
+    """n x n matrix as integer numerators over one shared denominator.
+
+    ``rows`` maps a row to ``{sf * n + col: numerator}``: the entry at
+    (row, col) is the sum of (numerator / den) * sqrt(sf) over its keys.
+    Radicands are square-free, numerators are never zero and ``den`` is
+    positive.  See the module docstring for why this form is exact.
+    """
+
+    __slots__ = ("n", "den", "rows")
+
+    def __init__(self, n: int, den: int, rows: dict[int, dict[int, int]]):
+        self.n = n
+        self.den = den
+        self.rows = rows
+
+    @classmethod
+    def of(cls, mat: RadMatrix) -> "_IntMatrix":
+        """The same matrix over the lcm of its coefficients' denominators."""
+        n = mat.n
+        entries = [
+            (r, c, coeff, sf)
+            for r, row in mat._rows.items()
+            for c, v in row.items()
+            for coeff, sf in v.terms()
+        ]
+        den = math.lcm(1, *(coeff.denominator for _, _, coeff, _ in entries))
+        rows: dict[int, dict[int, int]] = {}
+        for r, c, coeff, sf in entries:
+            rows.setdefault(r, {})[sf * n + c] = coeff.numerator * (den // coeff.denominator)
+        return cls(n, den, rows)
+
+    @classmethod
+    def identity(cls, n: int) -> "_IntMatrix":
+        return cls(n, 1, {i: {n + i: 1} for i in range(n)})
+
+    def is_zero(self) -> bool:
+        return not self.rows
+
+    def __matmul__(self, other: "_IntMatrix") -> "_IntMatrix":
+        n = self.n
+        gcd = math.gcd
+        # other's rows decoded once into (col, sf, numerator) triples
+        right = {
+            k: [(key % n, key // n, b) for key, b in row.items()]
+            for k, row in other.rows.items()
+        }
+        rows: dict[int, dict[int, int]] = {}
+        for r, row in self.rows.items():
+            acc: dict[int, int] = {}
+            for key, a in row.items():
+                sfa, k = divmod(key, n)
+                for c, sfb, b in right.get(k, ()):
+                    # sqrt(sfa)*sqrt(sfb) = g*sqrt((sfa/g)*(sfb/g)), g = gcd
+                    g = gcd(sfa, sfb)
+                    out = (sfa // g) * (sfb // g) * n + c
+                    acc[out] = acc.get(out, 0) + a * b * g
+            acc = {key: v for key, v in acc.items() if v}
+            if acc:
+                rows[r] = acc
+        return _IntMatrix(n, self.den * other.den, rows)
+
+    def to_rad(self) -> RadMatrix:
+        """The same matrix with RadicalSum entries."""
+        n = self.n
+        den = self.den
+        out = RadMatrix(n)
+        for r, row in self.rows.items():
+            cells: dict[int, dict[int, Fraction]] = {}
+            for key, v in row.items():
+                sf, c = divmod(key, n)
+                cells.setdefault(c, {})[sf] = Fraction(v, den)
+            out._rows[r] = {c: RadicalSum._raw(t) for c, t in cells.items()}
+        return out
+
+
+def _combine(terms: Iterable[tuple[Union[int, Fraction], _IntMatrix]]) -> _IntMatrix:
+    """The sum of coeff * matrix over (coeff, matrix) pairs of one size."""
+    terms = [(Fraction(coeff), mat) for coeff, mat in terms]
+    den = math.lcm(*(coeff.denominator * mat.den for coeff, mat in terms))
+    rows: dict[int, dict[int, int]] = {}
+    for coeff, mat in terms:
+        f = coeff.numerator * (den // (coeff.denominator * mat.den))
+        for r, row in mat.rows.items():
+            acc = rows.setdefault(r, {})
+            for key, v in row.items():
+                acc[key] = acc.get(key, 0) + f * v
+    nonzero = {}
+    for r, row in rows.items():
+        row = {key: v for key, v in row.items() if v}
+        if row:
+            nonzero[r] = row
+    return _IntMatrix(terms[0][1].n, den, nonzero)
+
+
 def commutator(a: RadMatrix, b: RadMatrix) -> RadMatrix:
-    return (a @ b) - (b @ a)
+    a._check_shape(b)
+    ia, ib = _IntMatrix.of(a), _IntMatrix.of(b)
+    return _combine(((1, ia @ ib), (-1, ib @ ia))).to_rad()

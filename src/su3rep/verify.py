@@ -8,6 +8,7 @@ for the block unknowns that knows nothing about the closed-form families.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from .generators import (
     raising_entry_squares,
     to_gell_mann,
 )
-from .matrices import RadMatrix, commutator
+from .matrices import _combine, _IntMatrix
 from .radical import RadicalSum, sqrt_of_rational
 from .structure import block_layout, dimension, state_labels, tspin_list
 from .su2 import ladder_coefficient
@@ -101,21 +102,20 @@ def _relation_name(a: str, b: str, rhs: tuple[tuple[Fraction, str], ...]) -> str
 
 def check_commutators(gs: GeneratorSet) -> CheckReport:
     """Evaluate all 28 commutation relations exactly."""
-    mats = gs.matrices()
+    mats = {name: _IntMatrix.of(mat) for name, mat in gs.matrices().items()}
     checks = []
     for a, b, rhs in COMMUTATOR_TABLE:
-        residual = commutator(mats[a], mats[b])
-        for coeff, key in rhs:
-            residual = residual - mats[key].scaled(coeff)
-        exact = residual.is_zero()
-        checks.append(
-            RelationCheck(
-                _relation_name(a, b, rhs),
-                exact,
-                0.0 if exact else residual.max_abs_float(),
-            )
+        ma, mb = mats[a], mats[b]
+        residual = _combine(
+            [(1, ma @ mb), (-1, mb @ ma)] + [(-coeff, mats[key]) for coeff, key in rhs]
         )
+        checks.append(_relation_check(_relation_name(a, b, rhs), residual))
     return CheckReport(gs.p, gs.q, tuple(checks))
+
+
+def _relation_check(name: str, residual: _IntMatrix) -> RelationCheck:
+    exact = residual.is_zero()
+    return RelationCheck(name, exact, 0.0 if exact else residual.to_rad().max_abs_float())
 
 
 def casimir_eigenvalue(p: int, q: int) -> Fraction:
@@ -123,22 +123,19 @@ def casimir_eigenvalue(p: int, q: int) -> Fraction:
 
 
 def check_casimir(gs: GeneratorSet) -> RelationCheck:
-    """The quadratic invariant must equal its eigenvalue times the identity."""
-    half = Fraction(1, 2)
-    y = gs.u_three.scaled(2) + gs.t_three
-    cas = (
-        ((gs.t_plus @ gs.t_minus) + (gs.t_minus @ gs.t_plus)).scaled(half)
-        + (gs.t_three @ gs.t_three)
-        + ((gs.v_plus @ gs.v_minus) + (gs.v_minus @ gs.v_plus)).scaled(half)
-        + ((gs.u_plus @ gs.u_minus) + (gs.u_minus @ gs.u_plus)).scaled(half)
-        + (y @ y).scaled(Fraction(1, 3))
-    )
+    """The quadratic invariant must equal its eigenvalue times the identity:
+    (T+T- + T-T+ + V+V- + V-V+ + U+U- + U-U+)/2 + T3^2 + Y^2/3, Y = 2 U3 + T3."""
+    mats = {name: _IntMatrix.of(mat) for name, mat in gs.matrices().items()}
+    y = _combine([(2, mats["U3"]), (1, mats["T3"])])
     eigen = casimir_eigenvalue(gs.p, gs.q)
-    residual = cas - RadMatrix.identity(gs.dim, eigen)
-    exact = residual.is_zero()
-    return RelationCheck(
-        f"casimir = {eigen}", exact, 0.0 if exact else residual.max_abs_float()
-    )
+    ladders = (("Tp", "Tm"), ("Tm", "Tp"), ("Vp", "Vm"), ("Vm", "Vp"), ("Up", "Um"), ("Um", "Up"))
+    terms = [(_HALF, mats[a] @ mats[b]) for a, b in ladders]
+    terms += [
+        (1, mats["T3"] @ mats["T3"]),
+        (Fraction(1, 3), y @ y),
+        (-eigen, _IntMatrix.identity(gs.dim)),
+    ]
+    return _relation_check(f"casimir = {eigen}", _combine(terms))
 
 
 def check_structure(fs: GellMannSet) -> list[RelationCheck]:
@@ -463,8 +460,10 @@ def sweep(max_d: int, jobs: int = 1) -> SweepSummary:
     if max_d < 1:
         raise ValueError("max_d must be at least 1")
     labels = sweep_labels(max_d)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # never more workers than CPUs or irreps, whatever jobs asks for
+    workers = min(jobs, os.cpu_count() or 1, len(labels))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_one, labels))
     else:
         rows = [_sweep_one(label) for label in labels]

@@ -84,6 +84,16 @@ class TestGenerate:
         assert code == 0 and out == ""
         assert target.read_text().startswith("row,col,num,den,sf\n")
 
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(
+            capsys, "generate", "--p", "1", "--q", "0", "--matrix", "T3", "-o", str(target),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("su3rep: error: cannot write ") and str(target) in err
+        assert "Traceback" not in err
+        assert not target.parent.exists()
+
     def test_unknown_matrix_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["generate", "--p", "1", "--q", "0", "--matrix", "X9"])

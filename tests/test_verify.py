@@ -6,6 +6,7 @@ import pytest
 
 from su3rep import (
     CheckReport,
+    RadicalSum,
     block_unknown_squares,
     build_generator_set,
     casimir_eigenvalue,
@@ -165,6 +166,42 @@ class TestSweep:
         assert strip(serial.rows) == strip(parallel.rows)
 
 
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """Replace the process pool with one that maps in this process and
+        records its max_workers; the returned list fills as pools are made."""
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr("su3rep.verify.ProcessPoolExecutor", RecordingPool)
+        return sizes
+
+    @pytest.mark.parametrize("cpus,pools", [(4, [4]), (1, []), (None, [])])
+    def test_jobs_capped_by_cpu_count(self, monkeypatch, pool_sizes, cpus, pools):
+        monkeypatch.setattr("su3rep.verify.os.cpu_count", lambda: cpus)
+        summary = sweep(30, jobs=10**6)
+        assert summary.passed
+        assert [(r.p, r.q) for r in summary.rows] == sweep_labels(30)
+        assert pool_sizes == pools
+
+    def test_jobs_capped_by_irrep_count(self, monkeypatch, pool_sizes):
+        monkeypatch.setattr("su3rep.verify.os.cpu_count", lambda: 64)
+        assert [(r.p, r.q) for r in sweep(4, jobs=10**6).rows] == [(0, 0), (0, 1), (1, 0)]
+        assert pool_sizes == [3]
+
+
 class TestFloatCrossCheck:
     @pytest.mark.parametrize("p,q", [(3, 2), (5, 3)])
     def test_float_commutators_small_residual(self, p, q):
@@ -175,3 +212,123 @@ class TestFloatCrossCheck:
             for coeff, key in rhs:
                 resid = resid - float(coeff) * mats[key]
             assert np.max(np.abs(resid)) < 1e-9
+
+
+# The 28 relation names in report order, then the Casimir check's.
+_RELATION_NAMES = (
+    '[T3,Tp] = Tp',
+    '[T3,Tm] = -Tm',
+    '[T3,U3] = 0',
+    '[T3,Up] = -1/2*Up',
+    '[T3,Um] = 1/2*Um',
+    '[T3,Vp] = 1/2*Vp',
+    '[T3,Vm] = -1/2*Vm',
+    '[Tp,Tm] = 2*T3',
+    '[Tp,Up] = Vp',
+    '[Tp,Um] = 0',
+    '[Tp,U3] = 1/2*Tp',
+    '[Tp,Vp] = 0',
+    '[Tp,Vm] = -Um',
+    '[Tm,Up] = 0',
+    '[Tm,Um] = -Vm',
+    '[Tm,U3] = -1/2*Tm',
+    '[Tm,Vp] = Up',
+    '[Tm,Vm] = 0',
+    '[U3,Up] = Up',
+    '[U3,Um] = -Um',
+    '[U3,Vp] = 1/2*Vp',
+    '[U3,Vm] = -1/2*Vm',
+    '[Up,Um] = 2*U3',
+    '[Up,Vp] = 0',
+    '[Up,Vm] = Tm',
+    '[Um,Vp] = -Tp',
+    '[Um,Vm] = 0',
+    '[Vp,Vm] = 2*U3 + 2*T3',
+)
+
+# One entry (+sqrt 7) corrupted in one matrix; recorded from the RadicalSum
+# matrix-product implementation.  Each value maps the failing relations to the
+# residual float the CLI prints; every other relation is exact with 0.0.
+_GOLDEN_FAILURES = {
+    ((3, 2), "u_plus"): {
+        "[Tp,Up] = Vp": 2.6457513110645907,
+        "[Tm,Vp] = Up": 2.6457513110645907,
+        "[Up,Um] = 2*U3": 5.916079783099616,
+        "[Up,Vp] = 0": 6.48074069840786,
+        "[Up,Vm] = Tm": 5.916079783099616,
+        "casimir = 34/3": 2.958039891549808,
+    },
+    ((3, 2), "t_three"): {
+        "[T3,Tp] = Tp": 2.6457513110645907,
+        "[T3,Tm] = -Tm": 2.6457513110645907,
+        "[T3,Up] = -1/2*Up": 5.916079783099616,
+        "[T3,Um] = 1/2*Um": 5.916079783099616,
+        "[T3,Vp] = 1/2*Vp": 5.291502622129181,
+        "[T3,Vm] = -1/2*Vm": 5.291502622129181,
+        "[Tp,Tm] = 2*T3": 5.291502622129181,
+        "[Vp,Vm] = 2*U3 + 2*T3": 5.291502622129181,
+        "casimir = 34/3": 7.56949912595694,
+    },
+    ((3, 2), "v_minus"): {
+        "[Tp,Vm] = -Um": 2.6457513110645907,
+        "[Tm,Um] = -Vm": 2.6457513110645907,
+        "[Up,Vm] = Tm": 6.48074069840786,
+        "[Um,Vm] = 0": 5.916079783099616,
+        "[Vp,Vm] = 2*U3 + 2*T3": 6.48074069840786,
+        "casimir = 34/3": 3.24037034920393,
+    },
+    ((2, 3), "u_plus"): {
+        "[Tp,Up] = Vp": 2.6457513110645907,
+        "[Tm,Vp] = Up": 2.6457513110645907,
+        "[Up,Um] = 2*U3": 6.48074069840786,
+        "[Up,Vp] = 0": 5.916079783099616,
+        "[Up,Vm] = Tm": 6.48074069840786,
+        "casimir = 34/3": 3.24037034920393,
+    },
+    ((2, 3), "t_three"): {
+        "[T3,Tp] = Tp": 2.6457513110645907,
+        "[T3,Tm] = -Tm": 2.6457513110645907,
+        "[T3,Up] = -1/2*Up": 5.916079783099616,
+        "[T3,Um] = 1/2*Um": 5.916079783099616,
+        "[T3,Vp] = 1/2*Vp": 5.291502622129181,
+        "[T3,Vm] = -1/2*Vm": 5.291502622129181,
+        "[Tp,Tm] = 2*T3": 5.291502622129181,
+        "[Vp,Vm] = 2*U3 + 2*T3": 5.291502622129181,
+        "casimir = 34/3": 11.097167540709728,
+    },
+    ((2, 3), "v_minus"): {
+        "[Tp,Vm] = -Um": 2.6457513110645907,
+        "[Tm,Um] = -Vm": 2.6457513110645907,
+        "[Up,Vm] = Tm": 5.916079783099616,
+        "[Um,Vm] = 0": 6.48074069840786,
+        "[Vp,Vm] = 2*U3 + 2*T3": 5.916079783099616,
+        "casimir = 34/3": 2.958039891549808,
+    },
+}
+
+
+def _plus_sqrt7_at_first_entry(gs, field):
+    """gs with sqrt(7) added to the first stored entry of one matrix only."""
+    mat = getattr(gs, field)
+    bad = RadMatrix(gs.dim)
+    for r, c, v in mat.items():
+        bad.put(r, c, v)
+    r, c, v = next(mat.items())
+    bad.put(r, c, v + RadicalSum.from_terms([(1, 7)]))
+    return dataclasses.replace(gs, **{field: bad})
+
+
+class TestGoldenNegativeControls:
+    @pytest.mark.parametrize("label,field", sorted(_GOLDEN_FAILURES))
+    def test_recorded_verdicts_and_residuals(self, label, field):
+        bad = _plus_sqrt7_at_first_entry(build_generator_set(*label), field)
+        got = [(r.name, r.exact, r.residual) for r in check_commutators(bad).relations]
+        cas = check_casimir(bad)
+        got.append((cas.name, cas.exact, cas.residual))
+        casimir_name = f"casimir = {casimir_eigenvalue(*label)}"
+        failures = _GOLDEN_FAILURES[label, field]
+        want = [
+            (name, name not in failures, failures.get(name, 0.0))
+            for name in _RELATION_NAMES + (casimir_name,)
+        ]
+        assert got == want
