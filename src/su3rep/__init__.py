@@ -6,7 +6,7 @@ d = (p+1)(q+1)(p+q+2)/2, with every entry an exact sum of rational
 multiples of square roots, and verifies the su(3) algebra on them.
 """
 
-from .radical import RadicalSum, Rational, sqrt_of_rational
+from .radical import RadicalSum, sqrt_of_rational
 from .matrices import RadMatrix, commutator
 from .structure import (
     BlockLayout,
@@ -57,7 +57,6 @@ __all__ = [
     "GeneratorSet",
     "RadMatrix",
     "RadicalSum",
-    "Rational",
     "Region",
     "RelationCheck",
     "StateLabel",

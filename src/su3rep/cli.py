@@ -25,6 +25,7 @@ from .generators import (
 from .structure import dimension, weight_multiplicities
 from .unknowns import block_unknown_squares
 from .verify import (
+    ORACLE_MAX_DIM,
     CheckReport,
     casimir_eigenvalue,
     oracle_solve,
@@ -127,116 +128,74 @@ def _write(text: str, output: str | None) -> int:
 # generate
 
 
-def _term_triples(value) -> list[dict[str, int]]:
-    return [{"num": num, "den": den, "sf": sf} for num, den, sf in value.to_triples()]
-
-
-def _generate_payload(p: int, q: int, name: str, approx: bool) -> dict:
+def _cells(p: int, q: int, name: str):
+    """The nonzero cells of one basis matrix in (row, col) order, 1-based:
+    (row, col, ((part, value), ...)), part "value" for the eight ladder
+    matrices and "re", "im" for F1..F8."""
     gs = build_generator_set(p, q)
-    entries = []
     if name in MATRIX_NAMES:
-        mat = gs.matrices()[name]
-        for r, c, v in mat.items():
-            entry = {"row": r + 1, "col": c + 1, "value": _term_triples(v)}
-            if approx:
-                entry["approx"] = v.to_float()
-            entries.append(entry)
-    else:
-        fmat = to_gell_mann(gs)[int(name[1:])]
-        positions = sorted(
-            {(r, c) for r, c, _ in fmat.re.items()}
-            | {(r, c) for r, c, _ in fmat.im.items()}
-        )
-        for r, c in positions:
-            entry = {
-                "row": r + 1,
-                "col": c + 1,
-                "re": _term_triples(fmat.re.get(r, c)),
-                "im": _term_triples(fmat.im.get(r, c)),
-            }
-            if approx:
-                entry["approx"] = {
-                    "re": fmat.re.get(r, c).to_float(),
-                    "im": fmat.im.get(r, c).to_float(),
-                }
-            entries.append(entry)
-    return {
-        "p": p,
-        "q": q,
-        "d": dimension(p, q),
-        "matrix": name,
-        "entries": entries,
-    }
+        for r, c, v in gs.matrices()[name].items():
+            yield r + 1, c + 1, (("value", v),)
+        return
+    fmat = to_gell_mann(gs).matrices[GELL_MANN_NAMES.index(name)]
+    positions = sorted({(r, c) for part in (fmat.re, fmat.im) for r, c, _ in part.items()})
+    for r, c in positions:
+        yield r + 1, c + 1, (("re", fmat.re.get(r, c)), ("im", fmat.im.get(r, c)))
+
+
+def _generate_json(p: int, q: int, name: str, approx: bool) -> str:
+    entries = []
+    for row, col, parts in _cells(p, q, name):
+        entry = {"row": row, "col": col}
+        for part, value in parts:
+            entry[part] = [
+                {"num": num, "den": den, "sf": sf} for num, den, sf in value.to_triples()
+            ]
+        if approx:
+            floats = {part: value.to_float() for part, value in parts}
+            entry["approx"] = floats["value"] if "value" in floats else floats
+        entries.append(entry)
+    payload = {"p": p, "q": q, "d": dimension(p, q), "matrix": name, "entries": entries}
+    return json.dumps(payload) + "\n"
 
 
 def _generate_csv(p: int, q: int, name: str, approx: bool) -> str:
-    gs = build_generator_set(p, q)
-    lines = []
-    if name in MATRIX_NAMES:
-        header = "row,col,num,den,sf"
-        lines.append(header + ",approx" if approx else header)
-        for r, c, v in gs.matrices()[name].items():
-            for num, den, sf in v.to_triples():
-                line = f"{r + 1},{c + 1},{num},{den},{sf}"
+    header = "row,col,num,den,sf" if name in MATRIX_NAMES else "row,col,part,num,den,sf"
+    lines = [header + ",approx" if approx else header]
+    for row, col, parts in _cells(p, q, name):
+        for part, value in parts:
+            cell = f"{row},{col}," if part == "value" else f"{row},{col},{part},"
+            for num, den, sf in value.to_triples():
+                line = f"{cell}{num},{den},{sf}"
                 if approx:
                     line += f",{Fraction(num, den) * sf ** 0.5!r}"
                 lines.append(line)
-    else:
-        header = "row,col,part,num,den,sf"
-        lines.append(header + ",approx" if approx else header)
-        fmat = to_gell_mann(gs)[int(name[1:])]
-        positions = sorted(
-            {(r, c) for r, c, _ in fmat.re.items()}
-            | {(r, c) for r, c, _ in fmat.im.items()}
-        )
-        for r, c in positions:
-            for part, mat in (("re", fmat.re), ("im", fmat.im)):
-                for num, den, sf in mat.get(r, c).to_triples():
-                    line = f"{r + 1},{c + 1},{part},{num},{den},{sf}"
-                    if approx:
-                        line += f",{Fraction(num, den) * sf ** 0.5!r}"
-                    lines.append(line)
     return "\n".join(lines) + "\n"
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    if args.format == "json":
-        payload = _generate_payload(args.p, args.q, args.matrix, args.approx)
-        return _write(json.dumps(payload) + "\n", args.output)
-    return _write(_generate_csv(args.p, args.q, args.matrix, args.approx), args.output)
+    emit = _generate_json if args.format == "json" else _generate_csv
+    return _write(emit(args.p, args.q, args.matrix, args.approx), args.output)
 
 
 # ---------------------------------------------------------------------------
 # verify / sweep
 
 
-def render_report(report: CheckReport, with_oracle: bool) -> str:
-    commutators = [r for r in report.relations if r.name.startswith("[")]
-    comm_ok = sum(1 for r in commutators if r.exact)
+def render_report(report: CheckReport) -> str:
+    def exact_count(kind: str) -> str:
+        checks = report.of_kind(kind).relations
+        return f"{sum(1 for r in checks if r.exact)}/{len(checks)} exact"
+
+    (casimir,) = report.of_kind("casimir").relations
     lines = [
         f"irrep ({report.p}, {report.q}): d = {dimension(report.p, report.q)}",
-        f"commutators: {comm_ok}/{len(commutators)} exact",
-    ]
-    casimir = next(r for r in report.relations if r.name.startswith("casimir"))
-    lines.append(
+        f"commutators: {exact_count('commutator')}",
         f"casimir: {'exact' if casimir.exact else 'FAILED'}, "
-        f"eigenvalue {casimir_eigenvalue(report.p, report.q)}"
-    )
-    structure = [
-        r
-        for r in report.relations
-        if not r.name.startswith("[") and not r.name.startswith("casimir")
-        and not r.name.startswith(("block unknowns", "oracle"))
+        f"eigenvalue {casimir_eigenvalue(report.p, report.q)}",
+        f"structure: {exact_count('structure')}",
     ]
-    struct_ok = sum(1 for r in structure if r.exact)
-    lines.append(f"structure: {struct_ok}/{len(structure)} exact")
-    if with_oracle:
-        oracle = report.relations[-1]
-        lines.append(
-            "oracle: block unknowns match brute-force solve"
-            if oracle.exact
-            else f"oracle: {oracle.name}"
-        )
+    lines.extend(f"oracle: {r.name}" for r in report.of_kind("oracle").relations)
     for failure in report.failures():
         lines.append(f"FAILED: {failure.name} (|residual| ~ {failure.residual:g})")
     lines.append("PASS" if report.passed else "FAIL")
@@ -244,10 +203,10 @@ def render_report(report: CheckReport, with_oracle: bool) -> str:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.oracle and dimension(args.p, args.q) > 64:
-        return _usage_error("--oracle is desk-scale only (d <= 64)")
+    if args.oracle and dimension(args.p, args.q) > ORACLE_MAX_DIM:
+        return _usage_error(f"--oracle is desk-scale only (d <= {ORACLE_MAX_DIM})")
     report = verify_irrep(args.p, args.q, with_oracle=args.oracle)
-    sys.stdout.write(render_report(report, args.oracle))
+    sys.stdout.write(render_report(report))
     return 0 if report.passed else 1
 
 
@@ -300,8 +259,8 @@ def _cmd_unknowns(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.p < args.q:
         return _usage_error("oracle requires p >= q (use the (q, p) irrep)")
-    if dimension(args.p, args.q) > 64:
-        return _usage_error("oracle is desk-scale only (d <= 64)")
+    if dimension(args.p, args.q) > ORACLE_MAX_DIM:
+        return _usage_error(f"oracle is desk-scale only (d <= {ORACLE_MAX_DIM})")
     return _write(_squares_csv(oracle_solve(args.p, args.q)), args.output)
 
 

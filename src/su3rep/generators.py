@@ -18,7 +18,6 @@ from fractions import Fraction
 from .matrices import RadMatrix
 from .radical import RadicalSum, sqrt_of_rational
 from .structure import (
-    BlockLayout,
     _check_label,
     _check_ordered,
     block_layout,
@@ -35,11 +34,10 @@ GELL_MANN_NAMES = tuple(f"F{i}" for i in range(1, 9))
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """The eight d x d basis matrices of one irrep, plus its block layout."""
+    """The eight d x d basis matrices of one irrep."""
 
     p: int
     q: int
-    layout: BlockLayout
     t_plus: RadMatrix
     t_minus: RadMatrix
     t_three: RadMatrix
@@ -70,7 +68,6 @@ class GeneratorSet:
         return GeneratorSet(
             p=self.q,
             q=self.p,
-            layout=self.layout,  # (p,q) and (q,p) share the same T-spins
             t_plus=self.t_plus.negative_transpose(),
             t_minus=self.t_minus.negative_transpose(),
             t_three=self.t_three.negative_transpose(),
@@ -232,7 +229,6 @@ def build_generator_set(p: int, q: int) -> GeneratorSet:
     return GeneratorSet(
         p=p,
         q=q,
-        layout=block_layout(p, q),
         t_plus=t_plus,
         t_minus=t_minus,
         t_three=t_three,

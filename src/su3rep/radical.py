@@ -17,8 +17,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Union
 
-Rational = Fraction
-
 _RationalLike = Union[int, Fraction]
 
 
@@ -217,9 +215,6 @@ class RadicalSum:
 
 _ZERO_FRACTION = Fraction(0)
 _ZERO = RadicalSum._raw({})
-
-ZERO = _ZERO
-ONE = RadicalSum(1)
 
 
 def sqrt_of_rational(r: _RationalLike) -> RadicalSum:

@@ -34,6 +34,7 @@ class RelationCheck:
     name: str
     exact: bool
     residual: float  # float magnitude of the worst entry; 0.0 when exact
+    kind: str  # "commutator", "casimir", "structure" or "oracle"
 
 
 @dataclass(frozen=True)
@@ -48,6 +49,9 @@ class CheckReport:
 
     def failures(self) -> list[RelationCheck]:
         return [r for r in self.relations if not r.exact]
+
+    def of_kind(self, kind: str) -> "CheckReport":
+        return CheckReport(self.p, self.q, tuple(r for r in self.relations if r.kind == kind))
 
 
 # The 28 pairwise relations: ([A, B], right-hand side as coefficient/matrix
@@ -109,13 +113,13 @@ def check_commutators(gs: GeneratorSet) -> CheckReport:
         residual = _combine(
             [(1, ma @ mb), (-1, mb @ ma)] + [(-coeff, mats[key]) for coeff, key in rhs]
         )
-        checks.append(_relation_check(_relation_name(a, b, rhs), residual))
+        checks.append(_relation_check("commutator", _relation_name(a, b, rhs), residual))
     return CheckReport(gs.p, gs.q, tuple(checks))
 
 
-def _relation_check(name: str, residual: _IntMatrix) -> RelationCheck:
+def _relation_check(kind: str, name: str, residual: _IntMatrix) -> RelationCheck:
     exact = residual.is_zero()
-    return RelationCheck(name, exact, 0.0 if exact else residual.to_rad().max_abs_float())
+    return RelationCheck(name, exact, 0.0 if exact else residual.to_rad().max_abs_float(), kind)
 
 
 def casimir_eigenvalue(p: int, q: int) -> Fraction:
@@ -135,7 +139,7 @@ def check_casimir(gs: GeneratorSet) -> RelationCheck:
         (Fraction(1, 3), y @ y),
         (-eigen, _IntMatrix.identity(gs.dim)),
     ]
-    return _relation_check(f"casimir = {eigen}", _combine(terms))
+    return _relation_check("casimir", f"casimir = {eigen}", _combine(terms))
 
 
 def check_structure(fs: GellMannSet) -> list[RelationCheck]:
@@ -151,6 +155,7 @@ def check_structure(fs: GellMannSet) -> list[RelationCheck]:
             name if not bad else f"{name} (violated by F{bad})",
             not bad,
             0.0 if not bad else 1.0,
+            kind="structure",
         )
 
     return [
@@ -162,6 +167,8 @@ def check_structure(fs: GellMannSet) -> list[RelationCheck]:
 
 # ---------------------------------------------------------------------------
 # Brute-force oracle for the block unknowns
+
+ORACLE_MAX_DIM = 64  # the dense oracle's default size bound (desk scale)
 
 
 def _entry_factor(two_s: int, shift: int, a: int, which: str) -> RadicalSum:
@@ -237,7 +244,7 @@ def _rref_solve(
     return solution, free
 
 
-def oracle_solve(p: int, q: int, max_dim: int = 64) -> dict[tuple[int, int], Fraction]:
+def oracle_solve(p: int, q: int, max_dim: int = ORACLE_MAX_DIM) -> dict[tuple[int, int], Fraction]:
     """Solve the commutation relations directly for the squared block unknowns.
 
     One unknown per admissible block.  The diagonal of [U+,U-] = 2 U3 gives
@@ -398,6 +405,7 @@ def verify_irrep(p: int, q: int, with_oracle: bool = False) -> CheckReport:
                 else f"oracle mismatch: {'; '.join(mismatches)}",
                 not mismatches,
                 0.0 if not mismatches else 1.0,
+                kind="oracle",
             )
         )
     return CheckReport(p, q, tuple(entries))
@@ -447,11 +455,11 @@ def sweep_labels(max_d: int) -> list[tuple[int, int]]:
 def _sweep_one(label: tuple[int, int]) -> SweepRow:
     p, q = label
     start = time.perf_counter()
-    gs = build_generator_set(p, q)
-    comm = check_commutators(gs).passed
-    cas = check_casimir(gs).exact
-    struct = all(c.exact for c in check_structure(to_gell_mann(gs)))
+    report = verify_irrep(p, q)
     millis = int((time.perf_counter() - start) * 1000)
+    comm, cas, struct = (
+        report.of_kind(kind).passed for kind in ("commutator", "casimir", "structure")
+    )
     return SweepRow(p, q, dimension(p, q), comm, cas, struct, millis)
 
 

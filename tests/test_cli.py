@@ -178,6 +178,11 @@ class TestUnknownsAndOracle:
             formula.get(k, Fraction(0)) == solved.get(k, Fraction(0)) for k in keys
         )
 
+    def test_oracle_size_guard(self, capsys):
+        code, out, err = run(capsys, "oracle", "--p", "5", "--q", "3")
+        assert (code, out) == (2, "")
+        assert err == "su3rep: error: oracle is desk-scale only (d <= 64)\n"
+
     def test_orientation_guard(self, capsys):
         code, _, err = run(capsys, "unknowns", "--p", "1", "--q", "2")
         assert code == 2 and "p >= q" in err

@@ -120,7 +120,7 @@ class TestRaisingMatrices:
 
     def test_single_diagonal_per_block(self):
         gs = build_generator_set(3, 2)
-        layout = gs.layout
+        layout = block_layout(3, 2)
         for mat in (gs.u_plus, gs.v_plus):
             offsets: dict[tuple[int, int], set[int]] = {}
             for r, c, _ in mat.items():
@@ -135,7 +135,7 @@ class TestRaisingMatrices:
         # r-(t, sigma + 1/2) * u(sigma - 1) = r-(s, sigma) * u(sigma)
         for p, q in all_labels(300):
             gs = build_generator_set(p, q)
-            layout = gs.layout
+            layout = block_layout(p, q)
             spins = tspin_list(p, q).doubled_spins
             for i, j, shift in admissible_blocks(p, q):
                 two_s, two_t = spins[i - 1], spins[j - 1]

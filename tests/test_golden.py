@@ -106,7 +106,7 @@ def corrupted_report_text(p, q, field) -> str:
     relations = list(check_commutators(bad_set).relations)
     relations.append(check_casimir(bad_set))
     relations.extend(check_structure(to_gell_mann(bad_set)))
-    return render_report(CheckReport(p, q, tuple(relations)), False)
+    return render_report(CheckReport(p, q, tuple(relations)))
 
 
 def sweep_output() -> dict:

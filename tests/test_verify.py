@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from su3rep import (
     CheckReport,
     RadicalSum,
+    RelationCheck,
     block_unknown_squares,
     build_generator_set,
     casimir_eigenvalue,
@@ -143,6 +145,31 @@ class TestVerifyIrrep:
 
     def test_swapped_orientation_oracle_uses_sorted_label(self):
         assert verify_irrep(1, 2, with_oracle=True).passed
+
+
+class TestRelationKinds:
+    @pytest.mark.parametrize("p,q", [(3, 2), (2, 3)])
+    def test_kind_counts(self, p, q):
+        report = verify_irrep(p, q, with_oracle=True)
+        counts = Counter(r.kind for r in report.relations)
+        assert counts == {"commutator": 28, "casimir": 1, "structure": 3, "oracle": 1}
+        assert [len(report.of_kind(k).relations) for k in counts] == list(counts.values())
+
+    def test_sweep_reads_each_kind(self, monkeypatch):
+        def failing_casimir(gs):
+            return RelationCheck("casimir = ?", False, 1.0, kind="casimir")
+
+        monkeypatch.setattr("su3rep.verify.check_casimir", failing_casimir)
+        summary = sweep(9)
+        assert summary.rows
+        assert all(
+            (r.commutators_ok, r.casimir_ok, r.structure_ok) == (True, False, True)
+            for r in summary.rows
+        )
+        assert not summary.passed
+
+    def test_missing_kind_is_not_a_pass(self):
+        assert not verify_irrep(1, 0).of_kind("oracle").passed
 
 
 class TestSweep:
