@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterator
 from fractions import Fraction
 
 from .generators import (
@@ -128,7 +129,7 @@ def _write(text: str, output: str | None) -> int:
 # generate
 
 
-def _cells(p: int, q: int, name: str):
+def _cells(p: int, q: int, name: str) -> Iterator[tuple]:
     """The nonzero cells of one basis matrix in (row, col) order, 1-based:
     (row, col, ((part, value), ...)), part "value" for the eight ladder
     matrices and "re", "im" for F1..F8."""

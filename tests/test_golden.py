@@ -15,7 +15,6 @@ and review the diff.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -27,7 +26,6 @@ import pytest
 
 from su3rep import (
     CheckReport,
-    RadicalSum,
     build_generator_set,
     check_casimir,
     check_commutators,
@@ -36,7 +34,7 @@ from su3rep import (
 )
 from su3rep.cli import main, render_report
 from su3rep.generators import GELL_MANN_NAMES, MATRIX_NAMES
-from su3rep.matrices import RadMatrix
+from test_verify import _plus_sqrt7_at_first_entry
 
 RECORD = Path(__file__).with_name("golden_outputs.json")
 
@@ -95,14 +93,7 @@ def oracle_mismatch_output() -> dict:
 
 def corrupted_report_text(p, q, field) -> str:
     """render_report of (p, q) with sqrt(7) added to the first entry of one matrix."""
-    gs = build_generator_set(p, q)
-    mat = getattr(gs, field)
-    bad = RadMatrix(gs.dim)
-    for r, c, v in mat.items():
-        bad.put(r, c, v)
-    r, c, v = next(mat.items())
-    bad.put(r, c, v + RadicalSum.from_terms([(1, 7)]))
-    bad_set = dataclasses.replace(gs, **{field: bad})
+    bad_set = _plus_sqrt7_at_first_entry(build_generator_set(p, q), field)
     relations = list(check_commutators(bad_set).relations)
     relations.append(check_casimir(bad_set))
     relations.extend(check_structure(to_gell_mann(bad_set)))
