@@ -1,34 +1,35 @@
-"""Sparse square matrices over RadicalSum, and their one product kernel.
+"""Sparse square matrices of exact radical entries, stored as integers.
 
 The generator matrices have O(d) nonzero entries out of d*d, and the whole
 verification suite is products, sums and exact zero tests, so a dict-of-rows
 layout keeps everything near-linear in the number of nonzeros.
 
-``RadMatrix`` is the public form: entries are RadicalSums, whose rational
-coefficients are ``Fraction``s.  Multiplying in that form builds and
-normalizes a Fraction for every scalar product and every partial sum, which
-is where nearly all of a verification's time would go.  So every matrix
-product is taken in a private integer form, ``_IntMatrix``: one shared
-positive denominator D for the whole matrix and integer numerators keyed by
-(column, square-free radicand), the entry at (r, c) being
+A ``RadMatrix`` stores one positive denominator ``den`` and integer
+numerators keyed by (column, square-free radicand); the entry at (r, c) is
 
-    sum over sf of (numerator / D) * sqrt(sf).
+    sum over sf of (numerator / den) * sqrt(sf).
 
-Why this is exact.  Every generator entry is a single term c*sqrt(m), so a
-matrix is a finite set of rational coefficients, one per stored entry, and
-the lcm of their denominators is a D that writes each of them as an integer
-over D; one denominator per matrix suffices.  An entry with several terms,
-such as a corrupted one, simply stores one numerator per radicand.  The
-product of two such matrices has denominator D_A * D_B, and each scalar
-product needs only integers: sqrt(m1) * sqrt(m2) = g * sqrt((m1/g) * (m2/g))
-with g = gcd(m1, m2), whose cofactors are coprime and square-free, so the
-product radicand is square-free with no factoring.  A linear combination
-with rational coefficients rescales numerators to the lcm of the
-denominators.  Square roots of distinct square-free integers are linearly
-independent over the rationals, so a matrix in this form is zero exactly
-when it stores no numerator, and zeros are never stored.  The checks in
-``verify`` build their residuals in this form and convert back to
-RadicalSums only to report a nonzero one.
+Entries go in and come out as ``RadicalSum``s, but the arithmetic runs on
+integers and builds no ``Fraction`` per entry, which is where nearly all of
+a verification's time would otherwise go.
+
+Why this is exact.  A matrix is a finite set of rational coefficients, one
+per stored term (an entry with several terms, such as a corrupted one,
+stores one numerator per radicand), and the lcm of their denominators is a
+den that writes each of them as an integer over den.  The product of two
+matrices has denominator den_A * den_B, and each scalar product needs only
+integers: sqrt(m1) * sqrt(m2) = g * sqrt((m1/g) * (m2/g)) with
+g = gcd(m1, m2), whose cofactors are coprime and square-free, so the product
+radicand is square-free with no factoring.  A linear combination with
+rational coefficients rescales numerators to the lcm of the denominators.
+Square roots of distinct square-free integers are linearly independent over
+the rationals, so a matrix is zero exactly when it stores no numerator, and
+zeros are never stored.
+
+``den`` is not canonical: products and sums keep the common denominator
+their operands give them, with no gcd pass to reduce it, so one matrix has
+many stored forms.  Equality is therefore "the difference is zero", never a
+comparison of the stored dicts.
 """
 
 from __future__ import annotations
@@ -43,53 +44,84 @@ _Scalar = Union[int, Fraction, RadicalSum]
 
 
 class RadMatrix:
-    """n x n matrix with RadicalSum entries; zeros are never stored.
+    """n x n matrix with exact radical entries; zeros are never stored.
 
-    Instances are built once and treated as immutable afterwards.
+    ``_rows`` maps a row to ``{sf * n + col: numerator}``: the entry at
+    (row, col) is the sum of (numerator / den) * sqrt(sf) over its keys.
+    Instances are built once with ``put`` and treated as immutable afterwards.
     """
 
-    __slots__ = ("n", "_rows")
+    __slots__ = ("n", "den", "_rows")
 
     def __init__(self, n: int):
         self.n = n
-        self._rows: dict[int, dict[int, RadicalSum]] = {}
+        self.den = 1
+        self._rows: dict[int, dict[int, int]] = {}
+
+    @classmethod
+    def _raw(cls, n: int, den: int, rows: dict[int, dict[int, int]]) -> "RadMatrix":
+        """The matrix (den, rows) less its zero numerators and empty rows."""
+        out = cls(n)
+        out.den = den
+        for r, row in rows.items():
+            row = {key: v for key, v in row.items() if v}
+            if row:
+                out._rows[r] = row
+        return out
 
     @classmethod
     def identity(cls, n: int, scale: _Scalar = 1) -> "RadMatrix":
-        out = cls(n)
-        val = scale if isinstance(scale, RadicalSum) else RadicalSum(scale)
-        if val:
-            for i in range(n):
-                out._rows[i] = {i: val}
-        return out
+        cell = cls(1)
+        cell.put(0, 0, scale)  # scale's numerators by radicand, over cell.den
+        nums = cell._rows.get(0, {}).items()
+        return cls._raw(n, cell.den, {i: {sf * n + i: v for sf, v in nums} for i in range(n)})
 
     # -- entry access (0-based) ------------------------------------------
 
     def put(self, r: int, c: int, value: _Scalar) -> None:
-        if not (0 <= r < self.n and 0 <= c < self.n):
-            raise IndexError(f"({r}, {c}) outside {self.n}x{self.n}")
+        """Set the entry at (r, c), replacing every term it held before."""
+        n = self.n
+        if not (0 <= r < n and 0 <= c < n):
+            raise IndexError(f"({r}, {c}) outside {n}x{n}")
         val = value if isinstance(value, RadicalSum) else RadicalSum(value)
         row = self._rows.setdefault(r, {})
-        if val:
-            row[c] = val
-        else:
-            row.pop(c, None)
-            if not row:
-                del self._rows[r]
+        for key in [key for key in row if key % n == c]:
+            del row[key]
+        for sf, coeff in val._terms.items():
+            num, d = coeff.as_integer_ratio()
+            if self.den % d:  # grow den to a multiple of d, rescaling every numerator
+                factor = d // math.gcd(self.den, d)
+                for numerators in self._rows.values():
+                    for key in numerators:
+                        numerators[key] *= factor
+                self.den *= factor
+            row[sf * n + c] = num * (self.den // d)
+        if not row:
+            del self._rows[r]
 
     def get(self, r: int, c: int) -> RadicalSum:
-        return self._rows.get(r, _EMPTY_ROW).get(c, _ZERO)
+        return self._cells(r).get(c, _ZERO)
+
+    def _cells(self, r: int) -> dict[int, RadicalSum]:
+        """Row r's nonzero entries by column."""
+        n, den = self.n, self.den
+        cells: dict[int, dict[int, Fraction]] = {}
+        for key, v in sorted(self._rows.get(r, {}).items()):
+            sf, c = divmod(key, n)
+            cells.setdefault(c, {})[sf] = Fraction(v, den)
+        return {c: RadicalSum._raw(t) for c, t in cells.items()}
 
     def items(self) -> Iterator[tuple[int, int, RadicalSum]]:
         """Nonzero entries sorted by (row, col)."""
         for r in sorted(self._rows):
-            row = self._rows[r]
-            for c in sorted(row):
-                yield r, c, row[c]
+            cells = self._cells(r)
+            for c in sorted(cells):
+                yield r, c, cells[c]
 
     @property
     def nnz(self) -> int:
-        return sum(len(row) for row in self._rows.values())
+        n = self.n
+        return sum(len({key % n for key in row}) for row in self._rows.values())
 
     def is_zero(self) -> bool:
         return not self._rows
@@ -97,7 +129,7 @@ class RadMatrix:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RadMatrix):
             return NotImplemented
-        return self.n == other.n and self._rows == other._rows
+        return self.n == other.n and _combine(((1, self), (-1, other))).is_zero()
 
     def __hash__(self):
         raise TypeError("RadMatrix is not hashable")
@@ -105,57 +137,50 @@ class RadMatrix:
     # -- algebra ----------------------------------------------------------
 
     def __add__(self, other: "RadMatrix") -> "RadMatrix":
-        self._check_shape(other)
-        out = RadMatrix(self.n)
-        out._rows = {r: dict(row) for r, row in self._rows.items()}
-        for r, row in other._rows.items():
-            dest = out._rows.setdefault(r, {})
-            for c, v in row.items():
-                tot = dest.get(c, _ZERO) + v
-                if tot:
-                    dest[c] = tot
-                else:
-                    dest.pop(c, None)
-            if not dest:
-                del out._rows[r]
-        return out
+        return _combine(((1, self), (1, other)))
 
     def __sub__(self, other: "RadMatrix") -> "RadMatrix":
-        return self + (-other)
+        return _combine(((1, self), (-1, other)))
 
     def __neg__(self) -> "RadMatrix":
-        out = RadMatrix(self.n)
-        out._rows = {
-            r: {c: -v for c, v in row.items()} for r, row in self._rows.items()
-        }
-        return out
+        return _combine(((-1, self),))
 
     def scaled(self, factor: _Scalar) -> "RadMatrix":
-        fac = factor if isinstance(factor, RadicalSum) else RadicalSum(factor)
-        out = RadMatrix(self.n)
-        if not fac:
-            return out
-        for r, row in self._rows.items():
-            out._rows[r] = {c: v * fac for c, v in row.items()}
-        return out
+        return self @ RadMatrix.identity(self.n, factor)
 
     def __matmul__(self, other: "RadMatrix") -> "RadMatrix":
         self._check_shape(other)
-        return (_IntMatrix.of(self) @ _IntMatrix.of(other)).to_rad()
+        n = self.n
+        gcd = math.gcd
+        # other's rows decoded once into (col, sf, numerator) triples
+        right = {
+            k: [(key % n, key // n, b) for key, b in row.items()]
+            for k, row in other._rows.items()
+        }
+        rows: dict[int, dict[int, int]] = {}
+        for r, row in self._rows.items():
+            acc: dict[int, int] = {}
+            for key, a in row.items():
+                sfa, k = divmod(key, n)
+                for c, sfb, b in right.get(k, ()):
+                    # sqrt(sfa)*sqrt(sfb) = g*sqrt((sfa/g)*(sfb/g)), g = gcd
+                    g = gcd(sfa, sfb)
+                    out = (sfa // g) * (sfb // g) * n + c
+                    acc[out] = acc.get(out, 0) + a * b * g
+            rows[r] = acc
+        return RadMatrix._raw(n, self.den * other.den, rows)
 
     def transpose(self) -> "RadMatrix":
-        out = RadMatrix(self.n)
+        n = self.n
+        rows: dict[int, dict[int, int]] = {}
         for r, row in self._rows.items():
-            for c, v in row.items():
-                out._rows.setdefault(c, {})[r] = v
-        return out
+            for key, v in row.items():
+                sf, c = divmod(key, n)
+                rows.setdefault(c, {})[sf * n + r] = v
+        return RadMatrix._raw(n, self.den, rows)
 
     def negative_transpose(self) -> "RadMatrix":
-        out = RadMatrix(self.n)
-        for r, row in self._rows.items():
-            for c, v in row.items():
-                out._rows.setdefault(c, {})[r] = -v
-        return out
+        return -self.transpose()
 
     def is_symmetric(self) -> bool:
         return self == self.transpose()
@@ -164,28 +189,25 @@ class RadMatrix:
         return self == -self.transpose()
 
     def trace(self) -> RadicalSum:
-        total = _ZERO
+        # fold the diagonal into cell (0, 0): key sf * n + r adds to key sf * n
+        n = self.n
+        total: dict[int, int] = {}
         for r, row in self._rows.items():
-            v = row.get(r)
-            if v is not None:
-                total = total + v
-        return total
+            for key, v in row.items():
+                if key % n == r:
+                    total[key - r] = total.get(key - r, 0) + v
+        return RadMatrix._raw(n, self.den, {0: total}).get(0, 0)
 
     # -- diagnostics -------------------------------------------------------
 
     def max_abs_float(self) -> float:
         """Largest |entry| in floating point; 0.0 for the zero matrix."""
-        best = 0.0
-        for row in self._rows.values():
-            for v in row.values():
-                best = max(best, abs(v.to_float()))
-        return best
+        return max((abs(v.to_float()) for _, _, v in self.items()), default=0.0)
 
     def to_float(self) -> list[list[float]]:
         dense = [[0.0] * self.n for _ in range(self.n)]
-        for r, row in self._rows.items():
-            for c, v in row.items():
-                dense[r][c] = v.to_float()
+        for r, c, v in self.items():
+            dense[r][c] = v.to_float()
         return dense
 
     def _check_shape(self, other: "RadMatrix") -> None:
@@ -197,105 +219,23 @@ class RadMatrix:
 
 
 _ZERO = RadicalSum(0)
-_EMPTY_ROW: dict[int, RadicalSum] = {}
 
 
-class _IntMatrix:
-    """n x n matrix as integer numerators over one shared denominator.
-
-    ``rows`` maps a row to ``{sf * n + col: numerator}``: the entry at
-    (row, col) is the sum of (numerator / den) * sqrt(sf) over its keys.
-    Radicands are square-free, numerators are never zero and ``den`` is
-    positive.  See the module docstring for why this form is exact.
-    """
-
-    __slots__ = ("n", "den", "rows")
-
-    def __init__(self, n: int, den: int, rows: dict[int, dict[int, int]]):
-        self.n = n
-        self.den = den
-        self.rows = rows
-
-    @classmethod
-    def of(cls, mat: RadMatrix) -> "_IntMatrix":
-        """The same matrix over the lcm of its coefficients' denominators."""
-        n = mat.n
-        entries = [
-            (r, c, coeff, sf)
-            for r, row in mat._rows.items()
-            for c, v in row.items()
-            for coeff, sf in v.terms()
-        ]
-        den = math.lcm(1, *(coeff.denominator for _, _, coeff, _ in entries))
-        rows: dict[int, dict[int, int]] = {}
-        for r, c, coeff, sf in entries:
-            rows.setdefault(r, {})[sf * n + c] = coeff.numerator * (den // coeff.denominator)
-        return cls(n, den, rows)
-
-    @classmethod
-    def identity(cls, n: int) -> "_IntMatrix":
-        return cls(n, 1, {i: {n + i: 1} for i in range(n)})
-
-    def is_zero(self) -> bool:
-        return not self.rows
-
-    def __matmul__(self, other: "_IntMatrix") -> "_IntMatrix":
-        n = self.n
-        gcd = math.gcd
-        # other's rows decoded once into (col, sf, numerator) triples
-        right = {
-            k: [(key % n, key // n, b) for key, b in row.items()]
-            for k, row in other.rows.items()
-        }
-        rows: dict[int, dict[int, int]] = {}
-        for r, row in self.rows.items():
-            acc: dict[int, int] = {}
-            for key, a in row.items():
-                sfa, k = divmod(key, n)
-                for c, sfb, b in right.get(k, ()):
-                    # sqrt(sfa)*sqrt(sfb) = g*sqrt((sfa/g)*(sfb/g)), g = gcd
-                    g = gcd(sfa, sfb)
-                    out = (sfa // g) * (sfb // g) * n + c
-                    acc[out] = acc.get(out, 0) + a * b * g
-            acc = {key: v for key, v in acc.items() if v}
-            if acc:
-                rows[r] = acc
-        return _IntMatrix(n, self.den * other.den, rows)
-
-    def to_rad(self) -> RadMatrix:
-        """The same matrix with RadicalSum entries."""
-        n = self.n
-        den = self.den
-        out = RadMatrix(n)
-        for r, row in self.rows.items():
-            cells: dict[int, dict[int, Fraction]] = {}
-            for key, v in row.items():
-                sf, c = divmod(key, n)
-                cells.setdefault(c, {})[sf] = Fraction(v, den)
-            out._rows[r] = {c: RadicalSum._raw(t) for c, t in cells.items()}
-        return out
-
-
-def _combine(terms: Iterable[tuple[Union[int, Fraction], _IntMatrix]]) -> _IntMatrix:
+def _combine(terms: Iterable[tuple[Union[int, Fraction], RadMatrix]]) -> RadMatrix:
     """The sum of coeff * matrix over (coeff, matrix) pairs of one size."""
     terms = [(Fraction(coeff), mat) for coeff, mat in terms]
+    first = terms[0][1]
     den = math.lcm(*(coeff.denominator * mat.den for coeff, mat in terms))
     rows: dict[int, dict[int, int]] = {}
     for coeff, mat in terms:
+        first._check_shape(mat)
         f = coeff.numerator * (den // (coeff.denominator * mat.den))
-        for r, row in mat.rows.items():
+        for r, row in mat._rows.items():
             acc = rows.setdefault(r, {})
             for key, v in row.items():
                 acc[key] = acc.get(key, 0) + f * v
-    nonzero = {}
-    for r, row in rows.items():
-        row = {key: v for key, v in row.items() if v}
-        if row:
-            nonzero[r] = row
-    return _IntMatrix(terms[0][1].n, den, nonzero)
+    return RadMatrix._raw(first.n, den, rows)
 
 
 def commutator(a: RadMatrix, b: RadMatrix) -> RadMatrix:
-    a._check_shape(b)
-    ia, ib = _IntMatrix.of(a), _IntMatrix.of(b)
-    return _combine(((1, ia @ ib), (-1, ib @ ia))).to_rad()
+    return _combine(((1, a @ b), (-1, b @ a)))

@@ -22,7 +22,7 @@ from .generators import (
     raising_entry_squares,
     to_gell_mann,
 )
-from .matrices import _combine, _IntMatrix
+from .matrices import RadMatrix, _combine
 from .radical import RadicalSum, sqrt_of_rational
 from .structure import block_layout, dimension, state_labels, tspin_list
 from .su2 import ladder_coefficient
@@ -106,7 +106,7 @@ def _relation_name(a: str, b: str, rhs: tuple[tuple[Fraction, str], ...]) -> str
 
 def check_commutators(gs: GeneratorSet) -> CheckReport:
     """Evaluate all 28 commutation relations exactly."""
-    mats = {name: _IntMatrix.of(mat) for name, mat in gs.matrices().items()}
+    mats = gs.matrices()
     checks = []
     for a, b, rhs in COMMUTATOR_TABLE:
         ma, mb = mats[a], mats[b]
@@ -117,9 +117,9 @@ def check_commutators(gs: GeneratorSet) -> CheckReport:
     return CheckReport(gs.p, gs.q, tuple(checks))
 
 
-def _relation_check(kind: str, name: str, residual: _IntMatrix) -> RelationCheck:
+def _relation_check(kind: str, name: str, residual: RadMatrix) -> RelationCheck:
     exact = residual.is_zero()
-    return RelationCheck(name, exact, 0.0 if exact else residual.to_rad().max_abs_float(), kind)
+    return RelationCheck(name, exact, 0.0 if exact else residual.max_abs_float(), kind)
 
 
 def casimir_eigenvalue(p: int, q: int) -> Fraction:
@@ -129,7 +129,7 @@ def casimir_eigenvalue(p: int, q: int) -> Fraction:
 def check_casimir(gs: GeneratorSet) -> RelationCheck:
     """The quadratic invariant must equal its eigenvalue times the identity:
     (T+T- + T-T+ + V+V- + V-V+ + U+U- + U-U+)/2 + T3^2 + Y^2/3, Y = 2 U3 + T3."""
-    mats = {name: _IntMatrix.of(mat) for name, mat in gs.matrices().items()}
+    mats = gs.matrices()
     y = _combine([(2, mats["U3"]), (1, mats["T3"])])
     eigen = casimir_eigenvalue(gs.p, gs.q)
     ladders = (("Tp", "Tm"), ("Tm", "Tp"), ("Vp", "Vm"), ("Vm", "Vp"), ("Up", "Um"), ("Um", "Up"))
@@ -137,7 +137,7 @@ def check_casimir(gs: GeneratorSet) -> RelationCheck:
     terms += [
         (1, mats["T3"] @ mats["T3"]),
         (Fraction(1, 3), y @ y),
-        (-eigen, _IntMatrix.identity(gs.dim)),
+        (-eigen, RadMatrix.identity(gs.dim)),
     ]
     return _relation_check("casimir", f"casimir = {eigen}", _combine(terms))
 

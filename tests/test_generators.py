@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from su3rep import (
     RadicalSum,
@@ -184,6 +185,21 @@ class TestGeneratorSet:
                 twice.matrices()[key] == gs.matrices()[key] for key in gs.matrices()
             )
             assert (twice.p, twice.q) == (p, q)
+
+    @settings(deadline=None)
+    @given(
+        st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(lambda pq: sum(pq) <= 6)
+    )
+    @example((4, 2))
+    @example((2, 4))
+    def test_transposes_in_both_orientations(self, label):
+        gs = build_generator_set(*label)
+        for mat in gs.matrices().values():
+            once = mat.negative_transpose()
+            assert (once + mat.transpose()).is_zero()
+            assert list(once.negative_transpose().items()) == list(mat.items())
+        assert gs.u_minus == gs.u_plus.transpose()
+        assert gs.v_minus == gs.v_plus.transpose()
 
 
 class TestGellMann:

@@ -1,9 +1,10 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from su3rep import RadicalSum
-from su3rep.matrices import RadMatrix, _combine, _IntMatrix, commutator
+from su3rep.matrices import RadMatrix, _combine, commutator
 
 # Small coefficients and radicands that are not all square-free (8 = 4*2,
 # 12 = 4*3), so that entries and their products cancel often.
@@ -59,28 +60,122 @@ def test_commutator_matches_dense_reference(pair):
     assert _stores_no_zero(result)
 
 
+_positions = st.tuples(st.integers(0, 3), st.integers(0, 3))
+
+
+def _rad(*terms) -> RadicalSum:
+    return RadicalSum.from_terms(terms)
+
+
+@given(st.dictionaries(_positions, _entries, max_size=8))
+def test_put_items_round_trip(entries):
+    mat = RadMatrix(4)
+    for (r, c), v in entries.items():
+        mat.put(r, c, v)
+    expected = sorted((r, c, v) for (r, c), v in entries.items() if v)
+    assert list(mat.items()) == expected
+    assert mat.nnz == len(expected)
+    assert all(mat.get(r, c) == v for (r, c), v in entries.items())
+
+
 @given(_matrix_pairs(), _coeffs, _coeffs)
-def test_integer_form_and_combination(pair, x, y):
+def test_combination_matches_entrywise_reference(pair, x, y):
     a, b = pair
-    assert _IntMatrix.of(a).to_rad() == a
-    combined = _combine([(x, _IntMatrix.of(a)), (y, _IntMatrix.of(b))])
-    expected = a.scaled(x) + b.scaled(y)
-    assert combined.to_rad() == expected
-    assert combined.is_zero() == expected.is_zero()
+    combined = _combine([(x, a), (y, b)])
+    reference = {
+        (i, j): x * a.get(i, j) + y * b.get(i, j) for i in range(a.n) for j in range(a.n)
+    }
+    assert list(combined.items()) == sorted((i, j, v) for (i, j), v in reference.items() if v)
+    assert combined.is_zero() == (not any(reference.values()))
+
+
+@given(_matrix_pairs(), _entries)
+def test_scaled_by_radical_matches_entrywise_product(pair, factor):
+    a, _ = pair
+    scaled = a.scaled(factor)
+    for i in range(a.n):
+        for j in range(a.n):
+            assert scaled.get(i, j) == a.get(i, j) * factor
+    assert _stores_no_zero(scaled)
+
+
+def test_put_replaces_every_radicand_of_a_cell():
+    mat = RadMatrix(2)
+    mat.put(0, 1, RadicalSum(4))
+    mat.put(0, 0, _rad((1, 2), (1, 3)))
+    mat.put(0, 0, _rad((1, 5)))
+    assert list(mat.items()) == [(0, 0, _rad((1, 5))), (0, 1, RadicalSum(4))]
+    assert mat.nnz == 2
+
+
+def test_put_zero_removes_the_cell():
+    mat = RadMatrix(3)
+    mat.put(1, 2, _rad((1, 2), (Fraction(1, 3), 3)))
+    mat.put(1, 0, RadicalSum(1))
+    mat.put(1, 2, 0)
+    assert list(mat.items()) == [(1, 0, RadicalSum(1))]
+    mat.put(1, 0, RadicalSum(0))
+    assert mat.is_zero()
+    assert mat.nnz == 0 and list(mat.items()) == []
+
+
+def test_equality_ignores_the_stored_denominator():
+    plain = RadMatrix(2)
+    plain.put(0, 0, RadicalSum(1))
+    plain.put(1, 0, _rad((Fraction(1, 2), 2)))
+    overwritten = RadMatrix(2)
+    overwritten.put(0, 0, RadicalSum(Fraction(1, 7)))
+    overwritten.put(0, 0, RadicalSum(1))
+    overwritten.put(1, 0, _rad((Fraction(1, 2), 2)))
+    through_product = plain.scaled(Fraction(1, 3)) @ RadMatrix.identity(2, 3)
+    for same in (overwritten, through_product):
+        assert same.den != plain.den
+        assert same == plain and plain == same
+        assert list(same.items()) == list(plain.items())
+    different = RadMatrix(2)
+    different.put(0, 0, RadicalSum(1))
+    assert different != plain
+
+
+def test_trace_sums_the_diagonal_by_radicand():
+    mat = RadMatrix(3)
+    mat.put(0, 0, _rad((1, 2), (Fraction(1, 3), 1)))
+    mat.put(1, 1, _rad((Fraction(1, 5), 3)))
+    mat.put(2, 2, _rad((1, 2), (Fraction(-1, 3), 1)))
+    mat.put(0, 1, RadicalSum(7))
+    assert mat.trace() == _rad((2, 2), (Fraction(1, 5), 3))
+    mat.put(1, 1, 0)
+    mat.put(2, 2, _rad((-1, 2), (Fraction(-1, 3), 1)))
+    assert mat.trace().is_zero
 
 
 def test_cancelling_product_stores_nothing():
     # [√2, √8] @ [√2, -√2/2]^T = 2 - 2 = 0, with √8 = 2√2 folded on input
     a, b = RadMatrix(2), RadMatrix(2)
-    a.put(0, 0, RadicalSum.from_terms([(1, 2)]))
-    a.put(0, 1, RadicalSum.from_terms([(1, 8)]))
-    b.put(0, 0, RadicalSum.from_terms([(1, 2)]))
-    b.put(1, 0, RadicalSum.from_terms([(Fraction(-1, 2), 2)]))
-    assert (a @ b).is_zero()
-    assert (_IntMatrix.of(a) @ _IntMatrix.of(b)).is_zero()
+    a.put(0, 0, _rad((1, 2)))
+    a.put(0, 1, _rad((1, 8)))
+    b.put(0, 0, _rad((1, 2)))
+    b.put(1, 0, _rad((Fraction(-1, 2), 2)))
+    product = a @ b
+    assert product.is_zero()
+    assert list(product.items()) == [] and product.nnz == 0
 
 
 def test_identity():
-    ident = RadMatrix.identity(4)
-    assert _IntMatrix.identity(4).to_rad() == ident
-    assert _IntMatrix.of(ident).to_rad() == ident
+    assert list(RadMatrix.identity(4).items()) == [(i, i, RadicalSum(1)) for i in range(4)]
+    third = _rad((Fraction(1, 3), 3))
+    assert list(RadMatrix.identity(3, third).items()) == [(i, i, third) for i in range(3)]
+    assert RadMatrix.identity(3, 0).is_zero()
+    mat = RadMatrix(3)
+    mat.put(0, 2, _rad((Fraction(2, 5), 6)))
+    mat.put(2, 1, RadicalSum(-3))
+    ident = RadMatrix.identity(3)
+    assert list((mat @ ident).items()) == list(mat.items())
+    assert list((ident @ mat).items()) == list(mat.items())
+
+
+def test_shape_mismatch_raises():
+    a, b = RadMatrix(2), RadMatrix(3)
+    for op in (lambda: a + b, lambda: b - a, lambda: a @ b, lambda: commutator(b, a)):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            op()
