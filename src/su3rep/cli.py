@@ -23,6 +23,7 @@ from .generators import (
     build_generator_set,
     to_gell_mann,
 )
+from .radical import RadicalSum
 from .structure import dimension, weight_multiplicities
 from .unknowns import block_unknown_squares
 from .verify import (
@@ -139,9 +140,11 @@ def _cells(p: int, q: int, name: str) -> Iterator[tuple]:
             yield r + 1, c + 1, (("value", v),)
         return
     fmat = to_gell_mann(gs).matrices[GELL_MANN_NAMES.index(name)]
-    positions = sorted({(r, c) for part in (fmat.re, fmat.im) for r, c, _ in part.items()})
-    for r, c in positions:
-        yield r + 1, c + 1, (("re", fmat.re.get(r, c)), ("im", fmat.im.get(r, c)))
+    re = {(r, c): v for r, c, v in fmat.re.items()}
+    im = {(r, c): v for r, c, v in fmat.im.items()}
+    zero = RadicalSum(0)
+    for r, c in sorted(re.keys() | im.keys()):
+        yield r + 1, c + 1, (("re", re.get((r, c), zero)), ("im", im.get((r, c), zero)))
 
 
 def _generate_json(p: int, q: int, name: str, approx: bool) -> str:

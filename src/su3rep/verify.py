@@ -2,8 +2,9 @@
 
 Everything here is a zero test in exact radical arithmetic: the 28
 commutation relations, the quadratic Casimir identity, the structural
-requirements on the hermitian basis, and an independent brute-force solver
-for the block unknowns that knows nothing about the closed-form families.
+requirements on the hermitian basis, and a brute-force solver for the block
+unknowns.  The solver reads its equations off the commutation relations of
+the assembled unit matrices and knows nothing about the closed-form families.
 """
 
 from __future__ import annotations
@@ -19,13 +20,13 @@ from .generators import (
     GeneratorSet,
     admissible_blocks,
     build_generator_set,
-    raising_entry_squares,
+    build_t_matrices,
+    build_uplus_vplus,
     to_gell_mann,
 )
-from .matrices import RadMatrix, _combine
-from .radical import RadicalSum, sqrt_of_rational
-from .structure import block_layout, dimension, state_labels, tspin_list
-from .su2 import ladder_coefficient
+from .matrices import RadMatrix, _combine, commutator
+from .radical import RadicalSum
+from .structure import dimension, state_labels
 from .unknowns import ConsistencyError, block_unknown_squares
 
 
@@ -168,16 +169,7 @@ def check_structure(fs: GellMannSet) -> list[RelationCheck]:
 # ---------------------------------------------------------------------------
 # Brute-force oracle for the block unknowns
 
-ORACLE_MAX_DIM = 64  # the dense oracle's default size bound (desk scale)
-
-
-def _entry_factor(two_s: int, shift: int, a: int, which: str) -> RadicalSum:
-    """Signed in-block factor of the block constant at row position a."""
-    usq, vsq = raising_entry_squares(two_s, shift, a)
-    if which == "u":
-        return sqrt_of_rational(usq)
-    val = sqrt_of_rational(vsq)
-    return -val if shift == 1 else val
+ORACLE_MAX_DIM = 64  # the oracle's default size bound (desk scale)
 
 
 def _split_radical_equation(
@@ -202,56 +194,66 @@ def _split_radical_equation(
     return out
 
 
+def _eliminate(
+    row: dict[int, Fraction], rhs: Fraction, var: int, pivot: dict[int, Fraction], prhs: Fraction
+) -> tuple[dict[int, Fraction], Fraction]:
+    """(row, rhs) less row[var] times the pivot equation, zeros dropped."""
+    f = row.get(var)
+    if not f:
+        return row, rhs
+    out = dict(row)
+    for v, c in pivot.items():
+        out[v] = out.get(v, 0) - f * c
+    return {v: c for v, c in out.items() if c}, rhs - f * prhs
+
+
 def _rref_solve(
     rows: list[tuple[dict[int, Fraction], Fraction]], nvars: int
 ) -> tuple[list[Fraction | None], list[int]]:
-    """Exact Gauss-Jordan; returns per-variable solutions (None if free) and
-    the list of free variable indices.  Raises on inconsistency."""
-    mat = [
-        [row.get(v, Fraction(0)) for v in range(nvars)] + [rhs] for row, rhs in rows
-    ]
-    pivots: dict[int, int] = {}
-    r = 0
-    for c in range(nvars):
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pivot_row is None:
+    """Exact sparse Gauss-Jordan; returns per-variable solutions (None if
+    free) and the list of free variable indices.  Raises on inconsistency.
+
+    Each pivot row has coefficient 1 at its pivot and 0 at every other
+    pivot, so one pass over the pivots fully reduces a new row.
+    """
+    pivots: dict[int, tuple[dict[int, Fraction], Fraction]] = {}
+    for row, rhs in rows:
+        row = {v: c for v, c in row.items() if c}
+        for var in [v for v in row if v in pivots]:
+            row, rhs = _eliminate(row, rhs, var, *pivots[var])
+        if not row:
+            if rhs:
+                raise ConsistencyError("oracle equations are inconsistent")
             continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots[c] = r
-        r += 1
-        if r == len(mat):
-            break
-    for i in range(r, len(mat)):
-        if mat[i][nvars]:
-            raise ConsistencyError("oracle equations are inconsistent")
+        new = min(row)
+        inv = 1 / row[new]
+        row, rhs = {v: c * inv for v, c in row.items()}, rhs * inv
+        for var, (prow, prhs) in pivots.items():
+            pivots[var] = _eliminate(prow, prhs, new, row, rhs)
+        pivots[new] = (row, rhs)
     solution: list[Fraction | None] = [None] * nvars
     free = []
-    for c in range(nvars):
-        if c in pivots:
-            row = mat[pivots[c]]
-            if any(row[c2] for c2 in range(nvars) if c2 != c):
-                free.append(c)  # pivot entangled with a free variable
-            else:
-                solution[c] = row[nvars]
+    for var in range(nvars):
+        if var in pivots and len(pivots[var][0]) == 1:
+            solution[var] = pivots[var][1]
         else:
-            free.append(c)
+            free.append(var)  # no pivot, or one entangled with a free variable
     return solution, free
 
 
 def oracle_solve(p: int, q: int, max_dim: int = ORACLE_MAX_DIM) -> dict[tuple[int, int], Fraction]:
     """Solve the commutation relations directly for the squared block unknowns.
 
-    One unknown per admissible block.  The diagonal of [U+,U-] = 2 U3 gives
-    one rational-linear condition per state; the block-diagonal part of
-    [V-,U+] = -T- gives radical-linear conditions that split by radicand.
-    If those leave a square undetermined the diagonal of [V+,V-] = 2U3 + 2T3
-    is added; remaining freedom is an error, never a guess.
+    One unknown x_k per admissible block k.  ``build_uplus_vplus`` with
+    x_k = 1 and every other square 0 gives the unit matrices U_k, V_k, so
+    U+ = sum_k sqrt(x_k) U_k and V+ = sum_k sqrt(x_k) V_k.  [U_k, U_k^T] is
+    diagonal and [V_k^T, U_k] block-diagonal, while a product of two
+    different blocks lands off the diagonal blocks.  So on the cells where
+    a unit commutator or the right-hand side is nonzero, [U+,U-] = 2 U3 and
+    [V-,U+] = -T- are linear in the x_k with those unit commutators'
+    entries as coefficients; each equation splits by radicand.  Nothing
+    else is added: a square these equations leave free is an error, never
+    a guess.
     """
     d = dimension(p, q)
     if p < q:
@@ -259,106 +261,32 @@ def oracle_solve(p: int, q: int, max_dim: int = ORACLE_MAX_DIM) -> dict[tuple[in
     if d > max_dim:
         raise ValueError(f"oracle_solve is desk-scale only (d = {d} > {max_dim})")
 
-    blocks = admissible_blocks(p, q)
-    var_of = {(i, j): k for k, (i, j, _) in enumerate(blocks)}
-    nvars = len(blocks)
-    spins = tspin_list(p, q).doubled_spins
-    layout = block_layout(p, q)
-    labels = state_labels(p, q)
-
-    # Squared U+ / V+ entry factors bucketed by global row and column.
-    u_row: list[dict[int, Fraction]] = [dict() for _ in range(d)]
-    u_col: list[dict[int, Fraction]] = [dict() for _ in range(d)]
-    v_row: list[dict[int, Fraction]] = [dict() for _ in range(d)]
-    v_col: list[dict[int, Fraction]] = [dict() for _ in range(d)]
-    for i, j, shift in blocks:
-        var = var_of[(i, j)]
-        two_s = spins[i - 1]
-        r0, c0 = layout.offsets[i - 1], layout.offsets[j - 1]
-        if shift == -1:
-            u_positions = [(a, a - 1) for a in range(1, two_s + 1)]
-            v_positions = [(a, a) for a in range(0, two_s)]
-        else:
-            u_positions = [(a, a) for a in range(0, two_s + 1)]
-            v_positions = [(a, a + 1) for a in range(0, two_s + 1)]
-        for a, b in u_positions:
-            usq, _ = raising_entry_squares(two_s, shift, a)
-            u_row[r0 + a][var] = u_row[r0 + a].get(var, Fraction(0)) + usq
-            u_col[c0 + b][var] = u_col[c0 + b].get(var, Fraction(0)) + usq
-        for a, b in v_positions:
-            _, vsq = raising_entry_squares(two_s, shift, a)
-            v_row[r0 + a][var] = v_row[r0 + a].get(var, Fraction(0)) + vsq
-            v_col[c0 + b][var] = v_col[c0 + b].get(var, Fraction(0)) + vsq
-
+    blocks = [(i, j) for i, j, _ in admissible_blocks(p, q)]
+    # (relation, row, col) -> {block index: coefficient of its square}
+    coeffs: dict[tuple[str, int, int], dict[int, RadicalSum]] = {}
+    for k, key in enumerate(blocks):
+        unit_u, unit_v = build_uplus_vplus(p, q, {b: Fraction(b == key) for b in blocks})
+        for rel, mat in (
+            ("[U+,U-]", commutator(unit_u, unit_u.transpose())),
+            ("[V-,U+]", commutator(unit_v.transpose(), unit_u)),
+        ):
+            for r, c, v in mat.items():
+                coeffs.setdefault((rel, r, c), {})[k] = v
+    rhs = {("[U+,U-]", k, k): RadicalSum(lbl.two_u3) for k, lbl in enumerate(state_labels(p, q))}
+    rhs.update((("[V-,U+]", r, c), -v) for r, c, v in build_t_matrices(p, q)[1].items())
     equations: list[tuple[dict[int, Fraction], Fraction]] = []
-    for k, lbl in enumerate(labels):
-        row = dict(u_row[k])
-        for var, val in u_col[k].items():
-            row[var] = row.get(var, Fraction(0)) - val
-        equations.append(({v: c for v, c in row.items() if c}, Fraction(lbl.two_u3)))
+    for cell in sorted(coeffs.keys() | rhs.keys()):
+        equations.extend(
+            _split_radical_equation(coeffs.get(cell, {}), rhs.get(cell, RadicalSum(0)))
+        )
 
-    # Block-diagonal part of [V-,U+] = -T-: for states k, l in block bb with
-    # sigma_l = sigma_k + 1, sum over feeder blocks above and below.
-    incoming: dict[int, list[tuple[int, int, int]]] = {}
-    outgoing: dict[int, list[tuple[int, int, int]]] = {}
-    for i, j, shift in blocks:
-        incoming.setdefault(j, []).append((i, shift, var_of[(i, j)]))
-        outgoing.setdefault(i, []).append((j, shift, var_of[(i, j)]))
-    for bb in range(1, len(spins) + 1):
-        two_t = spins[bb - 1]
-        for ak in range(1, two_t + 1):  # local row of k; l sits one above
-            coeffs: dict[int, RadicalSum] = {}
-
-            def add(var: int, term: RadicalSum) -> None:
-                coeffs[var] = coeffs.get(var, RadicalSum(0)) + term
-
-            for a_blk, shift, var in incoming.get(bb, ()):
-                two_sa = spins[a_blk - 1]
-                am = ak if shift == -1 else ak - 1
-                if shift == -1:
-                    if not 1 <= am <= two_sa:
-                        continue
-                else:
-                    if not 0 <= am <= two_sa:
-                        continue
-                add(
-                    var,
-                    _entry_factor(two_sa, shift, am, "v")
-                    * _entry_factor(two_sa, shift, am, "u"),
-                )
-            for _, shift, var in outgoing.get(bb, ()):
-                # U+ from row ak and V+ from row ak-1 land on the same state.
-                add(
-                    var,
-                    -(
-                        _entry_factor(two_t, shift, ak, "u")
-                        * _entry_factor(two_t, shift, ak - 1, "v")
-                    ),
-                )
-            rhs = -ladder_coefficient("minus", two_t, two_t - 2 * (ak - 1))
-            equations.extend(
-                _split_radical_equation(coeffs, rhs)
-            )
-
-    solution, free = _rref_solve(equations, nvars)
+    solution, free = _rref_solve(equations, len(blocks))
     if free:
-        for k, lbl in enumerate(labels):
-            row = dict(v_row[k])
-            for var, val in v_col[k].items():
-                row[var] = row.get(var, Fraction(0)) - val
-            equations.append(
-                (
-                    {v: c for v, c in row.items() if c},
-                    Fraction(lbl.two_u3 + lbl.two_sigma),
-                )
-            )
-        solution, free = _rref_solve(equations, nvars)
-    if free:
-        names = ", ".join(str(blocks[k][:2]) for k in free)
+        names = ", ".join(str(blocks[k]) for k in free)
         raise ConsistencyError(f"oracle underdetermined for ({p},{q}): free blocks {names}")
 
     out = {}
-    for (i, j, _), value in zip(blocks, solution):
+    for (i, j), value in zip(blocks, solution):
         assert value is not None
         if value < 0:
             raise ConsistencyError(

@@ -7,6 +7,7 @@ import pytest
 
 from su3rep import (
     CheckReport,
+    ConsistencyError,
     RadicalSum,
     RelationCheck,
     block_unknown_squares,
@@ -23,7 +24,7 @@ from su3rep import (
     verify_irrep,
 )
 from su3rep.matrices import RadMatrix
-from su3rep.verify import COMMUTATOR_TABLE, sweep_labels
+from su3rep.verify import COMMUTATOR_TABLE, _rref_solve, sweep_labels
 
 
 class TestCommutators:
@@ -121,6 +122,57 @@ class TestOracle:
         assert formula[(2, 3)] == 0
         assert (2, 3) not in solved
         assert compare_with_oracle(1, 1) == []
+
+    def test_matches_closed_forms_below_300(self):
+        labels = [(p, q) for p, q in sweep_labels(300) if p >= q]
+        assert len(labels) == 61
+        for p, q in labels:
+            formula = block_unknown_squares(p, q)
+            solved = oracle_solve(p, q, max_dim=dimension(p, q))
+            for key in set(formula) | set(solved):
+                assert formula.get(key, 0) == solved.get(key, 0), (p, q, key)
+
+    def test_corrupted_closed_form_is_reported(self, monkeypatch):
+        def shifted(p, q):
+            squares = block_unknown_squares(p, q)
+            squares[(3, 1)] += 1
+            return squares
+
+        monkeypatch.setattr("su3rep.verify.block_unknown_squares", shifted)
+        assert compare_with_oracle(2, 1) == ["block (3, 1): closed form 4 != solved 3"]
+
+    def test_no_equations_is_an_error_not_a_guess(self, monkeypatch):
+        monkeypatch.setattr("su3rep.verify.commutator", lambda a, b: RadMatrix(a.n))
+        with pytest.raises(ConsistencyError):
+            oracle_solve(1, 0)
+
+
+def _eq(coeffs, rhs):
+    return {v: Fraction(c) for v, c in coeffs.items()}, Fraction(rhs)
+
+
+class TestRrefSolve:
+    def test_back_elimination_into_earlier_pivot(self):
+        rows = [_eq({0: 1, 1: 1}, 3), _eq({1: 1}, 1)]
+        assert _rref_solve(rows, 2) == ([2, 1], [])
+
+    def test_underdetermined_variables_are_free(self):
+        assert _rref_solve([_eq({0: 1, 1: 1}, 3)], 3) == ([None, None, None], [0, 1, 2])
+
+    def test_inconsistent_pair_raises(self):
+        with pytest.raises(ConsistencyError, match="inconsistent"):
+            _rref_solve([_eq({0: 1}, 1), _eq({0: 2}, 3)], 1)
+
+    def test_duplicated_equation(self):
+        rows = [_eq({0: 1, 1: 1}, 3), _eq({0: 1, 1: -1}, 1), _eq({0: 2, 1: 2}, 6)]
+        assert _rref_solve(rows, 2) == ([2, 1], [])
+
+    def test_stored_zero_coefficient_is_not_a_pivot(self):
+        assert _rref_solve([_eq({0: 0, 1: 1}, 1)], 2) == ([None, 1], [0])
+
+    def test_no_variables(self):
+        assert _rref_solve([], 0) == ([], [])
+        assert _rref_solve([_eq({}, 0)], 0) == ([], [])
 
 
 class TestNegativeControls:
