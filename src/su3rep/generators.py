@@ -12,11 +12,11 @@ basis F1..F8, stored as (real, imaginary) matrix pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from .matrices import RadMatrix
-from .radical import RadicalSum, sqrt_of_rational
+from .matrices import Entry, RadMatrix, _combine
+from .radical import RadicalSum
 from .structure import (
     _check_label,
     _check_ordered,
@@ -25,7 +25,7 @@ from .structure import (
     tspin_list,
     u3_leads,
 )
-from .su2 import spin_block
+from .su2 import spin_entries
 from .unknowns import ConsistencyError, block_unknown_squares
 
 MATRIX_NAMES = ("Tp", "Tm", "T3", "Up", "Um", "U3", "Vp", "Vm")
@@ -52,30 +52,13 @@ class GeneratorSet:
         return self.t_three.n
 
     def matrices(self) -> dict[str, RadMatrix]:
-        return {
-            "Tp": self.t_plus,
-            "Tm": self.t_minus,
-            "T3": self.t_three,
-            "Up": self.u_plus,
-            "Um": self.u_minus,
-            "U3": self.u_three,
-            "Vp": self.v_plus,
-            "Vm": self.v_minus,
-        }
+        """The eight matrices in field order, keyed by MATRIX_NAMES."""
+        return {name: getattr(self, f.name) for name, f in zip(MATRIX_NAMES, fields(self)[2:])}
 
     def negative_transpose(self) -> "GeneratorSet":
         """The (q, p) set: every matrix M replaced by -M^T."""
         return GeneratorSet(
-            p=self.q,
-            q=self.p,
-            t_plus=self.t_plus.negative_transpose(),
-            t_minus=self.t_minus.negative_transpose(),
-            t_three=self.t_three.negative_transpose(),
-            u_plus=self.u_plus.negative_transpose(),
-            u_minus=self.u_minus.negative_transpose(),
-            u_three=self.u_three.negative_transpose(),
-            v_plus=self.v_plus.negative_transpose(),
-            v_minus=self.v_minus.negative_transpose(),
+            self.q, self.p, *(m.negative_transpose() for m in self.matrices().values())
         )
 
 
@@ -85,10 +68,6 @@ class ComplexMatrix:
 
     re: RadMatrix
     im: RadMatrix
-
-    @property
-    def n(self) -> int:
-        return self.re.n
 
     def is_hermitian(self) -> bool:
         return self.re.is_symmetric() and self.im.is_antisymmetric()
@@ -115,17 +94,17 @@ class GellMannSet:
 def build_t_matrices(p: int, q: int) -> tuple[RadMatrix, RadMatrix, RadMatrix]:
     """Block-diagonal T+, T-, T3 from the standard spin matrices."""
     _check_ordered(p, q)
-    layout = block_layout(p, q)
-    spins = tspin_list(p, q).doubled_spins
+    blocks = list(zip(block_layout(p, q).offsets, tspin_list(p, q).doubled_spins))
     d = dimension(p, q)
-    out = []
-    for kind in ("plus", "minus", "three"):
-        mat = RadMatrix(d)
-        for off, two_s in zip(layout.offsets, spins):
-            for r, c, v in spin_block(kind, two_s).items():
-                mat.put(off + r, off + c, v)
-        out.append(mat)
-    return out[0], out[1], out[2]
+    plus, minus, three = (
+        RadMatrix.from_entries(d, [
+            (off + r, off + c, sign, a, b)
+            for off, two_s in blocks
+            for r, c, sign, a, b in spin_entries(kind, two_s)
+        ])
+        for kind in ("plus", "minus", "three")
+    )
+    return plus, minus, three
 
 
 def build_u3(p: int, q: int) -> RadMatrix:
@@ -134,11 +113,12 @@ def build_u3(p: int, q: int) -> RadMatrix:
     layout = block_layout(p, q)
     spins = tspin_list(p, q).doubled_spins
     leads = u3_leads(p, q)
-    u3 = RadMatrix(dimension(p, q))
-    for off, two_s, two_lead in zip(layout.offsets, spins, leads):
-        for a in range(two_s + 1):
-            u3.put(off + a, off + a, Fraction(two_lead + a, 2))
-    return u3
+    # (2 lead + a) / 2, a rational entered as the root of its square
+    return RadMatrix.from_entries(dimension(p, q), [
+        (off + a, off + a, 1 if two_lead + a > 0 else -1, (two_lead + a) ** 2, 4)
+        for off, two_s, two_lead in zip(layout.offsets, spins, leads)
+        for a in range(two_s + 1)
+    ])
 
 
 def admissible_blocks(p: int, q: int) -> list[tuple[int, int, int]]:
@@ -163,31 +143,42 @@ def admissible_blocks(p: int, q: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def raising_entry_squares(two_s: int, shift: int, a: int) -> tuple[Fraction, Fraction]:
-    """Squared in-block factors (u, v) multiplying the block constant.
+def unit_raising_blocks(p: int, q: int) -> list[tuple[tuple[int, int], list[Entry], list[Entry]]]:
+    """For each admissible block (i, j), in ``admissible_blocks`` order, the
+    entries of U+ and V+ when that block's squared unknown is 1 and every
+    other is 0.  The real U+ and V+ are these scaled by sqrt(x_ij).
 
-    two_s is the doubled block-row spin, a the 0-based row position
-    (sigma = s - a).  For shift -1 the U+ entry sits at column a-1 and the
-    V+ entry at column a; for shift +1 at columns a and a+1, the V+ factor
-    carrying a minus sign (returned value is the square; the sign is the
-    caller's).
+    With two_s the doubled row spin and a the 0-based row position
+    (sigma = s - a): for shift -1 the U+ entry sqrt(a) sits at column a-1
+    and the V+ entry sqrt(2s - a) at column a; for shift +1 the U+ entry
+    sqrt((2s - a + 1)/(2s + 1)) at column a and the V+ entry
+    -sqrt((a + 1)/(2s + 1)) at column a+1.
     """
-    if shift == -1:
-        return Fraction(a), Fraction(two_s - a)
-    return Fraction(two_s - a + 1, two_s + 1), Fraction(a + 1, two_s + 1)
+    offsets = block_layout(p, q).offsets
+    spins = tspin_list(p, q).doubled_spins
+    out = []
+    for i, j, shift in admissible_blocks(p, q):
+        two_s = spins[i - 1]
+        row0, col0 = offsets[i - 1], offsets[j - 1]
+        if shift == -1:
+            unit_u = [(row0 + a, col0 + a - 1, 1, a, 1) for a in range(1, two_s + 1)]
+            unit_v = [(row0 + a, col0 + a, 1, two_s - a, 1) for a in range(two_s)]
+        else:
+            unit_u = [(row0 + a, col0 + a, 1, two_s - a + 1, two_s + 1) for a in range(two_s + 1)]
+            unit_v = [(row0 + a, col0 + a + 1, -1, a + 1, two_s + 1) for a in range(two_s + 1)]
+        out.append(((i, j), unit_u, unit_v))
+    return out
 
 
 def build_uplus_vplus(
     p: int, q: int, unknowns: dict[tuple[int, int], Fraction]
 ) -> tuple[RadMatrix, RadMatrix]:
-    """Assemble U+ and V+ from the squared block unknowns (positive roots)."""
+    """Assemble U+ and V+ from the squared block unknowns (positive roots):
+    each entry is one root sqrt(u^2 * x), u the unit entry, x the square."""
     _check_ordered(p, q)
-    layout = block_layout(p, q)
-    spins = tspin_list(p, q).doubled_spins
-    d = dimension(p, q)
-    u_plus = RadMatrix(d)
-    v_plus = RadMatrix(d)
-    for i, j, shift in admissible_blocks(p, q):
+    u_entries: list[Entry] = []
+    v_entries: list[Entry] = []
+    for (i, j), unit_u, unit_v in unit_raising_blocks(p, q):
         square = unknowns.get((i, j))
         if square is None:
             raise ConsistencyError(
@@ -197,25 +188,11 @@ def build_uplus_vplus(
             raise ConsistencyError(
                 f"negative squared unknown {square} at ({i},{j}) of ({p},{q})"
             )
-        if square == 0:
-            continue
-        c = sqrt_of_rational(square)
-        two_s = spins[i - 1]
-        row0 = layout.offsets[i - 1]
-        col0 = layout.offsets[j - 1]
-        if shift == -1:
-            for a in range(1, two_s + 1):
-                usq, _ = raising_entry_squares(two_s, shift, a)
-                u_plus.put(row0 + a, col0 + a - 1, sqrt_of_rational(usq) * c)
-            for a in range(0, two_s):
-                _, vsq = raising_entry_squares(two_s, shift, a)
-                v_plus.put(row0 + a, col0 + a, sqrt_of_rational(vsq) * c)
-        else:
-            for a in range(0, two_s + 1):
-                usq, vsq = raising_entry_squares(two_s, shift, a)
-                u_plus.put(row0 + a, col0 + a, sqrt_of_rational(usq) * c)
-                v_plus.put(row0 + a, col0 + a + 1, -(sqrt_of_rational(vsq) * c))
-    return u_plus, v_plus
+        x, y = square.numerator, square.denominator
+        for unit, entries in ((unit_u, u_entries), (unit_v, v_entries)):
+            entries.extend((r, c, sign, a * x, b * y) for r, c, sign, a, b in unit)
+    d = dimension(p, q)
+    return RadMatrix.from_entries(d, u_entries), RadMatrix.from_entries(d, v_entries)
 
 
 def build_generator_set(p: int, q: int) -> GeneratorSet:
@@ -249,21 +226,13 @@ def to_gell_mann(gs: GeneratorSet) -> GellMannSet:
     F1 = (T+ + T-)/2, F2 = -i(T+ - T-)/2, F3 = T3, F4/F5 likewise from V,
     F6/F7 from U, and F8 = (2 U3 + T3)/sqrt(3).
     """
-    d = gs.dim
     half = Fraction(1, 2)
-    zero = RadMatrix(d)
-
-    def real(mat: RadMatrix) -> ComplexMatrix:
-        return ComplexMatrix(mat, RadMatrix(d))
-
-    f1 = real((gs.t_plus + gs.t_minus).scaled(half))
-    f2 = ComplexMatrix(zero, (gs.t_minus - gs.t_plus).scaled(half))
-    f3 = real(gs.t_three)
-    f4 = real((gs.v_plus + gs.v_minus).scaled(half))
-    f5 = ComplexMatrix(zero, (gs.v_minus - gs.v_plus).scaled(half))
-    f6 = real((gs.u_plus + gs.u_minus).scaled(half))
-    f7 = ComplexMatrix(zero, (gs.u_minus - gs.u_plus).scaled(half))
-    f8 = real(
-        (gs.u_three.scaled(2) + gs.t_three).scaled(_SQRT3_THIRD)
-    )
+    zero = RadMatrix(gs.dim)
+    pairs = []  # F1, F2 from T; F4, F5 from V; F6, F7 from U
+    for plus, minus in ((gs.t_plus, gs.t_minus), (gs.v_plus, gs.v_minus), (gs.u_plus, gs.u_minus)):
+        pairs.append(ComplexMatrix(_combine(((half, plus), (half, minus))), zero))
+        pairs.append(ComplexMatrix(zero, _combine(((half, minus), (-half, plus)))))
+    f1, f2, f4, f5, f6, f7 = pairs
+    f3 = ComplexMatrix(gs.t_three, zero)
+    f8 = ComplexMatrix(_combine(((2, gs.u_three), (1, gs.t_three))).scaled(_SQRT3_THIRD), zero)
     return GellMannSet(gs.p, gs.q, (f1, f2, f3, f4, f5, f6, f7, f8))

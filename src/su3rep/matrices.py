@@ -9,9 +9,10 @@ numerators keyed by (column, square-free radicand); the entry at (r, c) is
 
     sum over sf of (numerator / den) * sqrt(sf).
 
-Entries go in and come out as ``RadicalSum``s, but the arithmetic runs on
-integers and builds no ``Fraction`` per entry, which is where nearly all of
-a verification's time would otherwise go.
+Entries come out as ``RadicalSum``s.  They go in as integer roots
+sign * sqrt(a/b) through ``from_entries`` (or as ``RadicalSum``s through
+``put``), and the arithmetic runs on integers and builds no ``Fraction`` per
+entry, which is where nearly all of a verification's time would otherwise go.
 
 Why this is exact.  A matrix is a finite set of rational coefficients, one
 per stored term (an entry with several terms, such as a corrupted one,
@@ -38,9 +39,10 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
-from .radical import RadicalSum
+from .radical import RadicalSum, split_square
 
 _Scalar = Union[int, Fraction, RadicalSum]
+Entry = tuple[int, int, int, int, int]  # (row, col, sign, a, b): sign * sqrt(a/b)
 
 
 class RadMatrix:
@@ -48,7 +50,8 @@ class RadMatrix:
 
     ``_rows`` maps a row to ``{sf * n + col: numerator}``: the entry at
     (row, col) is the sum of (numerator / den) * sqrt(sf) over its keys.
-    Instances are built once with ``put`` and treated as immutable afterwards.
+    Instances come from ``from_entries`` or an operation below and are not
+    mutated afterwards, except by ``put`` in tests and corrupted controls.
     """
 
     __slots__ = ("n", "den", "_rows")
@@ -60,13 +63,43 @@ class RadMatrix:
 
     @classmethod
     def _raw(cls, n: int, den: int, rows: dict[int, dict[int, int]]) -> "RadMatrix":
-        """The matrix (den, rows) less its zero numerators and empty rows."""
+        """The matrix (den, rows) less its zero numerators and empty rows.
+
+        Rows are kept, not copied, and only a row holding a zero is rebuilt:
+        every caller (``__matmul__``, ``_combine``, ``transpose``, ``trace``,
+        ``identity``) passes dicts it has just built and drops them."""
         out = cls(n)
         out.den = den
         for r, row in rows.items():
-            row = {key: v for key, v in row.items() if v}
+            if 0 in row.values():
+                row = {key: v for key, v in row.items() if v}
             if row:
                 out._rows[r] = row
+        return out
+
+    @classmethod
+    def from_entries(cls, n: int, entries: Iterable[Entry]) -> "RadMatrix":
+        """The n x n matrix with sign * sqrt(a/b) at each (row, col, sign, a, b),
+        where sign is +1 or -1, a >= 0 and b > 0; a rational r/s enters as
+        sign(r) * sqrt(r*r / s*s).  sqrt(a/b) = k * sqrt(m) / b with
+        a * b = k * k * m, m square-free, and ``den`` is the lcm of the b's.
+        Entries with a = 0 are not stored.  A position outside n x n raises
+        IndexError, one given twice ValueError."""
+        seen: set[int] = set()
+        terms = []
+        for r, c, sign, a, b in entries:
+            if not (0 <= r < n and 0 <= c < n):
+                raise IndexError(f"({r}, {c}) outside {n}x{n}")
+            if r * n + c in seen:
+                raise ValueError(f"entry ({r}, {c}) given twice")
+            seen.add(r * n + c)
+            if a:
+                k, m = split_square(a * b)
+                terms.append((r, m * n + c, sign * k, b))
+        out = cls(n)
+        out.den = den = math.lcm(*(b for _, _, _, b in terms))
+        for r, key, num, b in terms:
+            out._rows.setdefault(r, {})[key] = num * (den // b)
         return out
 
     @classmethod
@@ -100,21 +133,26 @@ class RadMatrix:
             del self._rows[r]
 
     def get(self, r: int, c: int) -> RadicalSum:
-        return self._cells(r).get(c, _ZERO)
+        return self._cells(r, {}).get(c, _ZERO)
 
-    def _cells(self, r: int) -> dict[int, RadicalSum]:
-        """Row r's nonzero entries by column."""
+    def _cells(self, r: int, fractions: dict[int, Fraction]) -> dict[int, RadicalSum]:
+        """Row r's nonzero entries by column.  ``fractions`` maps a numerator
+        to its value over den; numerators repeat, so each is reduced once."""
         n, den = self.n, self.den
         cells: dict[int, dict[int, Fraction]] = {}
         for key, v in sorted(self._rows.get(r, {}).items()):
             sf, c = divmod(key, n)
-            cells.setdefault(c, {})[sf] = Fraction(v, den)
+            value = fractions.get(v)
+            if value is None:
+                value = fractions[v] = Fraction(v, den)
+            cells.setdefault(c, {})[sf] = value
         return {c: RadicalSum._raw(t) for c, t in cells.items()}
 
     def items(self) -> Iterator[tuple[int, int, RadicalSum]]:
         """Nonzero entries sorted by (row, col)."""
+        fractions: dict[int, Fraction] = {}
         for r in sorted(self._rows):
-            cells = self._cells(r)
+            cells = self._cells(r, fractions)
             for c in sorted(cells):
                 yield r, c, cells[c]
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .matrices import RadMatrix
+from .matrices import Entry, RadMatrix
 from .radical import RadicalSum, sqrt_of_rational
 
 
@@ -29,29 +29,30 @@ def ladder_coefficient(kind: str, two_s: int, two_sigma: int) -> RadicalSum:
     return sqrt_of_rational(radicand)
 
 
-def spin_block(kind: str, two_s: int) -> RadMatrix:
-    """The (2s+1)-dimensional spin matrix of the given kind.
+def spin_entries(kind: str, two_s: int) -> list[Entry]:
+    """Entries (row, col, sign, a, b), value sign * sqrt(a/b), of the
+    (2s+1)-dimensional spin matrix of the given kind.
 
     kind 'plus'/'minus' are the ladder matrices (super-/subdiagonal),
     'three' is diag(s, s-1, ..., -s).
     """
     if two_s < 0:
         raise ValueError("two_s must be nonnegative")
-    n = two_s + 1
-    out = RadMatrix(n)
     if kind == "three":
-        for a in range(n):
-            out.put(a, a, Fraction(two_s - 2 * a, 2))
-    elif kind == "plus":
-        # entry (a, a+1) lifts sigma = s-a to s-a+1: coefficient r+(s, s-a-1)
-        for a in range(n - 1):
-            out.put(a, a + 1, ladder_coefficient("plus", two_s, two_s - 2 * (a + 1)))
-    elif kind == "minus":
-        for a in range(1, n):
-            out.put(a, a - 1, ladder_coefficient("minus", two_s, two_s - 2 * (a - 1)))
-    else:
-        raise ValueError(f"kind must be 'plus', 'minus' or 'three', got {kind!r}")
-    return out
+        # s - a = (2s - 2a) / 2, a rational entered as the root of its square
+        return [(a, a, 1 if 2 * a < two_s else -1, (two_s - 2 * a) ** 2, 4)
+                for a in range(two_s + 1)]
+    # entry (a, a+1) lifts sigma = s-a-1 to s-a: r+(s, s-a-1)^2 = (a+1)(two_s-a)
+    if kind == "plus":
+        return [(a, a + 1, 1, (a + 1) * (two_s - a), 1) for a in range(two_s)]
+    if kind == "minus":
+        return [(a + 1, a, 1, (a + 1) * (two_s - a), 1) for a in range(two_s)]
+    raise ValueError(f"kind must be 'plus', 'minus' or 'three', got {kind!r}")
+
+
+def spin_block(kind: str, two_s: int) -> RadMatrix:
+    """The (2s+1)-dimensional spin matrix of the given kind; see spin_entries."""
+    return RadMatrix.from_entries(two_s + 1, spin_entries(kind, two_s))
 
 
 def _check_component(two_s: int, two_sigma: int) -> None:

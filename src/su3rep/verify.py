@@ -18,14 +18,12 @@ from fractions import Fraction
 from .generators import (
     GellMannSet,
     GeneratorSet,
-    admissible_blocks,
     build_generator_set,
     build_t_matrices,
-    build_uplus_vplus,
     to_gell_mann,
+    unit_raising_blocks,
 )
 from .matrices import RadMatrix, _combine, commutator
-from .radical import RadicalSum
 from .structure import dimension, state_labels
 from .unknowns import ConsistencyError, block_unknown_squares
 
@@ -172,26 +170,9 @@ def check_structure(fs: GellMannSet) -> list[RelationCheck]:
 ORACLE_MAX_DIM = 64  # the oracle's default size bound (desk scale)
 
 
-def _split_radical_equation(
-    coeffs: dict[int, RadicalSum], rhs: RadicalSum
-) -> list[tuple[dict[int, Fraction], Fraction]]:
-    """One linear equation with radical coefficients -> rational equations,
-    one per square-free radicand (radicals of distinct square-free integers
-    are linearly independent over the rationals)."""
-    radicands: set[int] = set()
-    for v in coeffs.values():
-        radicands.update(m for _, m in v.terms())
-    radicands.update(m for _, m in rhs.terms())
-    out = []
-    for m in sorted(radicands):
-        row = {}
-        for var, v in coeffs.items():
-            c = dict((sf, co) for co, sf in v.terms()).get(m)
-            if c:
-                row[var] = c
-        rhs_c = dict((sf, co) for co, sf in rhs.terms()).get(m, Fraction(0))
-        out.append((row, rhs_c))
-    return out
+def _by_radicand(rel: str, mat: RadMatrix) -> dict[tuple[str, int, int, int], Fraction]:
+    """(rel, row, col, radicand) -> rational coefficient, for every term of mat."""
+    return {(rel, r, c, m): coeff for r, c, v in mat.items() for coeff, m in v.terms()}
 
 
 def _eliminate(
@@ -244,16 +225,18 @@ def _rref_solve(
 def oracle_solve(p: int, q: int, max_dim: int = ORACLE_MAX_DIM) -> dict[tuple[int, int], Fraction]:
     """Solve the commutation relations directly for the squared block unknowns.
 
-    One unknown x_k per admissible block k.  ``build_uplus_vplus`` with
-    x_k = 1 and every other square 0 gives the unit matrices U_k, V_k, so
+    One unknown x_k per admissible block k.  ``unit_raising_blocks``, the
+    walk ``build_uplus_vplus`` scales by sqrt(x_k), gives the unit matrices
+    U_k, V_k (x_k = 1, every other square 0) in one pass, so
     U+ = sum_k sqrt(x_k) U_k and V+ = sum_k sqrt(x_k) V_k.  [U_k, U_k^T] is
     diagonal and [V_k^T, U_k] block-diagonal, while a product of two
     different blocks lands off the diagonal blocks.  So on the cells where
     a unit commutator or the right-hand side is nonzero, [U+,U-] = 2 U3 and
     [V-,U+] = -T- are linear in the x_k with those unit commutators'
-    entries as coefficients; each equation splits by radicand.  Nothing
-    else is added: a square these equations leave free is an error, never
-    a guess.
+    entries as coefficients.  Radicals of distinct square-free integers are
+    linearly independent over the rationals, so each (cell, radicand) pair
+    is one rational equation.  Nothing else is added: a square these
+    equations leave free is an error, never a guess.
     """
     d = dimension(p, q)
     if p < q:
@@ -261,24 +244,27 @@ def oracle_solve(p: int, q: int, max_dim: int = ORACLE_MAX_DIM) -> dict[tuple[in
     if d > max_dim:
         raise ValueError(f"oracle_solve is desk-scale only (d = {d} > {max_dim})")
 
-    blocks = [(i, j) for i, j, _ in admissible_blocks(p, q)]
-    # (relation, row, col) -> {block index: coefficient of its square}
-    coeffs: dict[tuple[str, int, int], dict[int, RadicalSum]] = {}
-    for k, key in enumerate(blocks):
-        unit_u, unit_v = build_uplus_vplus(p, q, {b: Fraction(b == key) for b in blocks})
+    units = unit_raising_blocks(p, q)
+    blocks = [key for key, _, _ in units]
+    # (relation, row, col, radicand) -> {block index: coefficient of its square}
+    coeffs: dict[tuple[str, int, int, int], dict[int, Fraction]] = {}
+    for k, (_, u_entries, v_entries) in enumerate(units):
+        unit_u = RadMatrix.from_entries(d, u_entries)
+        unit_v = RadMatrix.from_entries(d, v_entries)
         for rel, mat in (
             ("[U+,U-]", commutator(unit_u, unit_u.transpose())),
             ("[V-,U+]", commutator(unit_v.transpose(), unit_u)),
         ):
-            for r, c, v in mat.items():
-                coeffs.setdefault((rel, r, c), {})[k] = v
-    rhs = {("[U+,U-]", k, k): RadicalSum(lbl.two_u3) for k, lbl in enumerate(state_labels(p, q))}
-    rhs.update((("[V-,U+]", r, c), -v) for r, c, v in build_t_matrices(p, q)[1].items())
-    equations: list[tuple[dict[int, Fraction], Fraction]] = []
-    for cell in sorted(coeffs.keys() | rhs.keys()):
-        equations.extend(
-            _split_radical_equation(coeffs.get(cell, {}), rhs.get(cell, RadicalSum(0)))
-        )
+            for key, coeff in _by_radicand(rel, mat).items():
+                coeffs.setdefault(key, {})[k] = coeff
+    rhs = _by_radicand("[V-,U+]", -build_t_matrices(p, q)[1])
+    rhs.update(
+        (("[U+,U-]", k, k, 1), Fraction(lbl.two_u3))
+        for k, lbl in enumerate(state_labels(p, q))
+        if lbl.two_u3
+    )
+    cells = sorted(coeffs.keys() | rhs.keys())
+    equations = [(coeffs.get(key, {}), rhs.get(key, Fraction(0))) for key in cells]
 
     solution, free = _rref_solve(equations, len(blocks))
     if free:

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from su3rep import (
+    GeneratorSet,
+    RadMatrix,
     RadicalSum,
     admissible_blocks,
     block_layout,
@@ -15,9 +17,12 @@ from su3rep import (
     build_uplus_vplus,
     dimension,
     ladder_coefficient,
+    sqrt_of_rational,
     to_gell_mann,
     tspin_list,
+    u3_leads,
 )
+from su3rep.generators import unit_raising_blocks
 from su3rep.matrices import commutator
 from su3rep.unknowns import ConsistencyError
 
@@ -33,6 +38,70 @@ def all_labels(max_d):
 
 def diagonal_values(mat):
     return [mat.get(k, k) for k in range(mat.n)]
+
+
+def _reference_set(p, q):
+    """The eight matrices assembled entry by entry with ``put`` in RadicalSum
+    arithmetic: spin blocks from ladder_coefficient, U3 from the leads, and
+    each U+/V+ entry as the product of two roots, sqrt(u^2) * sqrt(x_ij)."""
+    if q > p:
+        return _reference_set(q, p).negative_transpose()
+    d = dimension(p, q)
+    offsets = block_layout(p, q).offsets
+    spins = tspin_list(p, q).doubled_spins
+    tp, tm, t3, u3, up, vp = (RadMatrix(d) for _ in range(6))
+    for off, two_s, two_lead in zip(offsets, spins, u3_leads(p, q)):
+        for a in range(two_s + 1):
+            t3.put(off + a, off + a, Fraction(two_s - 2 * a, 2))
+            u3.put(off + a, off + a, Fraction(two_lead + a, 2))
+            if a < two_s:
+                tp.put(off + a, off + a + 1, ladder_coefficient("plus", two_s, two_s - 2 * a - 2))
+                tm.put(off + a + 1, off + a, ladder_coefficient("minus", two_s, two_s - 2 * a))
+    squares = block_unknown_squares(p, q)
+    for i, j, shift in admissible_blocks(p, q):
+        c = sqrt_of_rational(squares[(i, j)])
+        two_s, row0, col0 = spins[i - 1], offsets[i - 1], offsets[j - 1]
+        for a in range(two_s + 1):
+            if shift == -1:
+                if a > 0:
+                    up.put(row0 + a, col0 + a - 1, sqrt_of_rational(a) * c)
+                if a < two_s:
+                    vp.put(row0 + a, col0 + a, sqrt_of_rational(two_s - a) * c)
+            else:
+                usq = Fraction(two_s - a + 1, two_s + 1)
+                vsq = Fraction(a + 1, two_s + 1)
+                up.put(row0 + a, col0 + a, sqrt_of_rational(usq) * c)
+                vp.put(row0 + a, col0 + a + 1, -(sqrt_of_rational(vsq) * c))
+    return GeneratorSet(p, q, tp, tm, t3, up, up.transpose(), u3, vp, vp.transpose())
+
+
+# every p >= q irrep with d < 300, and the sweep's q > p spot checks
+_ASSEMBLY_LABELS = list(all_labels(299)) + [(0, 1), (1, 2), (2, 3), (3, 5)]
+
+
+class TestAssemblyMatchesReference:
+    @pytest.mark.parametrize("p,q", _ASSEMBLY_LABELS)
+    def test_eight_matrices(self, p, q):
+        built = build_generator_set(p, q).matrices()
+        reference = _reference_set(p, q).matrices()
+        for name, mat in reference.items():
+            assert built[name] == mat, name
+            assert list(built[name].items()) == list(mat.items()), name
+
+    @pytest.mark.parametrize("p,q", [pq for pq in _ASSEMBLY_LABELS if pq[0] >= pq[1]])
+    def test_unit_blocks_scaled_by_roots(self, p, q):
+        d = dimension(p, q)
+        squares = block_unknown_squares(p, q)
+        units = unit_raising_blocks(p, q)
+        assert [key for key, _, _ in units] == [(i, j) for i, j, _ in admissible_blocks(p, q)]
+        up, vp = build_uplus_vplus(p, q, squares)
+        for built, part in ((up, 1), (vp, 2)):
+            total = RadMatrix(d)
+            for unit in units:
+                root = sqrt_of_rational(squares[unit[0]])
+                total = total + RadMatrix.from_entries(d, unit[part]).scaled(root)
+            assert total == built
+            assert list(total.items()) == list(built.items())
 
 
 class TestTMatrices:

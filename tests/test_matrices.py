@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from su3rep import RadicalSum
+from su3rep import RadicalSum, sqrt_of_rational
 from su3rep.matrices import RadMatrix, _combine, commutator
 
 # Small coefficients and radicands that are not all square-free (8 = 4*2,
@@ -179,3 +179,55 @@ def test_shape_mismatch_raises():
     for op in (lambda: a + b, lambda: b - a, lambda: a @ b, lambda: commutator(b, a)):
         with pytest.raises(ValueError, match="shape mismatch"):
             op()
+
+
+class TestFromEntries:
+    def test_root_of_a_rational_is_reduced(self):
+        # sqrt(8/3) = sqrt(24)/3 = 2*sqrt(6)/3
+        mat = RadMatrix.from_entries(2, [(0, 1, 1, 8, 3)])
+        assert list(mat.items()) == [(0, 1, _rad((Fraction(2, 3), 6)))]
+
+    def test_den_is_the_lcm_of_the_denominators(self):
+        mat = RadMatrix.from_entries(3, [(0, 0, 1, 1, 4), (1, 2, 1, 5, 6), (2, 1, 1, 9, 1)])
+        assert mat.den == 12
+        assert list(mat.items()) == [
+            (0, 0, RadicalSum(Fraction(1, 2))),
+            (1, 2, _rad((Fraction(1, 6), 30))),
+            (2, 1, RadicalSum(3)),
+        ]
+
+    def test_signs_are_kept(self):
+        mat = RadMatrix.from_entries(2, [(0, 0, -1, 2, 1), (1, 0, 1, 2, 1), (1, 1, -1, 9, 4)])
+        assert list(mat.items()) == [
+            (0, 0, _rad((-1, 2))),
+            (1, 0, _rad((1, 2))),
+            (1, 1, RadicalSum(Fraction(-3, 2))),
+        ]
+
+    def test_zero_entry_is_not_stored(self):
+        mat = RadMatrix.from_entries(2, [(0, 0, 1, 0, 4), (1, 1, -1, 0, 1)])
+        assert mat.is_zero() and mat.nnz == 0 and mat.den == 1
+        mat = RadMatrix.from_entries(2, [(0, 0, 1, 0, 4), (0, 1, 1, 3, 1)])
+        assert mat._rows == {0: {3 * 2 + 1: 1}}
+
+    @pytest.mark.parametrize("r,c", [(2, 0), (0, 2), (-1, 0), (0, -1)])
+    def test_out_of_range_raises_like_put(self, r, c):
+        with pytest.raises(IndexError, match="outside 2x2"):
+            RadMatrix.from_entries(2, [(r, c, 1, 1, 1)])
+        with pytest.raises(IndexError, match="outside 2x2"):
+            RadMatrix(2).put(r, c, 1)
+
+    @pytest.mark.parametrize("second", [(0, 1, 1, 2, 1), (0, 1, 1, 3, 1), (0, 1, -1, 0, 1)])
+    def test_repeated_position_raises(self, second):
+        with pytest.raises(ValueError, match=r"\(0, 1\) given twice"):
+            RadMatrix.from_entries(2, [(0, 1, 1, 2, 1), second])
+
+    @given(st.dictionaries(_positions, st.tuples(
+        st.sampled_from([1, -1]), st.integers(0, 30), st.integers(1, 12)), max_size=8))
+    def test_matches_put(self, entries):
+        mat = RadMatrix.from_entries(4, [(r, c, *e) for (r, c), e in entries.items()])
+        reference = RadMatrix(4)
+        for (r, c), (sign, a, b) in entries.items():
+            reference.put(r, c, sqrt_of_rational(Fraction(a, b)) * sign)
+        assert mat == reference
+        assert list(mat.items()) == list(reference.items())

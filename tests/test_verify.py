@@ -23,6 +23,7 @@ from su3rep import (
     to_gell_mann,
     verify_irrep,
 )
+from su3rep import generators
 from su3rep.matrices import RadMatrix
 from su3rep.verify import COMMUTATOR_TABLE, _rref_solve, sweep_labels
 
@@ -131,6 +132,20 @@ class TestOracle:
             solved = oracle_solve(p, q, max_dim=dimension(p, q))
             for key in set(formula) | set(solved):
                 assert formula.get(key, 0) == solved.get(key, 0), (p, q, key)
+
+    def test_one_block_walk_per_solve(self, monkeypatch):
+        calls = Counter()
+        for name in ("admissible_blocks", "build_uplus_vplus"):
+            original = getattr(generators, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(generators, name, counted)
+        assert compare_with_oracle(4, 2) == []
+        assert calls["admissible_blocks"] == 1
+        assert calls["build_uplus_vplus"] == 0
 
     def test_corrupted_closed_form_is_reported(self, monkeypatch):
         def shifted(p, q):
