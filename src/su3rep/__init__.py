@@ -9,10 +9,8 @@ multiples of square roots, and verifies the su(3) algebra on them.
 from .radical import RadicalSum, sqrt_of_rational
 from .matrices import RadMatrix, commutator
 from .structure import (
-    BlockLayout,
     StateLabel,
-    TSpinList,
-    block_layout,
+    block_offsets,
     cap_start,
     dimension,
     state_labels,
@@ -21,7 +19,7 @@ from .structure import (
     weight_multiplicities,
 )
 from .su2 import ladder_coefficient, spin_block
-from .unknowns import ConsistencyError, Region, block_unknown_squares, region_of
+from .unknowns import ConsistencyError, block_unknown_squares
 from .generators import (
     ComplexMatrix,
     GellMannSet,
@@ -31,6 +29,7 @@ from .generators import (
     build_t_matrices,
     build_u3,
     build_uplus_vplus,
+    gell_mann_matrix,
     to_gell_mann,
 )
 from .verify import (
@@ -49,7 +48,6 @@ from .verify import (
 )
 
 __all__ = [
-    "BlockLayout",
     "CheckReport",
     "ComplexMatrix",
     "ConsistencyError",
@@ -57,14 +55,12 @@ __all__ = [
     "GeneratorSet",
     "RadMatrix",
     "RadicalSum",
-    "Region",
     "RelationCheck",
     "StateLabel",
     "SweepRow",
     "SweepSummary",
-    "TSpinList",
     "admissible_blocks",
-    "block_layout",
+    "block_offsets",
     "block_unknown_squares",
     "build_generator_set",
     "build_t_matrices",
@@ -78,9 +74,9 @@ __all__ = [
     "commutator",
     "compare_with_oracle",
     "dimension",
+    "gell_mann_matrix",
     "ladder_coefficient",
     "oracle_solve",
-    "region_of",
     "spin_block",
     "sqrt_of_rational",
     "state_labels",

@@ -21,7 +21,7 @@ from .generators import (
     GELL_MANN_NAMES,
     MATRIX_NAMES,
     build_generator_set,
-    to_gell_mann,
+    gell_mann_matrix,
 )
 from .radical import RadicalSum
 from .structure import dimension, weight_multiplicities
@@ -139,7 +139,7 @@ def _cells(p: int, q: int, name: str) -> Iterator[tuple]:
         for r, c, v in gs.matrices()[name].items():
             yield r + 1, c + 1, (("value", v),)
         return
-    fmat = to_gell_mann(gs).matrices[GELL_MANN_NAMES.index(name)]
+    fmat = gell_mann_matrix(gs, GELL_MANN_NAMES.index(name) + 1)
     re = {(r, c): v for r, c, v in fmat.re.items()}
     im = {(r, c): v for r, c, v in fmat.im.items()}
     zero = RadicalSum(0)

@@ -20,7 +20,7 @@ from .radical import RadicalSum
 from .structure import (
     _check_label,
     _check_ordered,
-    block_layout,
+    block_offsets,
     dimension,
     tspin_list,
     u3_leads,
@@ -94,7 +94,7 @@ class GellMannSet:
 def build_t_matrices(p: int, q: int) -> tuple[RadMatrix, RadMatrix, RadMatrix]:
     """Block-diagonal T+, T-, T3 from the standard spin matrices."""
     _check_ordered(p, q)
-    blocks = list(zip(block_layout(p, q).offsets, tspin_list(p, q).doubled_spins))
+    blocks = list(zip(block_offsets(p, q), tspin_list(p, q)))
     d = dimension(p, q)
     plus, minus, three = (
         RadMatrix.from_entries(d, [
@@ -110,13 +110,13 @@ def build_t_matrices(p: int, q: int) -> tuple[RadMatrix, RadMatrix, RadMatrix]:
 def build_u3(p: int, q: int) -> RadMatrix:
     """Diagonal U3: block i starts at its lead and increases by 1/2 per state."""
     _check_ordered(p, q)
-    layout = block_layout(p, q)
-    spins = tspin_list(p, q).doubled_spins
+    offsets = block_offsets(p, q)
+    spins = tspin_list(p, q)
     leads = u3_leads(p, q)
     # (2 lead + a) / 2, a rational entered as the root of its square
     return RadMatrix.from_entries(dimension(p, q), [
         (off + a, off + a, 1 if two_lead + a > 0 else -1, (two_lead + a) ** 2, 4)
-        for off, two_s, two_lead in zip(layout.offsets, spins, leads)
+        for off, two_s, two_lead in zip(offsets, spins, leads)
         for a in range(two_s + 1)
     ])
 
@@ -130,7 +130,7 @@ def admissible_blocks(p: int, q: int) -> list[tuple[int, int, int]]:
     (shift -1); both conditions below are in doubled units.
     """
     _check_ordered(p, q)
-    spins = tspin_list(p, q).doubled_spins
+    spins = tspin_list(p, q)
     leads = u3_leads(p, q)
     n = len(spins)
     out = []
@@ -154,8 +154,8 @@ def unit_raising_blocks(p: int, q: int) -> list[tuple[tuple[int, int], list[Entr
     sqrt((2s - a + 1)/(2s + 1)) at column a and the V+ entry
     -sqrt((a + 1)/(2s + 1)) at column a+1.
     """
-    offsets = block_layout(p, q).offsets
-    spins = tspin_list(p, q).doubled_spins
+    offsets = block_offsets(p, q)
+    spins = tspin_list(p, q)
     out = []
     for i, j, shift in admissible_blocks(p, q):
         two_s = spins[i - 1]
@@ -220,19 +220,28 @@ def build_generator_set(p: int, q: int) -> GeneratorSet:
 _SQRT3_THIRD = RadicalSum.from_terms([(Fraction(1, 3), 3)])  # 1/sqrt(3)
 
 
-def to_gell_mann(gs: GeneratorSet) -> GellMannSet:
-    """Convert to the hermitian basis.
+def gell_mann_matrix(gs: GeneratorSet, k: int) -> ComplexMatrix:
+    """The hermitian basis matrix Fk, 1 <= k <= 8.
 
     F1 = (T+ + T-)/2, F2 = -i(T+ - T-)/2, F3 = T3, F4/F5 likewise from V,
     F6/F7 from U, and F8 = (2 U3 + T3)/sqrt(3).
     """
+    if not 1 <= k <= 8:
+        raise IndexError("F index must be 1..8")
     half = Fraction(1, 2)
     zero = RadMatrix(gs.dim)
-    pairs = []  # F1, F2 from T; F4, F5 from V; F6, F7 from U
-    for plus, minus in ((gs.t_plus, gs.t_minus), (gs.v_plus, gs.v_minus), (gs.u_plus, gs.u_minus)):
-        pairs.append(ComplexMatrix(_combine(((half, plus), (half, minus))), zero))
-        pairs.append(ComplexMatrix(zero, _combine(((half, minus), (-half, plus)))))
-    f1, f2, f4, f5, f6, f7 = pairs
-    f3 = ComplexMatrix(gs.t_three, zero)
-    f8 = ComplexMatrix(_combine(((2, gs.u_three), (1, gs.t_three))).scaled(_SQRT3_THIRD), zero)
-    return GellMannSet(gs.p, gs.q, (f1, f2, f3, f4, f5, f6, f7, f8))
+    if k == 3:
+        return ComplexMatrix(gs.t_three, zero)
+    if k == 8:
+        return ComplexMatrix(_combine(((2, gs.u_three), (1, gs.t_three))).scaled(_SQRT3_THIRD), zero)
+    ladders = {1: (gs.t_plus, gs.t_minus), 4: (gs.v_plus, gs.v_minus), 6: (gs.u_plus, gs.u_minus)}
+    if k in ladders:
+        plus, minus = ladders[k]
+        return ComplexMatrix(_combine(((half, plus), (half, minus))), zero)
+    plus, minus = ladders[k - 1]  # F2, F5, F7: the imaginary partner
+    return ComplexMatrix(zero, _combine(((half, minus), (-half, plus))))
+
+
+def to_gell_mann(gs: GeneratorSet) -> GellMannSet:
+    """Convert to the hermitian basis F1..F8; see gell_mann_matrix."""
+    return GellMannSet(gs.p, gs.q, tuple(gell_mann_matrix(gs, k) for k in range(1, 9)))

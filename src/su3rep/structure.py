@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import accumulate
 
 
 def dimension(p: int, q: int) -> int:
@@ -36,31 +37,6 @@ def cap_start(q: int) -> int:
 
 
 @dataclass(frozen=True)
-class TSpinList:
-    """Ordered doubled T-spins of the (p, q) blocks plus region sizes."""
-
-    doubled_spins: tuple[int, ...]
-    top_count: int
-    middle_count: int
-    bottom_count: int
-
-    def __len__(self) -> int:
-        return len(self.doubled_spins)
-
-
-@dataclass(frozen=True)
-class BlockLayout:
-    """Row/column offsets (0-based) and sizes 2s+1 of the diagonal blocks."""
-
-    offsets: tuple[int, ...]
-    sizes: tuple[int, ...]
-
-    @property
-    def dim(self) -> int:
-        return self.offsets[-1] + self.sizes[-1] if self.sizes else 0
-
-
-@dataclass(frozen=True)
 class StateLabel:
     """One basis state: irrep label, doubled T-spin data and flat position."""
 
@@ -73,8 +49,8 @@ class StateLabel:
 
 
 @lru_cache(maxsize=None)
-def tspin_list(p: int, q: int) -> TSpinList:
-    """Doubled T-spins in block order, ascending, with the cap boundaries.
+def tspin_list(p: int, q: int) -> tuple[int, ...]:
+    """Doubled T-spins 2s of the blocks in block order, ascending.
 
     Top cap: spin k repeated k+1 times for k = 0..q-1.
     Middle:  spin k repeated q+1 times for k = q..p.
@@ -87,20 +63,13 @@ def tspin_list(p: int, q: int) -> TSpinList:
     spins = tuple(top + middle + bottom)
     assert len(spins) == (p + 1) * (q + 1)
     assert sum(s + 1 for s in spins) == dimension(p, q)
-    return TSpinList(spins, len(top), len(middle), len(bottom))
+    return spins
 
 
 @lru_cache(maxsize=None)
-def block_layout(p: int, q: int) -> BlockLayout:
-    spins = tspin_list(p, q).doubled_spins
-    offsets = []
-    sizes = []
-    pos = 0
-    for two_s in spins:
-        offsets.append(pos)
-        sizes.append(two_s + 1)
-        pos += two_s + 1
-    return BlockLayout(tuple(offsets), tuple(sizes))
+def block_offsets(p: int, q: int) -> tuple[int, ...]:
+    """0-based row/column offset of each diagonal block (block size 2s+1)."""
+    return tuple(accumulate((two_s + 1 for two_s in tspin_list(p, q)[:-1]), initial=0))
 
 
 @lru_cache(maxsize=None)
@@ -129,7 +98,7 @@ def u3_leads(p: int, q: int) -> tuple[int, ...]:
     ]
     leads = tuple(top + middle + bottom)
     # Ties inside an equal-spin run are impossible; assert rather than sort.
-    spins = tspin_list(p, q).doubled_spins
+    spins = tspin_list(p, q)
     for k in range(1, len(leads)):
         if spins[k] == spins[k - 1] and leads[k] <= leads[k - 1]:
             raise AssertionError(f"lead order violated at block {k + 1} for ({p},{q})")
@@ -150,7 +119,7 @@ def state_labels(p: int, q: int) -> list[StateLabel]:
             replace(lbl, p=p, q=q, two_sigma=-lbl.two_sigma, two_u3=-lbl.two_u3)
             for lbl in state_labels(q, p)
         ]
-    spins = tspin_list(p, q).doubled_spins
+    spins = tspin_list(p, q)
     leads = u3_leads(p, q)
     labels = []
     index = 1

@@ -17,7 +17,9 @@ def ladder_coefficient(kind: str, two_s: int, two_sigma: int) -> RadicalSum:
     """r+(s, sigma) = sqrt((s-sigma)(s+sigma+1)), r- with sigma negated.
 
     Arguments are doubled; sigma must match s in parity and satisfy
-    |sigma| <= s.
+    |sigma| <= s.  The assembly reads its radicands from spin_entries; this
+    textbook form is kept as the independent reference the tests compare
+    spin_entries against.
     """
     _check_component(two_s, two_sigma)
     if kind == "plus":

@@ -12,7 +12,6 @@ numbering that cap_start() encodes.
 
 from __future__ import annotations
 
-import enum
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
@@ -24,19 +23,8 @@ class ConsistencyError(RuntimeError):
     """An internal cross-reference failed; signals a range or formula bug."""
 
 
-class Region(enum.Enum):
-    UPPER_TOP_CAP = "upper_top_cap"
-    LOWER_TOP_CAP = "lower_top_cap"
-    UPPER_MIDDLE = "upper_middle"
-    LOWER_MIDDLE = "lower_middle"
-    UPPER_BOTTOM_CAP = "upper_bottom_cap"
-    LOWER_BOTTOM_CAP = "lower_bottom_cap"
-    MISC_ZERO = "misc_zero"
-    OUTSIDE = "outside"
-
-
-def _closed_form_entries(p: int, q: int) -> Iterator[tuple[Region, int, int, Fraction]]:
-    """All families except the lower-middle recursion.
+def _closed_form_entries(p: int, q: int) -> Iterator[tuple[int, int, Fraction]]:
+    """(i, j, square) for all families except the lower-middle recursion.
 
     With q = 0 there are no caps and no upper middle diagonal; the single
     lower diagonal is the closed form p - j + 1 and is yielded here.
@@ -44,115 +32,69 @@ def _closed_form_entries(p: int, q: int) -> Iterator[tuple[Region, int, int, Fra
     n = (p + 1) * (q + 1)
     if q == 0:
         for j in range(1, p + 1):
-            yield Region.LOWER_MIDDLE, j + 1, j, Fraction(p - j + 1)
+            yield j + 1, j, Fraction(p - j + 1)
         return
     for q1 in range(1, q):
         # upper top cap: staggered diagonal at offset q1
         for i in range(cap_start(q1), cap_start(q1 + 1) + 1):
             d = cap_start(q1 + 1) - i
-            yield (
-                Region.UPPER_TOP_CAP,
-                i,
-                i + q1,
-                Fraction(d, q1 + 1) * (p + d + 1) * (q - d + 1),
-            )
+            yield i, i + q1, Fraction(d, q1 + 1) * (p + d + 1) * (q - d + 1)
+    for q1 in range(1, q + 1):
         # lower top cap at offset q1 + 1
         for j in range(cap_start(q1), cap_start(q1 + 1)):
             e = j - cap_start(q1)
-            yield (
-                Region.LOWER_TOP_CAP,
-                j + q1 + 1,
-                j,
-                Fraction(e + 1, q1 * (q1 + 1)) * (p - e) * (q + e + 2),
-            )
-    if q == 1:
-        # The general lower-top-cap family is empty for q = 1 and its
-        # formula hits a spin-0 denominator here; the value below comes
-        # from solving the commutation relations directly.
-        yield Region.LOWER_TOP_CAP, 3, 1, Fraction(p * (q + 2), 2)
+            yield j + q1 + 1, j, Fraction(e + 1, q1 * (q1 + 1)) * (p - e) * (q + e + 2)
     # upper middle diagonal at offset q
     for i in range(cap_start(q), n - q * (q + 1) // 2 + 1):
         m = (i - cap_start(q)) % (q + 1)
         f = (i - cap_start(q)) // (q + 1)
-        yield (
-            Region.UPPER_MIDDLE,
-            i,
-            i + q,
-            Fraction(q - m, q + 1 + f) * (p + q + 1 - m) * (1 + m),
-        )
+        yield i, i + q, Fraction(q - m, q + 1 + f) * (p + q + 1 - m) * (1 + m)
     for q1 in range(1, q):
         # upper bottom cap at offset q1
         for i in range(n - cap_start(q1 + 1) - q1 + 1, n - cap_start(q1) - q1 + 2):
-            yield (
-                Region.UPPER_BOTTOM_CAP,
-                i,
-                i + q1,
-                Fraction(
-                    (cap_start(q1 + 1) + i - n + q1 - 1)
-                    * (q - q1 - cap_start(q1 + 1) + n + 2 - i)
-                    * (p + q - q1 - cap_start(q1 + 1) + n + 3 - i),
-                    p + q - q1 + 2,
-                ),
+            yield i, i + q1, Fraction(
+                (cap_start(q1 + 1) + i - n + q1 - 1)
+                * (q - q1 - cap_start(q1 + 1) + n + 2 - i)
+                * (p + q - q1 - cap_start(q1 + 1) + n + 3 - i),
+                p + q - q1 + 2,
             )
         # lower bottom cap at offset q1 + 1
         for j in range(n - cap_start(q1 + 1) + 1 - q1, n - cap_start(q1) - q1 + 1):
-            yield (
-                Region.LOWER_BOTTOM_CAP,
-                j + q1 + 1,
-                j,
-                Fraction(
-                    (n - q1 - cap_start(q1) + 1 - j)
-                    * (p - n + q1 + cap_start(q1) + j)
-                    * (p + q + j - n + q1 + cap_start(q1) + 1),
-                    (p + q - q1 + 1) * (p + q - q1 + 2),
-                ),
+            yield j + q1 + 1, j, Fraction(
+                (n - q1 - cap_start(q1) + 1 - j)
+                * (p - n + q1 + cap_start(q1) + j)
+                * (p + q + j - n + q1 + cap_start(q1) + 1),
+                (p + q - q1 + 1) * (p + q - q1 + 2),
             )
 
 
-def _misc_zero_positions(p: int, q: int) -> frozenset[tuple[int, int]]:
-    """Structurally zero positions the lower-middle recursion may touch.
-
-    The staggered caps leave the rows at the triangular indices cap_start(q1)
-    without a lower entry; references into those rows resolve to zero.
-    """
-    pos = set()
-    for q1 in range(1, q + 2):
-        r = cap_start(q1)
-        for c in range(1, r + 1):
-            pos.add((r, c))
-    return frozenset(pos)
-
-
 @lru_cache(maxsize=None)
-def _squares_and_regions(
-    p: int, q: int
-) -> tuple[dict[tuple[int, int], Fraction], dict[tuple[int, int], Region]]:
+def _squares(p: int, q: int) -> dict[tuple[int, int], Fraction]:
     _check_ordered(p, q)
     n = (p + 1) * (q + 1)
     values: dict[tuple[int, int], Fraction] = {}
-    regions: dict[tuple[int, int], Region] = {}
 
-    def put(region: Region, i: int, j: int, v: Fraction) -> None:
+    def put(i: int, j: int, v: Fraction) -> None:
         if not (1 <= i <= n and 1 <= j <= n):
             raise ConsistencyError(f"({i},{j}) outside 1..{n} for ({p},{q})")
         if (i, j) in values:
             raise ConsistencyError(f"families overlap at ({i},{j}) for ({p},{q})")
         values[(i, j)] = v
-        regions[(i, j)] = region
 
-    for region, i, j, v in _closed_form_entries(p, q):
-        put(region, i, j, v)
+    for i, j, v in _closed_form_entries(p, q):
+        put(i, j, v)
 
     if q >= 1:
-        misc = _misc_zero_positions(p, q)
-        spins = tspin_list(p, q).doubled_spins
+        spins = tspin_list(p, q)
+        # The first middle row follows the last top-cap run and has no lower
+        # entry; the recursion reads it as zero.
+        start = cap_start(q + 1)
+        zero = (start, start - q - 1)
 
         def look(i: int, j: int) -> Fraction:
-            if i < 1 or j < 1 or i > n or j > n:
-                return Fraction(0)
             if (i, j) in values:
                 return values[(i, j)]
-            if (i, j) in misc:
+            if (i, j) == zero:
                 return Fraction(0)
             raise ConsistencyError(
                 f"lower-middle recursion for ({p},{q}) references undefined ({i},{j})"
@@ -160,21 +102,14 @@ def _squares_and_regions(
 
         # The recursion walks a '+'-shaped stencil: the entry one cap-width
         # left in the same row, one above in the same column, and the upper
-        # diagonal in the same row.  The column shift switches once the row
-        # passes the last triangular cap index.
-        j_first = cap_start(q) + (1 if q == 1 else 0)
-        j_last = cap_start(q) + (p - q + 2) * (q + 1) - 3
-        for j in range(j_first, j_last + 1):
-            e = 0 if j < cap_start(q + 1) else -1
+        # diagonal in the same row.  Its rows are middle and bottom blocks,
+        # so the doubled spin two_s is at least q >= 1.
+        for j in range(start, cap_start(q) + (p - q + 2) * (q + 1) - 2):
             two_s = spins[j - 1]
-            v = Fraction(-1) + look(j, j - q + e)
-            above = look(j - q + 1 + e, j)
-            if above:
-                v += Fraction(above, two_s)
-            v -= Fraction(look(j, j + q), two_s + 1)
-            put(Region.LOWER_MIDDLE, j + q + 1, j, v)
+            v = look(j, j - q - 1) - 1 + look(j - q, j) / two_s - look(j, j + q) / (two_s + 1)
+            put(j + q + 1, j, v)
 
-    return values, regions
+    return values
 
 
 def block_unknown_squares(p: int, q: int) -> dict[tuple[int, int], Fraction]:
@@ -183,20 +118,4 @@ def block_unknown_squares(p: int, q: int) -> dict[tuple[int, int], Fraction]:
     Every admissible block position is covered; a few covered positions
     carry an exact zero (the matrices simply have no entries there).
     """
-    values, _ = _squares_and_regions(p, q)
-    return dict(values)
-
-
-def region_of(i: int, j: int, p: int, q: int) -> Region:
-    """Which formula family covers block position (i, j); OUTSIDE if none."""
-    n = (p + 1) * (q + 1)
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError(f"block position ({i},{j}) outside 1..{n}")
-    if i == j:
-        return Region.OUTSIDE
-    _, regions = _squares_and_regions(p, q)
-    if (i, j) in regions:
-        return regions[(i, j)]
-    if (i, j) in _misc_zero_positions(p, q):
-        return Region.MISC_ZERO
-    return Region.OUTSIDE
+    return dict(_squares(p, q))

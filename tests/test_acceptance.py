@@ -81,7 +81,7 @@ def test_criterion_3_full_sweep():
 
 
 def test_criterion_4_structural_fixtures_53():
-    assert tspin_list(5, 3).doubled_spins == (
+    assert tspin_list(5, 3) == (
         0, 1, 1, 2, 2, 2,
         3, 3, 3, 3, 4, 4, 4, 4, 5, 5, 5, 5,
         6, 6, 6, 7, 7, 8,

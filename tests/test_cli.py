@@ -1,9 +1,10 @@
 import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
-from su3rep import RadicalSum, build_generator_set
+from su3rep import RadicalSum, build_generator_set, generators
 from su3rep.cli import main
 
 
@@ -60,6 +61,13 @@ class TestGenerate:
         lines = out.splitlines()
         assert lines[0] == "row,col,part,num,den,sf"
         assert all(",re," in line or ",im," in line for line in lines[1:])
+
+    @pytest.mark.parametrize("name", ["F1", "F2", "F6", "F8"])
+    def test_one_gell_mann_matrix_built(self, capsys, name):
+        # only the requested F matrix is combined, not all eight
+        with mock.patch.object(generators, "_combine", wraps=generators._combine) as combine:
+            code, _, _ = run(capsys, "generate", "--p", "2", "--q", "1", "--matrix", name)
+        assert code == 0 and combine.call_count == 1
 
     def test_approx_column(self, capsys):
         _, out, _ = run(

@@ -9,7 +9,7 @@ from su3rep import (
     RadMatrix,
     RadicalSum,
     admissible_blocks,
-    block_layout,
+    block_offsets,
     block_unknown_squares,
     build_generator_set,
     build_t_matrices,
@@ -18,6 +18,7 @@ from su3rep import (
     dimension,
     ladder_coefficient,
     sqrt_of_rational,
+    gell_mann_matrix,
     to_gell_mann,
     tspin_list,
     u3_leads,
@@ -47,8 +48,8 @@ def _reference_set(p, q):
     if q > p:
         return _reference_set(q, p).negative_transpose()
     d = dimension(p, q)
-    offsets = block_layout(p, q).offsets
-    spins = tspin_list(p, q).doubled_spins
+    offsets = block_offsets(p, q)
+    spins = tspin_list(p, q)
     tp, tm, t3, u3, up, vp = (RadMatrix(d) for _ in range(6))
     for off, two_s, two_lead in zip(offsets, spins, u3_leads(p, q)):
         for a in range(two_s + 1):
@@ -175,12 +176,12 @@ class TestRaisingMatrices:
 
     def test_vplus_negative_in_spin_raising_blocks(self):
         gs = build_generator_set(1, 1)
-        layout = block_layout(1, 1)
-        spins = tspin_list(1, 1).doubled_spins
+        offsets = block_offsets(1, 1)
+        spins = tspin_list(1, 1)
         for i, j, shift in admissible_blocks(1, 1):
             if shift != 1 or not block_unknown_squares(1, 1)[(i, j)]:
                 continue
-            r0, c0 = layout.offsets[i - 1], layout.offsets[j - 1]
+            r0, c0 = offsets[i - 1], offsets[j - 1]
             vals = [
                 v
                 for r, c, v in gs.v_plus.items()
@@ -190,13 +191,13 @@ class TestRaisingMatrices:
 
     def test_single_diagonal_per_block(self):
         gs = build_generator_set(3, 2)
-        layout = block_layout(3, 2)
+        block_starts = block_offsets(3, 2)
         for mat in (gs.u_plus, gs.v_plus):
             offsets: dict[tuple[int, int], set[int]] = {}
             for r, c, _ in mat.items():
-                bi = max(k for k, off in enumerate(layout.offsets) if off <= r)
-                bj = max(k for k, off in enumerate(layout.offsets) if off <= c)
-                a, b = r - layout.offsets[bi], c - layout.offsets[bj]
+                bi = max(k for k, off in enumerate(block_starts) if off <= r)
+                bj = max(k for k, off in enumerate(block_starts) if off <= c)
+                a, b = r - block_starts[bi], c - block_starts[bj]
                 offsets.setdefault((bi, bj), set()).add(b - a)
             assert all(len(diags) == 1 for diags in offsets.values())
 
@@ -205,11 +206,11 @@ class TestRaisingMatrices:
         # r-(t, sigma + 1/2) * u(sigma - 1) = r-(s, sigma) * u(sigma)
         for p, q in all_labels(300):
             gs = build_generator_set(p, q)
-            layout = block_layout(p, q)
-            spins = tspin_list(p, q).doubled_spins
+            offsets = block_offsets(p, q)
+            spins = tspin_list(p, q)
             for i, j, shift in admissible_blocks(p, q):
                 two_s, two_t = spins[i - 1], spins[j - 1]
-                r0, c0 = layout.offsets[i - 1], layout.offsets[j - 1]
+                r0, c0 = offsets[i - 1], offsets[j - 1]
                 entries = {
                     r - r0: v
                     for r, c, v in gs.u_plus.items()
@@ -278,6 +279,11 @@ class TestGellMann:
         assert f8.im.is_zero()
         assert all(r == c for r, c, _ in f8.re.items())
         assert f8.re.trace().is_zero
+
+    @pytest.mark.parametrize("k", [0, 9])
+    def test_index_out_of_range(self, k):
+        with pytest.raises(IndexError, match="1..8"):
+            gell_mann_matrix(build_generator_set(1, 0), k)
 
     def test_all_hermitian_adjoint(self):
         fs = to_gell_mann(build_generator_set(1, 1))

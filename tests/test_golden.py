@@ -1,7 +1,7 @@
 """User-visible outputs pinned byte for byte.
 
 ``golden_outputs.json`` holds, for the cases below, what the CLI printed
-(``generate`` as sha256 digests, the rest as text) and what ``render_report``
+(``generate`` and ``unknowns`` as sha256 digests, the rest as text) and what ``render_report``
 returned for deliberately corrupted sets.  Every case is recomputed here and
 compared with the record, so a refactor that changes any output byte fails.
 
@@ -30,6 +30,7 @@ from su3rep import (
     check_casimir,
     check_commutators,
     check_structure,
+    dimension,
     to_gell_mann,
 )
 from su3rep.cli import main, render_report
@@ -56,6 +57,7 @@ CORRUPTED_CASES = [
     for field in ("u_plus", "t_three", "v_minus")
 ]
 SWEEP_MAX_D = 100
+UNKNOWNS_MAX_D = 1000  # every p >= q irrep below it: q = 0, q = 1 and q >= 2
 
 
 def _run(*argv: str) -> dict:
@@ -107,6 +109,20 @@ def sweep_output() -> dict:
     return result
 
 
+def unknowns_digests() -> dict[str, str]:
+    """sha256 of `unknowns` stdout for every p >= q irrep with d < UNKNOWNS_MAX_D."""
+    digests = {}
+    p = 0
+    while dimension(p, 0) < UNKNOWNS_MAX_D:
+        for q in range(p + 1):
+            if dimension(p, q) < UNKNOWNS_MAX_D:
+                result = _run("unknowns", "--p", str(p), "--q", str(q))
+                assert (result["code"], result["err"]) == (0, "")
+                digests[f"{p},{q}"] = hashlib.sha256(result["out"].encode()).hexdigest()
+        p += 1
+    return digests
+
+
 def record() -> dict:
     return {
         "generate": {_generate_key(*case): generate_digests(*case) for case in GENERATE_CASES},
@@ -116,6 +132,7 @@ def record() -> dict:
         "render_report corrupted": {f"{p},{q} {field}": corrupted_report_text(p, q, field)
                                     for p, q, field in CORRUPTED_CASES},
         "sweep": sweep_output(),
+        "unknowns": unknowns_digests(),
     }
 
 
@@ -147,6 +164,10 @@ def test_corrupted_report(golden, p, q, field):
 
 def test_sweep(golden):
     assert sweep_output() == golden["sweep"]
+
+
+def test_unknowns(golden):
+    assert unknowns_digests() == golden["unknowns"]
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 from su3rep import (
-    block_layout,
+    block_offsets,
     cap_start,
     dimension,
     state_labels,
@@ -49,17 +49,16 @@ def test_cap_start():
 
 class TestTSpinList:
     def test_53_reference(self):
-        ts = tspin_list(5, 3)
-        assert ts.doubled_spins == TSPINS_53
-        assert (ts.top_count, ts.middle_count, ts.bottom_count) == (6, 12, 6)
-        assert ts.doubled_spins[:6] == (0, 1, 1, 2, 2, 2)
-        assert ts.doubled_spins[6:18] == (3, 3, 3, 3, 4, 4, 4, 4, 5, 5, 5, 5)
-        assert ts.doubled_spins[18:] == (6, 6, 6, 7, 7, 8)
+        spins = tspin_list(5, 3)
+        assert spins == TSPINS_53
+        assert spins[:6] == (0, 1, 1, 2, 2, 2)
+        assert spins[6:18] == (3, 3, 3, 3, 4, 4, 4, 4, 5, 5, 5, 5)
+        assert spins[18:] == (6, 6, 6, 7, 7, 8)
 
     def test_small_cases(self):
-        assert tspin_list(1, 0).doubled_spins == (0, 1)
-        assert tspin_list(1, 1).doubled_spins == (0, 1, 1, 2)
-        assert tspin_list(0, 0).doubled_spins == (0,)
+        assert tspin_list(1, 0) == (0, 1)
+        assert tspin_list(1, 1) == (0, 1, 1, 2)
+        assert tspin_list(0, 0) == (0,)
 
     def test_rejects_q_above_p(self):
         with pytest.raises(ValueError, match="negative-transpose"):
@@ -67,7 +66,7 @@ class TestTSpinList:
 
     def test_state_count_matches_dimension(self):
         for p, q in all_labels(300):
-            spins = tspin_list(p, q).doubled_spins
+            spins = tspin_list(p, q)
             assert len(spins) == (p + 1) * (q + 1)
             assert sum(s + 1 for s in spins) == dimension(p, q)
             assert list(spins) == sorted(spins)
@@ -95,7 +94,7 @@ class TestU3Leads:
 
     def test_leads_increase_within_equal_spin_runs(self):
         for p, q in all_labels(300):
-            spins = tspin_list(p, q).doubled_spins
+            spins = tspin_list(p, q)
             leads = u3_leads(p, q)
             for k in range(1, len(spins)):
                 if spins[k] == spins[k - 1]:
@@ -104,13 +103,14 @@ class TestU3Leads:
 
 class TestBlockLayout:
     def test_offsets(self):
-        layout = block_layout(5, 3)
-        assert layout.offsets[0] == 0
+        offsets = block_offsets(5, 3)
+        assert offsets[0] == 0
         assert all(
-            layout.offsets[k] + layout.sizes[k] == layout.offsets[k + 1]
-            for k in range(len(layout.sizes) - 1)
+            offsets[k] + TSPINS_53[k] + 1 == offsets[k + 1]
+            for k in range(len(offsets) - 1)
         )
-        assert layout.dim == 120
+        assert offsets[-1] + TSPINS_53[-1] + 1 == 120
+        assert block_offsets(0, 0) == (0,)
 
 
 class TestStateLabels:

@@ -1,13 +1,14 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from su3rep import unknowns
 from su3rep import (
-    Region,
+    ConsistencyError,
     admissible_blocks,
     block_unknown_squares,
     dimension,
-    region_of,
 )
 
 
@@ -51,35 +52,6 @@ class TestKnownMaps:
             block_unknown_squares(2, 3)
 
 
-class TestRegionOf:
-    def test_lower_middle_for_q0(self):
-        assert region_of(2, 1, 2, 0) is Region.LOWER_MIDDLE
-
-    def test_diagonal_is_outside(self):
-        for p, q in [(2, 0), (1, 1), (5, 3)]:
-            assert region_of(1, 1, p, q) is Region.OUTSIDE
-
-    def test_special_entry_is_lower_top_cap(self):
-        assert region_of(3, 1, 3, 2) is Region.LOWER_TOP_CAP
-        assert region_of(3, 1, 4, 1) is Region.LOWER_TOP_CAP
-
-    def test_53_regions(self):
-        assert region_of(1, 2, 5, 3) is Region.UPPER_TOP_CAP
-        assert region_of(5, 2, 5, 3) is Region.LOWER_TOP_CAP
-        assert region_of(4, 7, 5, 3) is Region.UPPER_MIDDLE
-        assert region_of(8, 4, 5, 3) is Region.LOWER_MIDDLE
-        assert region_of(19, 21, 5, 3) is Region.UPPER_BOTTOM_CAP
-        assert region_of(24, 22, 5, 3) is Region.LOWER_BOTTOM_CAP
-        assert region_of(4, 1, 5, 3) is Region.MISC_ZERO
-        assert region_of(24, 1, 5, 3) is Region.OUTSIDE
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            region_of(0, 1, 1, 0)
-        with pytest.raises(ValueError):
-            region_of(1, 5, 1, 0)
-
-
 class TestStructuralInvariants:
     def test_nonnegative_below_300(self):
         for p, q in all_labels(300):
@@ -105,3 +77,49 @@ class TestStructuralInvariants:
             for j in range(2, p + 1):
                 assert squares[(j + 1, j)] == squares[(j, j - 1)] - 1
             assert squares[(2, 1)] == p
+
+
+@pytest.fixture
+def uncached():
+    """Clear every lru_cache in su3rep.unknowns before and after the test, so
+    a patched family list is read and its result is not kept."""
+
+    def clear():
+        for obj in vars(unknowns).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+    clear()
+    yield
+    clear()
+
+
+def _patched_families(edit):
+    """Patch _closed_form_entries(p, q) to yield edit(p, q, its entries)."""
+    original = unknowns._closed_form_entries
+    return mock.patch.object(
+        unknowns, "_closed_form_entries", lambda p, q: edit(p, q, original(p, q))
+    )
+
+
+class TestGuards:
+    """Negative controls: a broken family list must raise, never pass."""
+
+    def test_repeated_entry_overlaps(self, uncached):
+        def repeat_first(p, q, entries):
+            entries = list(entries)
+            return [entries[0]] + entries
+
+        with _patched_families(repeat_first):
+            with pytest.raises(ConsistencyError, match=r"families overlap at \(\d+,\d+\) for \(5,3\)"):
+                block_unknown_squares(5, 3)
+
+    def test_missing_upper_middle_is_undefined(self, uncached):
+        # entries end with (i, j, value); offset q is the upper middle only
+        def drop_upper_middle(p, q, entries):
+            return [e for e in entries if e[-2] - e[-3] != q]
+
+        with _patched_families(drop_upper_middle):
+            with pytest.raises(ConsistencyError, match=r"references undefined \(4,7\)"):
+                block_unknown_squares(5, 3)
+        assert block_unknown_squares(5, 3)[(4, 7)] == Fraction(27, 4)
