@@ -70,7 +70,7 @@ class ComplexMatrix:
     im: RadMatrix
 
     def is_hermitian(self) -> bool:
-        return self.re.is_symmetric() and self.im.is_antisymmetric()
+        return self.re == self.re.transpose() and self.im == -self.im.transpose()
 
     def is_traceless(self) -> bool:
         return self.re.trace().is_zero and self.im.trace().is_zero

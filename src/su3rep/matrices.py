@@ -17,15 +17,21 @@ entry, which is where nearly all of a verification's time would otherwise go.
 Why this is exact.  A matrix is a finite set of rational coefficients, one
 per stored term (an entry with several terms, such as a corrupted one,
 stores one numerator per radicand), and the lcm of their denominators is a
-den that writes each of them as an integer over den.  The product of two
-matrices has denominator den_A * den_B, and each scalar product needs only
-integers: sqrt(m1) * sqrt(m2) = g * sqrt((m1/g) * (m2/g)) with
+den that writes each of them as an integer over den.  A term coeff * A @ B
+has denominator coeff_den * den_A * den_B, and each scalar product needs
+only integers: sqrt(m1) * sqrt(m2) = g * sqrt((m1/g) * (m2/g)) with
 g = gcd(m1, m2), whose cofactors are coprime and square-free, so the product
-radicand is square-free with no factoring.  A linear combination with
-rational coefficients rescales numerators to the lcm of the denominators.
-Square roots of distinct square-free integers are linearly independent over
-the rationals, so a matrix is zero exactly when it stores no numerator, and
-zeros are never stored.
+radicand is square-free with no factoring.  Square roots of distinct
+square-free integers are linearly independent over the rationals, so a
+matrix is zero exactly when it stores no numerator, and zeros are never
+stored.
+
+One kernel, ``_combine``, does every sum and product: it adds terms
+coeff * A and coeff * A @ B, each rescaled to the lcm of the terms'
+denominators, into one integer accumulator per row (Gustavson's row-wise
+sparse product with the linear combination folded in).  ``A @ B``, a
+commutator, each relation's residual and the Casimir operator are one pass
+each, with no product matrix in between.
 
 ``den`` is not canonical: products and sums keep the common denominator
 their operands give them, with no gcd pass to reduce it, so one matrix has
@@ -66,8 +72,8 @@ class RadMatrix:
         """The matrix (den, rows) less its zero numerators and empty rows.
 
         Rows are kept, not copied, and only a row holding a zero is rebuilt:
-        every caller (``__matmul__``, ``_combine``, ``transpose``, ``trace``,
-        ``identity``) passes dicts it has just built and drops them."""
+        every caller (``_combine_all``, ``transpose``, ``trace``, ``identity``)
+        passes dicts it has just built and drops them."""
         out = cls(n)
         out.den = den
         for r, row in rows.items():
@@ -187,26 +193,7 @@ class RadMatrix:
         return self @ RadMatrix.identity(self.n, factor)
 
     def __matmul__(self, other: "RadMatrix") -> "RadMatrix":
-        self._check_shape(other)
-        n = self.n
-        gcd = math.gcd
-        # other's rows decoded once into (col, sf, numerator) triples
-        right = {
-            k: [(key % n, key // n, b) for key, b in row.items()]
-            for k, row in other._rows.items()
-        }
-        rows: dict[int, dict[int, int]] = {}
-        for r, row in self._rows.items():
-            acc: dict[int, int] = {}
-            for key, a in row.items():
-                sfa, k = divmod(key, n)
-                for c, sfb, b in right.get(k, ()):
-                    # sqrt(sfa)*sqrt(sfb) = g*sqrt((sfa/g)*(sfb/g)), g = gcd
-                    g = gcd(sfa, sfb)
-                    out = (sfa // g) * (sfb // g) * n + c
-                    acc[out] = acc.get(out, 0) + a * b * g
-            rows[r] = acc
-        return RadMatrix._raw(n, self.den * other.den, rows)
+        return _combine(((1, self, other),))
 
     def transpose(self) -> "RadMatrix":
         n = self.n
@@ -219,12 +206,6 @@ class RadMatrix:
 
     def negative_transpose(self) -> "RadMatrix":
         return -self.transpose()
-
-    def is_symmetric(self) -> bool:
-        return self == self.transpose()
-
-    def is_antisymmetric(self) -> bool:
-        return self == -self.transpose()
 
     def trace(self) -> RadicalSum:
         # fold the diagonal into cell (0, 0): key sf * n + r adds to key sf * n
@@ -248,10 +229,6 @@ class RadMatrix:
             dense[r][c] = v.to_float()
         return dense
 
-    def _check_shape(self, other: "RadMatrix") -> None:
-        if self.n != other.n:
-            raise ValueError(f"shape mismatch: {self.n} vs {other.n}")
-
     def __repr__(self) -> str:
         return f"RadMatrix(n={self.n}, nnz={self.nnz})"
 
@@ -259,21 +236,54 @@ class RadMatrix:
 _ZERO = RadicalSum(0)
 
 
-def _combine(terms: Iterable[tuple[Union[int, Fraction], RadMatrix]]) -> RadMatrix:
-    """The sum of coeff * matrix over (coeff, matrix) pairs of one size."""
-    terms = [(Fraction(coeff), mat) for coeff, mat in terms]
-    first = terms[0][1]
-    den = math.lcm(*(coeff.denominator * mat.den for coeff, mat in terms))
-    rows: dict[int, dict[int, int]] = {}
-    for coeff, mat in terms:
-        first._check_shape(mat)
-        f = coeff.numerator * (den // (coeff.denominator * mat.den))
-        for r, row in mat._rows.items():
-            acc = rows.setdefault(r, {})
-            for key, v in row.items():
-                acc[key] = acc.get(key, 0) + f * v
-    return RadMatrix._raw(first.n, den, rows)
+def _combine(terms: Iterable[tuple]) -> RadMatrix:
+    """The sum of terms (coeff, A) = coeff * A and (coeff, A, B) = coeff * A @ B."""
+    return next(_combine_all((terms,)))
+
+
+def _combine_all(groups: Iterable[Iterable[tuple]]) -> Iterator[RadMatrix]:
+    """``_combine`` of each group in turn.
+
+    Each right operand's rows are decoded into (col, sf, numerator) triples
+    once for all the groups.  The memo is keyed by id and ends with the call;
+    ``groups`` is read whole before the first sum, so every operand
+    outlives the memo."""
+    gcd = math.gcd
+    groups = [[(Fraction(coeff), mats) for coeff, *mats in group] for group in groups]
+    decoded: dict[int, dict[int, list[tuple[int, int, int]]]] = {}
+    for terms in groups:
+        sizes = sorted({mat.n for _, mats in terms for mat in mats})
+        if len(sizes) > 1:
+            raise ValueError("shape mismatch: " + " vs ".join(map(str, sizes)))
+        n = sizes[0]
+        scales = [coeff.denominator * math.prod(m.den for m in mats) for coeff, mats in terms]
+        den = math.lcm(*scales)
+        rows: dict[int, dict[int, int]] = {}
+        for (coeff, mats), scale in zip(terms, scales):
+            f = coeff.numerator * (den // scale)
+            if len(mats) == 1:
+                for r, row in mats[0]._rows.items():
+                    acc = rows.setdefault(r, {})
+                    for key, v in row.items():
+                        acc[key] = acc.get(key, 0) + f * v
+                continue
+            left, right = mats
+            if id(right) not in decoded:
+                decoded[id(right)] = {k: [(key % n, key // n, v) for key, v in row.items()]
+                                      for k, row in right._rows.items()}
+            right_rows = decoded[id(right)]
+            for r, row in left._rows.items():
+                acc = rows.setdefault(r, {})
+                for key, a in row.items():
+                    sfa, k = divmod(key, n)
+                    fa = f * a
+                    for c, sfb, b in right_rows.get(k, ()):
+                        # sqrt(sfa)*sqrt(sfb) = g*sqrt((sfa/g)*(sfb/g)), g = gcd
+                        g = gcd(sfa, sfb)
+                        out = (sfa // g) * (sfb // g) * n + c
+                        acc[out] = acc.get(out, 0) + fa * b * g
+        yield RadMatrix._raw(n, den, rows)
 
 
 def commutator(a: RadMatrix, b: RadMatrix) -> RadMatrix:
-    return _combine(((1, a @ b), (-1, b @ a)))
+    return _combine(((1, a, b), (-1, b, a)))

@@ -23,7 +23,7 @@ from .generators import (
     to_gell_mann,
     unit_raising_blocks,
 )
-from .matrices import RadMatrix, _combine, commutator
+from .matrices import RadMatrix, _combine, _combine_all, commutator
 from .structure import dimension, state_labels
 from .unknowns import ConsistencyError, block_unknown_squares
 
@@ -106,14 +106,15 @@ def _relation_name(a: str, b: str, rhs: tuple[tuple[Fraction, str], ...]) -> str
 def check_commutators(gs: GeneratorSet) -> CheckReport:
     """Evaluate all 28 commutation relations exactly."""
     mats = gs.matrices()
-    checks = []
-    for a, b, rhs in COMMUTATOR_TABLE:
-        ma, mb = mats[a], mats[b]
-        residual = _combine(
-            [(1, ma @ mb), (-1, mb @ ma)] + [(-coeff, mats[key]) for coeff, key in rhs]
-        )
-        checks.append(_relation_check("commutator", _relation_name(a, b, rhs), residual))
-    return CheckReport(gs.p, gs.q, tuple(checks))
+    residuals = _combine_all(
+        [(1, mats[a], mats[b]), (-1, mats[b], mats[a])] + [(-c, mats[key]) for c, key in rhs]
+        for a, b, rhs in COMMUTATOR_TABLE
+    )
+    checks = tuple(
+        _relation_check("commutator", _relation_name(a, b, rhs), residual)
+        for (a, b, rhs), residual in zip(COMMUTATOR_TABLE, residuals)
+    )
+    return CheckReport(gs.p, gs.q, checks)
 
 
 def _relation_check(kind: str, name: str, residual: RadMatrix) -> RelationCheck:
@@ -132,10 +133,10 @@ def check_casimir(gs: GeneratorSet) -> RelationCheck:
     y = _combine([(2, mats["U3"]), (1, mats["T3"])])
     eigen = casimir_eigenvalue(gs.p, gs.q)
     ladders = (("Tp", "Tm"), ("Tm", "Tp"), ("Vp", "Vm"), ("Vm", "Vp"), ("Up", "Um"), ("Um", "Up"))
-    terms = [(_HALF, mats[a] @ mats[b]) for a, b in ladders]
+    terms = [(_HALF, mats[a], mats[b]) for a, b in ladders]
     terms += [
-        (1, mats["T3"] @ mats["T3"]),
-        (Fraction(1, 3), y @ y),
+        (1, mats["T3"], mats["T3"]),
+        (Fraction(1, 3), y, y),
         (-eigen, RadMatrix.identity(gs.dim)),
     ]
     return _relation_check("casimir", f"casimir = {eigen}", _combine(terms))
@@ -385,8 +386,10 @@ def sweep(max_d: int, jobs: int = 1) -> SweepSummary:
     # never more workers than CPUs or irreps, whatever jobs asks for
     workers = min(jobs, os.cpu_count() or 1, len(labels))
     if workers > 1:
+        # largest irreps first, so that no big one starts last
+        largest_first = sorted(labels, key=lambda label: (-dimension(*label), label))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_one, labels))
+            rows = list(pool.map(_sweep_one, largest_first))
     else:
         rows = [_sweep_one(label) for label in labels]
     rows.sort(key=lambda r: (r.p, r.q))

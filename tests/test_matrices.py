@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from su3rep import RadicalSum, sqrt_of_rational
-from su3rep.matrices import RadMatrix, _combine, commutator
+from su3rep.matrices import RadMatrix, _combine, _combine_all, commutator
 
 # Small coefficients and radicands that are not all square-free (8 = 4*2,
 # 12 = 4*3), so that entries and their products cancel often.
@@ -58,6 +58,50 @@ def test_commutator_matches_dense_reference(pair):
     result = commutator(a, b)
     assert result == _dense_product(a, b) - _dense_product(b, a)
     assert _stores_no_zero(result)
+
+
+@st.composite
+def _term_groups(draw):
+    """Three matrices with pairwise different denominators (each holds one
+    entry over 5, 7 or 11, which no drawn coefficient has), and groups of
+    (coeff, A) and (coeff, A, B) terms over them; the first matrix is a
+    right operand in every group."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    positions = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    pool = []
+    for prime in (5, 7, 11):
+        mat = RadMatrix(n)
+        for (r, c), v in draw(st.dictionaries(positions, _entries, max_size=2 * n)).items():
+            mat.put(r, c, v)
+        mat.put(*draw(positions), _rad((Fraction(1, prime), draw(st.sampled_from([1, 2, 6])))))
+        pool.append(mat)
+    which = st.sampled_from(pool)
+    term = st.one_of(st.tuples(_coeffs, which), st.tuples(_coeffs, which, which))
+    groups = [
+        draw(st.lists(term, max_size=3)) + [(draw(_coeffs), draw(which), pool[0])]
+        for _ in range(draw(st.integers(min_value=2, max_value=4)))
+    ]
+    return pool, groups
+
+
+@given(_term_groups())
+def test_kernel_matches_dense_reference(drawn):
+    pool, groups = drawn
+    assert len({mat.den for mat in pool}) == 3
+    n = pool[0].n
+    results = list(_combine_all(groups))
+    assert len(results) == len(groups)
+    for terms, result in zip(groups, results):
+        parts = [(coeff, mats[0] if len(mats) == 1 else _dense_product(*mats))
+                 for coeff, *mats in terms]
+        reference = RadMatrix(n)
+        for i in range(n):
+            for j in range(n):
+                reference.put(i, j, sum((c * part.get(i, j) for c, part in parts), _rad()))
+        assert result == reference
+        assert list(result.items()) == list(reference.items())
+        assert _stores_no_zero(result)
+        assert list(_combine(terms).items()) == list(result.items())
 
 
 _positions = st.tuples(st.integers(0, 3), st.integers(0, 3))

@@ -1,6 +1,8 @@
 import dataclasses
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -239,6 +241,21 @@ class TestRelationKinds:
         assert not verify_irrep(1, 0).of_kind("oracle").passed
 
 
+@pytest.mark.parametrize("p,q", [(5, 3), (3, 5)])
+def test_checks_build_no_product_matrix(p, q):
+    """Each relation and the Casimir are summed in one pass, with no A @ B."""
+    gs = build_generator_set(p, q)
+    # autospec binds the spy as a method; side_effect passes each call through
+    with mock.patch.object(
+        RadMatrix, "__matmul__", autospec=True, side_effect=RadMatrix.__matmul__
+    ) as matmul:
+        assert check_commutators(gs).passed
+        assert check_casimir(gs).exact
+        assert matmul.call_count == 0
+        assert not (gs.t_plus @ gs.t_minus).is_zero()
+        assert matmul.call_count == 1  # the wrapper does see a product
+
+
 class TestSweep:
     def test_labels(self):
         assert sweep_labels(4) == [(0, 0), (0, 1), (1, 0)]
@@ -260,14 +277,15 @@ class TestSweep:
         assert strip(serial.rows) == strip(parallel.rows)
 
     @pytest.fixture
-    def pool_sizes(self, monkeypatch):
+    def pool(self, monkeypatch):
         """Replace the process pool with one that maps in this process and
-        records its max_workers; the returned list fills as pools are made."""
-        sizes = []
+        records its max_workers and the items it maps, in order; the lists
+        fill as pools are made and mapped."""
+        record = SimpleNamespace(sizes=[], mapped=[])
 
         class RecordingPool:
             def __init__(self, max_workers):
-                sizes.append(max_workers)
+                record.sizes.append(max_workers)
 
             def __enter__(self):
                 return self
@@ -276,23 +294,36 @@ class TestSweep:
                 return False
 
             def map(self, fn, items):
-                return map(fn, items)
+                record.mapped.append(list(items))
+                return map(fn, record.mapped[-1])
 
         monkeypatch.setattr("su3rep.verify.ProcessPoolExecutor", RecordingPool)
-        return sizes
+        return record
 
     @pytest.mark.parametrize("cpus,pools", [(4, [4]), (1, []), (None, [])])
-    def test_jobs_capped_by_cpu_count(self, monkeypatch, pool_sizes, cpus, pools):
+    def test_jobs_capped_by_cpu_count(self, monkeypatch, pool, cpus, pools):
         monkeypatch.setattr("su3rep.verify.os.cpu_count", lambda: cpus)
         summary = sweep(30, jobs=10**6)
         assert summary.passed
         assert [(r.p, r.q) for r in summary.rows] == sweep_labels(30)
-        assert pool_sizes == pools
+        assert pool.sizes == pools
 
-    def test_jobs_capped_by_irrep_count(self, monkeypatch, pool_sizes):
+    def test_jobs_capped_by_irrep_count(self, monkeypatch, pool):
         monkeypatch.setattr("su3rep.verify.os.cpu_count", lambda: 64)
         assert [(r.p, r.q) for r in sweep(4, jobs=10**6).rows] == [(0, 0), (0, 1), (1, 0)]
-        assert pool_sizes == [3]
+        assert pool.sizes == [3]
+
+    def test_largest_irreps_submitted_first(self, monkeypatch, pool):
+        monkeypatch.setattr("su3rep.verify.os.cpu_count", lambda: 4)
+        summary = sweep(64, jobs=2)
+        assert summary.passed
+        assert [(r.p, r.q) for r in summary.rows] == sweep_labels(64)
+        [mapped] = pool.mapped
+        assert sorted(mapped) == sweep_labels(64)
+        dims = [dimension(p, q) for p, q in mapped]
+        assert dims == sorted(dims, reverse=True)
+        # equal dimensions go in (p, q) order: (2, 3) before (3, 2)
+        assert all(a < b for a, b, da, db in zip(mapped, mapped[1:], dims, dims[1:]) if da == db)
 
 
 class TestFloatCrossCheck:
