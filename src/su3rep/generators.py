@@ -70,7 +70,7 @@ class ComplexMatrix:
     im: RadMatrix
 
     def is_hermitian(self) -> bool:
-        return self.re == self.re.transpose() and self.im == -self.im.transpose()
+        return self.re.is_transpose_of(self.re) and self.im.is_transpose_of(self.im, -1)
 
     def is_traceless(self) -> bool:
         return self.re.trace().is_zero and self.im.trace().is_zero

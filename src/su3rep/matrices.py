@@ -207,6 +207,17 @@ class RadMatrix:
     def negative_transpose(self) -> "RadMatrix":
         return -self.transpose()
 
+    def is_transpose_of(self, other: "RadMatrix", sign: int = 1) -> bool:
+        """self == sign * other^T in O(nnz), building nothing: each stored term,
+        cross-multiplied by the dens, matches its transpose, and none is left."""
+        n, scale, rows = self.n, sign * self.den, other._rows
+        for r, row in self._rows.items():
+            for key, v in row.items():
+                sf, c = divmod(key, n)
+                if v * other.den != scale * rows.get(c, {}).get(sf * n + r, 0):
+                    return False
+        return n == other.n and sum(map(len, self._rows.values())) == sum(map(len, rows.values()))
+
     def trace(self) -> RadicalSum:
         # fold the diagonal into cell (0, 0): key sf * n + r adds to key sf * n
         n = self.n

@@ -5,6 +5,13 @@ commutation relations, the quadratic Casimir identity, the structural
 requirements on the hermitian basis, and a brute-force solver for the block
 unknowns.  The solver reads its equations off the commutation relations of
 the assembled unit matrices and knows nothing about the closed-form families.
+
+Transposition pairs the relations.  With X* the adjoint name of X (T+ <-> T-,
+U+ <-> U-, V+ <-> V-; T3, U3 their own) and each named matrix the transpose of
+its adjoint, [A,B] = sum c M has residual R, and its mirror [B*,A*] = sum c M*
+(or [A*,B*] = -sum c M*) has R^T (or -R^T): the same zero test and largest
+|entry|, so the mirror copies R's verdict exactly.  When a named matrix fails
+``RadMatrix.is_transpose_of`` (a corrupted U+ alone does), both are computed.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .generators import (
@@ -103,18 +110,40 @@ def _relation_name(a: str, b: str, rhs: tuple[tuple[Fraction, str], ...]) -> str
     return f"[{a},{b}] = " + " + ".join(parts)
 
 
+_ADJOINT = {"Tp": "Tm", "Tm": "Tp", "T3": "T3", "Up": "Um", "Um": "Up", "U3": "U3",
+            "Vp": "Vm", "Vm": "Vp"}
+
+
+def _mirror_pairs() -> tuple[tuple[int, int], ...]:
+    """(i, j), i < j, for each two table rows that are each other's transpose:
+    [a,b] = sum c M gives [b*,a*] = sum c M*, that is [a*,b*] = -sum c M*."""
+    rows = {row: i for i, row in enumerate(COMMUTATOR_TABLE)}
+    mirrors = {}
+    for i, (a, b, rhs) in enumerate(COMMUTATOR_TABLE):
+        a, b, rhs = _ADJOINT[a], _ADJOINT[b], tuple((c, _ADJOINT[k]) for c, k in rhs)
+        mirrors[i] = rows.get((b, a, rhs), rows.get((a, b, tuple((-c, k) for c, k in rhs))))
+    return tuple((i, j) for i, j in mirrors.items() if j is not None and i < j)
+
+
+MIRROR_PAIRS = _mirror_pairs()
+
+
 def check_commutators(gs: GeneratorSet) -> CheckReport:
-    """Evaluate all 28 commutation relations exactly."""
+    """Evaluate all 28 commutation relations exactly, mirror pairs as above."""
     mats = gs.matrices()
+    adjoint = {x: m.is_transpose_of(mats[_ADJOINT[x]]) for x, m in mats.items()}
+    ok = {k for k, (a, b, rhs) in enumerate(COMMUTATOR_TABLE)
+          if all(adjoint[x] for x in (a, b, *(key for _, key in rhs)))}
+    derived = {j: i for i, j in MIRROR_PAIRS if i in ok}
     residuals = _combine_all(
         [(1, mats[a], mats[b]), (-1, mats[b], mats[a])] + [(-c, mats[key]) for c, key in rhs]
-        for a, b, rhs in COMMUTATOR_TABLE
+        for k, (a, b, rhs) in enumerate(COMMUTATOR_TABLE) if k not in derived
     )
-    checks = tuple(
-        _relation_check("commutator", _relation_name(a, b, rhs), residual)
-        for (a, b, rhs), residual in zip(COMMUTATOR_TABLE, residuals)
-    )
-    return CheckReport(gs.p, gs.q, checks)
+    checks: list[RelationCheck] = []
+    for k, row in enumerate(COMMUTATOR_TABLE):
+        checks.append(replace(checks[derived[k]], name=_relation_name(*row)) if k in derived
+                      else _relation_check("commutator", _relation_name(*row), next(residuals)))
+    return CheckReport(gs.p, gs.q, tuple(checks))
 
 
 def _relation_check(kind: str, name: str, residual: RadMatrix) -> RelationCheck:

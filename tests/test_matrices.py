@@ -104,6 +104,60 @@ def test_kernel_matches_dense_reference(drawn):
         assert list(_combine(terms).items()) == list(result.items())
 
 
+@st.composite
+def _transpose_candidates(draw):
+    """(a, b, sign): b grown through put with multi-radicand entries and one
+    entry over 5; a is sign * b^T rebuilt through put from a den of 7, so the
+    two dens differ, then perhaps one cell overwritten.  For sign -1, a may
+    instead be b - b^T, perhaps with a diagonal entry, tested against itself."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    positions = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    sign = draw(st.sampled_from([1, -1]))
+    b = RadMatrix(n)
+    for (r, c), v in draw(st.dictionaries(positions, _entries, max_size=2 * n)).items():
+        b.put(r, c, v)
+    b.put(*draw(positions), _rad((Fraction(1, 5), draw(st.sampled_from([1, 2, 6])))))
+    if sign == -1 and draw(st.booleans()):
+        a = b - b.transpose()
+        if draw(st.booleans()):
+            i = draw(st.integers(0, n - 1))
+            a.put(i, i, draw(_entries))
+        return a, a, sign
+    a = RadMatrix(n)
+    a.put(0, 0, Fraction(1, 7))
+    a.put(0, 0, 0)  # den stays 7; b's den is not a multiple of 7
+    for r, c, v in b.items():
+        a.put(c, r, v * sign)
+    if draw(st.booleans()):
+        a.put(*draw(positions), draw(st.one_of(_entries, st.just(RadicalSum(0)))))
+    assert a.den != b.den
+    return a, b, sign
+
+
+@given(_transpose_candidates())
+def test_is_transpose_of_matches_reference(drawn):
+    a, b, sign = drawn
+    reference = b.transpose() if sign == 1 else -b.transpose()
+    assert a.is_transpose_of(b, sign) == (a == reference)
+
+
+def test_is_transpose_of_reads_every_term():
+    # an antisymmetric matrix, then a nonzero diagonal entry
+    mat = RadMatrix(3)
+    mat.put(0, 1, _rad((1, 2), (Fraction(1, 3), 5)))
+    mat.put(1, 0, _rad((-1, 2), (Fraction(-1, 3), 5)))
+    assert mat.is_transpose_of(mat, -1) and not mat.is_transpose_of(mat)
+    mat.put(2, 2, _rad((Fraction(1, 3), 5)))
+    assert not mat.is_transpose_of(mat, -1)
+    # one radicand of a multi-radicand entry missing on one side
+    full, partial = RadMatrix(3), RadMatrix(3)
+    full.put(0, 1, _rad((1, 2), (Fraction(1, 3), 5)))
+    partial.put(1, 0, _rad((1, 2)))
+    assert not full.is_transpose_of(partial)  # a term of full has no partner
+    assert not partial.is_transpose_of(full)  # every term matches, one is left over
+    assert not RadMatrix(2).is_transpose_of(RadMatrix(3))
+
+
 _positions = st.tuples(st.integers(0, 3), st.integers(0, 3))
 
 

@@ -1,11 +1,14 @@
+import contextlib
 import dataclasses
 from collections import Counter
+from functools import lru_cache
 from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from su3rep import (
     CheckReport,
@@ -26,8 +29,9 @@ from su3rep import (
     verify_irrep,
 )
 from su3rep import generators
-from su3rep.matrices import RadMatrix
-from su3rep.verify import COMMUTATOR_TABLE, _rref_solve, sweep_labels
+from su3rep import verify as verify_module
+from su3rep.matrices import RadMatrix, _combine, commutator
+from su3rep.verify import COMMUTATOR_TABLE, MIRROR_PAIRS, _rref_solve, sweep_labels
 
 
 class TestCommutators:
@@ -455,3 +459,154 @@ class TestGoldenNegativeControls:
             for name in _RELATION_NAMES + ("casimir = 34/3",)
         ]
         assert got == want
+
+
+# ---------------------------------------------------------------------------
+# Mirror pairs: a relation read off its transposed partner
+
+
+_FIELDS = {
+    "Tp": "t_plus", "Tm": "t_minus", "T3": "t_three", "Up": "u_plus",
+    "Um": "u_minus", "U3": "u_three", "Vp": "v_plus", "Vm": "v_minus",
+}
+_PARTNER = {"Tp": "Tm", "Tm": "Tp", "T3": "T3", "Up": "Um", "Um": "Up", "U3": "U3",
+            "Vp": "Vm", "Vm": "Vp"}
+
+
+def _normal(a, b, rhs):
+    """[a,b] = rhs with the operands sorted: [b,a] = -rhs is the same relation."""
+    sign = 1 if a < b else -1
+    return min(a, b), max(a, b), {key: sign * c for c, key in rhs}
+
+
+def _transposed(a, b, rhs):
+    """[a,b] = sum c M transposed, each matrix replaced by its partner."""
+    return _PARTNER[b], _PARTNER[a], tuple((c, _PARTNER[key]) for c, key in rhs)
+
+
+@contextlib.contextmanager
+def _groups_handed_to_kernel():
+    """Record how many relation groups each _combine_all call is handed."""
+    counts = []
+    original = verify_module._combine_all
+
+    def recording(groups):
+        groups = list(groups)
+        counts.append(len(groups))
+        return original(groups)
+
+    with mock.patch.object(verify_module, "_combine_all", recording):
+        yield counts
+
+
+class TestMirrorPairs:
+    def test_pairing_read_off_the_table(self):
+        assert len(MIRROR_PAIRS) == 12
+        paired = [k for pair in MIRROR_PAIRS for k in pair]
+        assert len(set(paired)) == 24
+        alone = [COMMUTATOR_TABLE[k] for k in range(28) if k not in paired]
+        assert {row[:2] for row in alone} == {
+            ("T3", "U3"), ("Tp", "Tm"), ("Up", "Um"), ("Vp", "Vm")
+        }
+        for row in alone:
+            assert _normal(*_transposed(*row)) == _normal(*row)
+        for i, j in MIRROR_PAIRS:
+            assert i < j
+            assert _normal(*_transposed(*COMMUTATOR_TABLE[i])) == _normal(*COMMUTATOR_TABLE[j])
+            assert _normal(*_transposed(*COMMUTATOR_TABLE[j])) == _normal(*COMMUTATOR_TABLE[i])
+
+    @pytest.mark.parametrize("p,q", [(5, 3), (3, 5)])
+    def test_clean_set_computes_16_relations(self, p, q):
+        with _groups_handed_to_kernel() as counts:
+            report = check_commutators(build_generator_set(p, q))
+        assert report.passed and len(report.relations) == 28
+        assert counts == [16]
+
+    @pytest.mark.parametrize("label", [(3, 2), (2, 3)])
+    def test_corrupted_u_plus_computes_both_sides_of_pairs_naming_it(self, label):
+        bad = _plus_sqrt7_at_first_entry(build_generator_set(*label), "u_plus")
+        with _groups_handed_to_kernel() as counts:
+            report = check_commutators(bad)
+        assert not report.passed
+        # U+ and U- fail their adjoint test; U3 and the T and V matrices pass
+        naming_u = [
+            (i, j) for i, j in MIRROR_PAIRS
+            if {"Up", "Um"} & {*COMMUTATOR_TABLE[i][:2], *(k for _, k in COMMUTATOR_TABLE[i][2])}
+        ]
+        assert len(naming_u) == 7
+        # 4 self-mirrored relations, both sides of 7 pairs, one side of the other 5
+        assert counts == [4 + 2 * 7 + 5] == [23]
+
+
+@lru_cache(maxsize=None)
+def _generator_set(p, q):
+    return build_generator_set(p, q)
+
+
+def _added(mat, r, c, delta):
+    """A copy of mat with delta added to the entry at (r, c)."""
+    out = RadMatrix(mat.n)
+    for rr, cc, v in mat.items():
+        out.put(rr, cc, v)
+    out.put(r, c, out.get(r, c) + delta)
+    return out
+
+
+_DELTAS = st.builds(
+    lambda c, m: RadicalSum.from_terms([(c, m)]),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+    st.sampled_from([1, 2, 3, 7]),
+)
+
+
+@st.composite
+def _corrupted_sets(draw):
+    """A small set in either orientation and one kind of corruption:
+    "ladder pair" adds delta at (r, c) of a ladder and at (c, r) of its
+    partner (adjointness kept), "one ladder" at (r, c) of a ladder only, and
+    "off-diagonal" at r != c of T3 or U3."""
+    p, q = draw(st.sampled_from([(1, 0), (0, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3),
+                                 (3, 2), (2, 3)]))
+    gs = _generator_set(p, q)
+    kind = draw(st.sampled_from(["none", "ladder pair", "one ladder", "off-diagonal"]))
+    if kind == "none":
+        return gs, kind
+    d, delta = gs.dim, draw(_DELTAS)
+    r = draw(st.integers(0, d - 1))
+    if kind == "off-diagonal":
+        name = draw(st.sampled_from(["T3", "U3"]))
+        c = draw(st.integers(0, d - 2))
+        c += c >= r
+    else:
+        name = draw(st.sampled_from(["Tp", "Tm", "Up", "Um", "Vp", "Vm"]))
+        c = draw(st.integers(0, d - 1))
+    mats = gs.matrices()
+    changed = {_FIELDS[name]: _added(mats[name], r, c, delta)}
+    if kind == "ladder pair":
+        partner = _PARTNER[name]
+        changed[_FIELDS[partner]] = _added(mats[partner], c, r, delta)
+    return dataclasses.replace(gs, **changed), kind
+
+
+def _full_evaluation(gs):
+    """(name, exact, residual) of every table row, each from its own commutator."""
+    mats = gs.matrices()
+    out = []
+    for name, (a, b, rhs) in zip(_RELATION_NAMES, COMMUTATOR_TABLE):
+        residual = _combine([(1, commutator(mats[a], mats[b]))] + [(-c, mats[k]) for c, k in rhs])
+        exact = residual.is_zero()
+        out.append((name, exact, 0.0 if exact else residual.max_abs_float()))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(_corrupted_sets())
+def test_mirrored_report_matches_full_evaluation(drawn):
+    gs, kind = drawn
+    with _groups_handed_to_kernel() as counts:
+        report = check_commutators(gs)
+    assert [(r.name, r.exact, r.residual) for r in report.relations] == _full_evaluation(gs)
+    assert report.passed == (kind == "none")
+    # adjointness kept: only the 16 representatives are computed
+    [count] = counts
+    assert (count == 16) == (kind in ("none", "ladder pair"))
