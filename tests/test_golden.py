@@ -67,19 +67,23 @@ def _run(*argv: str) -> dict:
     return {"code": code, "out": out.getvalue(), "err": err.getvalue()}
 
 
+def _digest(*argv: str) -> str:
+    result = _run(*argv)
+    assert (result["code"], result["err"]) == (0, "")
+    return hashlib.sha256(result["out"].encode()).hexdigest()
+
+
 def _generate_key(p, q, fmt, approx) -> str:
     return f"{p},{q} {fmt}" + (" approx" if approx else "")
 
 
 def generate_digests(p, q, fmt, approx) -> dict[str, str]:
     """sha256 of `generate` stdout for all 16 matrices of one irrep."""
-    digests = {}
-    for name in MATRIX_NAMES + GELL_MANN_NAMES:
-        argv = ["generate", "--p", str(p), "--q", str(q), "--matrix", name, "--format", fmt]
-        result = _run(*argv, *(["--approx"] if approx else []))
-        assert (result["code"], result["err"]) == (0, "")
-        digests[name] = hashlib.sha256(result["out"].encode()).hexdigest()
-    return digests
+    return {
+        name: _digest("generate", "--p", str(p), "--q", str(q), "--matrix", name,
+                      "--format", fmt, *(["--approx"] if approx else []))
+        for name in MATRIX_NAMES + GELL_MANN_NAMES
+    }
 
 
 def verify_output(p, q, oracle) -> dict:
@@ -109,18 +113,36 @@ def sweep_output() -> dict:
     return result
 
 
+def _labels_below(max_d: int):
+    """Every p >= q label with d < max_d, in (p, q) order."""
+    p = 0
+    while dimension(p, 0) < max_d:
+        yield from ((p, q) for q in range(p + 1) if dimension(p, q) < max_d)
+        p += 1
+
+
 def unknowns_digests() -> dict[str, str]:
     """sha256 of `unknowns` stdout for every p >= q irrep with d < UNKNOWNS_MAX_D."""
-    digests = {}
-    p = 0
-    while dimension(p, 0) < UNKNOWNS_MAX_D:
-        for q in range(p + 1):
-            if dimension(p, q) < UNKNOWNS_MAX_D:
-                result = _run("unknowns", "--p", str(p), "--q", str(q))
-                assert (result["code"], result["err"]) == (0, "")
-                digests[f"{p},{q}"] = hashlib.sha256(result["out"].encode()).hexdigest()
-        p += 1
-    return digests
+    return {f"{p},{q}": _digest("unknowns", "--p", str(p), "--q", str(q))
+            for p, q in _labels_below(UNKNOWNS_MAX_D)}
+
+
+def weights_digests() -> dict[str, str]:
+    """sha256 of `weights` stdout for every irrep with d < UNKNOWNS_MAX_D, both orientations."""
+    labels = sorted({label for p, q in _labels_below(UNKNOWNS_MAX_D) for label in ((p, q), (q, p))})
+    return {f"{p},{q}": _digest("weights", "--p", str(p), "--q", str(q)) for p, q in labels}
+
+
+def diagonal_csv_digests() -> dict[str, dict[str, str]]:
+    """sha256 of `generate --format csv` for T3 and U3, every p >= q irrep with
+    d < UNKNOWNS_MAX_D: the diagonals spell out the block order and the leads."""
+    return {
+        f"{p},{q}": {
+            name: _digest("generate", "--p", str(p), "--q", str(q), "--matrix", name, "--format", "csv")
+            for name in ("T3", "U3")
+        }
+        for p, q in _labels_below(UNKNOWNS_MAX_D)
+    }
 
 
 def record() -> dict:
@@ -133,6 +155,8 @@ def record() -> dict:
                                     for p, q, field in CORRUPTED_CASES},
         "sweep": sweep_output(),
         "unknowns": unknowns_digests(),
+        "weights": weights_digests(),
+        "generate T3 U3 csv": diagonal_csv_digests(),
     }
 
 
@@ -168,6 +192,14 @@ def test_sweep(golden):
 
 def test_unknowns(golden):
     assert unknowns_digests() == golden["unknowns"]
+
+
+def test_weights(golden):
+    assert weights_digests() == golden["weights"]
+
+
+def test_diagonal_csv(golden):
+    assert diagonal_csv_digests() == golden["generate T3 U3 csv"]
 
 
 if __name__ == "__main__":
