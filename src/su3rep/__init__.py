@@ -11,7 +11,6 @@ from .matrices import RadMatrix, commutator
 from .structure import (
     StateLabel,
     block_offsets,
-    cap_start,
     dimension,
     state_labels,
     tspin_list,
@@ -19,7 +18,7 @@ from .structure import (
     weight_multiplicities,
 )
 from .su2 import ladder_coefficient, spin_block
-from .unknowns import ConsistencyError, block_unknown_squares
+from .unknowns import ConsistencyError, block_unknown_squares, cap_start
 from .generators import (
     ComplexMatrix,
     GellMannSet,

@@ -215,6 +215,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.max_d < 2:
+        return _usage_error(f"--max-d must be at least 2: no irrep has d < {args.max_d}")
     summary = sweep(args.max_d, jobs=args.jobs)
     lines = ["p,q,d,commutators,casimir,structure,ms"]
     for row in summary.rows:

@@ -123,24 +123,22 @@ def build_u3(p: int, q: int) -> RadMatrix:
 
 def admissible_blocks(p: int, q: int) -> list[tuple[int, int, int]]:
     """Block positions (i, j) where U+ and V+ may be nonzero, with the
-    doubled spin shift 2t_j - 2s_i in {+1, -1}.
+    doubled spin shift 2t_j - 2s_i in {+1, -1}, sorted by (i, j).
 
-    A block qualifies when the column spin differs from the row spin by
-    one half and the lead components differ by 1 (shift +1) or 1/2
-    (shift -1); both conditions below are in doubled units.
+    Row block i pairs with the block whose doubled spin is 2s_i + shift and
+    whose doubled lead is 2u3_i - 2 (shift +1) or 2u3_i - 1 (shift -1).
+    (Doubled spin, doubled lead) names a block uniquely, so each partner is
+    one lookup; blocks are in ascending spin, so the shift -1 partner comes
+    before the shift +1 one.
     """
-    _check_ordered(p, q)
-    spins = tspin_list(p, q)
-    leads = u3_leads(p, q)
-    n = len(spins)
-    out = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            shift = spins[j - 1] - spins[i - 1]
-            lead_gap = leads[i - 1] - leads[j - 1]
-            if (shift == 1 and lead_gap == 2) or (shift == -1 and lead_gap == 1):
-                out.append((i, j, shift))
-    return out
+    blocks = list(zip(tspin_list(p, q), u3_leads(p, q)))
+    index = {block: j for j, block in enumerate(blocks, 1)}
+    return [
+        (i, index[partner], shift)
+        for i, (two_s, lead) in enumerate(blocks, 1)
+        for shift, gap in ((-1, 1), (1, 2))
+        if (partner := (two_s + shift, lead - gap)) in index
+    ]
 
 
 def unit_raising_blocks(p: int, q: int) -> list[tuple[tuple[int, int], list[Entry], list[Entry]]]:

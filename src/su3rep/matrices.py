@@ -175,9 +175,6 @@ class RadMatrix:
             return NotImplemented
         return self.n == other.n and _combine(((1, self), (-1, other))).is_zero()
 
-    def __hash__(self):
-        raise TypeError("RadMatrix is not hashable")
-
     # -- algebra ----------------------------------------------------------
 
     def __add__(self, other: "RadMatrix") -> "RadMatrix":

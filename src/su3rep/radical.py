@@ -87,18 +87,6 @@ class RadicalSum:
     def is_zero(self) -> bool:
         return not self._terms
 
-    @property
-    def is_rational(self) -> bool:
-        return not self._terms or self._terms.keys() == {1}
-
-    def rational_part(self) -> Fraction:
-        return self._terms.get(1, _ZERO_FRACTION)
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError(f"{self} is irrational")
-        return self.rational_part()
-
     def terms(self) -> Iterator[tuple[Fraction, int]]:
         """(coefficient, square-free radicand) pairs, ascending by radicand."""
         for m in sorted(self._terms):
@@ -148,9 +136,6 @@ class RadicalSum:
             other = RadicalSum(other)
         return self + (-other)
 
-    def __rsub__(self, other: _RationalLike) -> "RadicalSum":
-        return RadicalSum(other) + (-self)
-
     def __mul__(self, other: "RadicalSum | _RationalLike") -> "RadicalSum":
         if not isinstance(other, RadicalSum):
             c = Fraction(other)
@@ -177,12 +162,6 @@ class RadicalSum:
         return RadicalSum._raw(acc)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other: _RationalLike) -> "RadicalSum":
-        c = Fraction(other)
-        if not c:
-            raise ZeroDivisionError("division of a RadicalSum by zero")
-        return self * (1 / c)
 
     # -- serialization ---------------------------------------------------
 

@@ -1,9 +1,13 @@
 """Everything the pair (p, q) determines before any matrix entry is filled.
 
 A (p, q) irrep of su(3) decomposes under the T-spin su(2) subalgebra into
-(p+1)(q+1) blocks.  Ordered by increasing spin, the block list falls into
-three regions - top cap, middle, bottom cap - and the per-block U-spin lead
-components follow closed forms region by region.  Spins and 3-components are
+(p+1)(q+1) blocks.  By the Gelfand-Tsetlin branching rule there is one
+block (a, b) for each 0 <= a <= p, 0 <= b <= q, with doubled spin
+2s = a + b and doubled U-spin lead 2*u3 = a - 2b - p + q (from the
+hypercharge 3Y = 3(a - b) - 2(p - q)).  The block order is that table
+sorted by (2s, lead): spins ascending, and within a run of equal spins the
+smaller lead first.  Equal a + b and equal a - 2b force equal (a, b), so no
+two blocks tie and the sort is the order.  Spins and 3-components are
 stored doubled (2s, 2*sigma, 2*u3) so every label is an integer.
 
 All list builders here require p >= q; callers wanting q > p go through the
@@ -24,18 +28,6 @@ def dimension(p: int, q: int) -> int:
     return (p + 1) * (q + 1) * (p + q + 2) // 2
 
 
-def cap_start(q: int) -> int:
-    """1-based index of the first block carrying doubled T-spin q-1.
-
-    The top cap stacks doubled spins 0, 1, 1, 2, 2, 2, ..., so the run of
-    spin q-1 starts right after the triangular count q(q-1)/2.  This index
-    seeds the ranges of every block-unknown formula family.
-    """
-    if q < 0:
-        raise ValueError("q must be nonnegative")
-    return q * (q - 1) // 2 + 1
-
-
 @dataclass(frozen=True)
 class StateLabel:
     """One basis state: irrep label, doubled T-spin data and flat position."""
@@ -49,21 +41,19 @@ class StateLabel:
 
 
 @lru_cache(maxsize=None)
-def tspin_list(p: int, q: int) -> tuple[int, ...]:
-    """Doubled T-spins 2s of the blocks in block order, ascending.
-
-    Top cap: spin k repeated k+1 times for k = 0..q-1.
-    Middle:  spin k repeated q+1 times for k = q..p.
-    Bottom:  spin p+j repeated q-j+1 times for j = 1..q.
-    """
+def _block_table(p: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(doubled spins, doubled leads) of the branching table in block order."""
     _check_ordered(p, q)
-    top = [k for k in range(q) for _ in range(k + 1)]
-    middle = [k for k in range(q, p + 1) for _ in range(q + 1)]
-    bottom = [p + j for j in range(1, q + 1) for _ in range(q + 1 - j)]
-    spins = tuple(top + middle + bottom)
-    assert len(spins) == (p + 1) * (q + 1)
-    assert sum(s + 1 for s in spins) == dimension(p, q)
-    return spins
+    spins, leads = zip(*sorted(
+        (a + b, a - 2 * b - p + q) for a in range(p + 1) for b in range(q + 1)
+    ))
+    assert sum(two_s + 1 for two_s in spins) == dimension(p, q)
+    return spins, leads
+
+
+def tspin_list(p: int, q: int) -> tuple[int, ...]:
+    """Doubled T-spins 2s of the blocks in block order, ascending."""
+    return _block_table(p, q)[0]
 
 
 @lru_cache(maxsize=None)
@@ -72,37 +62,10 @@ def block_offsets(p: int, q: int) -> tuple[int, ...]:
     return tuple(accumulate((two_s + 1 for two_s in tspin_list(p, q)[:-1]), initial=0))
 
 
-@lru_cache(maxsize=None)
 def u3_leads(p: int, q: int) -> tuple[int, ...]:
-    """Doubled U-spin lead components 2*u3(i, s_i), one per block.
-
-    Each region runs over its own rectangular index table; within a run of
-    equal T-spins the leads come out strictly increasing, which is the
-    canonical state order (smaller lead first).
-    """
-    _check_ordered(p, q)
-    top = [
-        -(p - q) - 2 * (i - 1) + 3 * (j - 1)
-        for i in range(1, q + 1)
-        for j in range(1, i + 1)
-    ]
-    middle = [
-        -p - q + i + 3 * j
-        for i in range(0, p - q + 1)
-        for j in range(0, q + 1)
-    ]
-    bottom = [
-        1 - 2 * q + (i - 1) + 3 * (j - 1)
-        for i in range(1, q + 1)
-        for j in range(1, q - i + 2)
-    ]
-    leads = tuple(top + middle + bottom)
-    # Ties inside an equal-spin run are impossible; assert rather than sort.
-    spins = tspin_list(p, q)
-    for k in range(1, len(leads)):
-        if spins[k] == spins[k - 1] and leads[k] <= leads[k - 1]:
-            raise AssertionError(f"lead order violated at block {k + 1} for ({p},{q})")
-    return leads
+    """Doubled U-spin lead components 2*u3(i, s_i), one per block; strictly
+    increasing within each run of equal spins."""
+    return _block_table(p, q)[1]
 
 
 def state_labels(p: int, q: int) -> list[StateLabel]:

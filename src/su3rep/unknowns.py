@@ -16,11 +16,23 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-from .structure import cap_start, tspin_list, _check_ordered
+from .structure import tspin_list, _check_ordered
 
 
 class ConsistencyError(RuntimeError):
     """An internal cross-reference failed; signals a range or formula bug."""
+
+
+def cap_start(q: int) -> int:
+    """1-based index of the first block carrying doubled T-spin q-1.
+
+    The top cap stacks doubled spins 0, 1, 1, 2, 2, 2, ..., so the run of
+    spin q-1 starts right after the triangular count q(q-1)/2.  This index
+    seeds the ranges of every block-unknown formula family.
+    """
+    if q < 0:
+        raise ValueError("q must be nonnegative")
+    return q * (q - 1) // 2 + 1
 
 
 def _closed_form_entries(p: int, q: int) -> Iterator[tuple[int, int, Fraction]]:

@@ -409,8 +409,8 @@ def _sweep_one(label: tuple[int, int]) -> SweepRow:
 
 def sweep(max_d: int, jobs: int = 1) -> SweepSummary:
     """Check every irrep with dimension below max_d; rows in (p, q) order."""
-    if max_d < 1:
-        raise ValueError("max_d must be at least 1")
+    if max_d < 2:
+        raise ValueError(f"max_d must be at least 2: no irrep has d < {max_d}")
     labels = sweep_labels(max_d)
     # never more workers than CPUs or irreps, whatever jobs asks for
     workers = min(jobs, os.cpu_count() or 1, len(labels))

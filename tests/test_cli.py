@@ -148,6 +148,11 @@ class TestSweep:
         ]
         assert "all pass" in err
 
+    def test_empty_sweep_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "sweep", "--max-d", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("su3rep: error:") and "at least 2" in err
+
 
 class TestWeights:
     def test_quark_triplet(self, capsys):

@@ -233,6 +233,8 @@ def test_equality_ignores_the_stored_denominator():
     different = RadMatrix(2)
     different.put(0, 0, RadicalSum(1))
     assert different != plain
+    with pytest.raises(TypeError):  # __eq__ without __hash__: unhashable
+        hash(RadMatrix(2))
 
 
 def test_trace_sums_the_diagonal_by_radicand():

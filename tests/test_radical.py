@@ -72,24 +72,12 @@ class TestArithmetic:
         c = RadicalSum.from_terms([(Fraction(-1, 3), 2)])
         assert a * (b + c) == a * b + a * c
 
-    def test_division_by_rational(self):
-        assert sqrt_of_rational(2) / 2 == RadicalSum.from_terms([(Fraction(1, 2), 2)])
-        with pytest.raises(ZeroDivisionError):
-            sqrt_of_rational(2) / 0
-
 
 class TestQueries:
     def test_zero_checks(self):
         assert RadicalSum(0).is_zero
         assert not RadicalSum(1).is_zero
         assert (sqrt_of_rational(2) - sqrt_of_rational(2)).is_zero
-
-    def test_rational_part(self):
-        v = RadicalSum(Fraction(5, 3)) + sqrt_of_rational(7)
-        assert v.rational_part() == Fraction(5, 3)
-        assert not v.is_rational
-        with pytest.raises(ValueError):
-            v.as_rational()
 
     def test_to_float(self):
         v = sqrt_of_rational(Fraction(3, 2))

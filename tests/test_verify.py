@@ -266,6 +266,12 @@ class TestSweep:
         assert (3, 5) in sweep_labels(300)
         assert all(dimension(p, q) < 50 for p, q in sweep_labels(50))
 
+    def test_empty_sweep_rejected(self):
+        # no irrep has d < 1: an empty sweep would be a verdict on nothing
+        with pytest.raises(ValueError, match="at least 2"):
+            sweep(1)
+        assert sweep(2).passed
+
     def test_tiny_sweep(self):
         summary = sweep(4)
         assert summary.passed
