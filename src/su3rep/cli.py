@@ -228,6 +228,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"{row.millis}"
         )
     sys.stdout.write("\n".join(lines) + "\n")
+    for row in summary.rows:
+        if row.error:
+            print(f"FAILED ({row.p},{row.q}): {row.error}", file=sys.stderr)
     n = len(summary.rows)
     print(
         f"{n} irreps checked below d = {args.max_d}: "

@@ -72,8 +72,8 @@ class RadMatrix:
         """The matrix (den, rows) less its zero numerators and empty rows.
 
         Rows are kept, not copied, and only a row holding a zero is rebuilt:
-        every caller (``_combine_all``, ``transpose``, ``trace``, ``identity``)
-        passes dicts it has just built and drops them."""
+        every caller (``_combine_all``, ``transpose``, ``trace``, ``identity``,
+        ``shift_residual``) passes dicts it has just built and drops them."""
         out = cls(n)
         out.den = den
         for r, row in rows.items():
@@ -214,6 +214,33 @@ class RadMatrix:
                 if v * other.den != scale * rows.get(c, {}).get(sf * n + r, 0):
                     return False
         return n == other.n and sum(map(len, self._rows.values())) == sum(map(len, rows.values()))
+
+    def rational_diagonal(self) -> list[int] | None:
+        """The diagonal's numerators over den when self stores only rational
+        diagonal terms (key n + r at row r), else None."""
+        n = self.n
+        diag = [0] * n
+        for r, row in self._rows.items():
+            for key, v in row.items():
+                if key != n + r:
+                    return None
+                diag[r] = v
+        return diag
+
+    def shift_residual(self, diag: list[int], den: int, alpha: Fraction) -> "RadMatrix":
+        """[D, self] - alpha * self for D = diag(diag) / den, in O(nnz).
+
+        Entry (r, c) is (D_r - D_c - alpha) * self[r, c], so each stored term
+        is one integer comparison, and the residual is built only when some
+        term joins two states whose D differs by anything but alpha."""
+        n, a_num, a_den = self.n, alpha.numerator * den, alpha.denominator
+        if all((diag[r] - diag[key % n]) * a_den == a_num
+               for r, row in self._rows.items() for key in row):
+            return RadMatrix(n)
+        return RadMatrix._raw(n, self.den * den * a_den, {
+            r: {key: v * ((diag[r] - diag[key % n]) * a_den - a_num) for key, v in row.items()}
+            for r, row in self._rows.items()
+        })
 
     def trace(self) -> RadicalSum:
         # fold the diagonal into cell (0, 0): key sf * n + r adds to key sf * n

@@ -4,7 +4,8 @@ from unittest import mock
 
 import pytest
 
-from su3rep import RadicalSum, build_generator_set, generators
+from su3rep import ConsistencyError, RadicalSum, build_generator_set, generators
+from su3rep import verify as verify_module
 from su3rep.cli import main
 
 
@@ -127,7 +128,7 @@ class TestVerify:
         assert "block unknowns match brute-force solve" in out
 
     def test_oracle_guard(self, capsys):
-        code, _, err = run(capsys, "verify", "--p", "5", "--q", "3", "--oracle")
+        code, _, err = run(capsys, "verify", "--p", "25", "--q", "12", "--oracle")
         assert code == 2
         assert "desk-scale" in err
 
@@ -147,6 +148,30 @@ class TestSweep:
             "2,0,6,pass,pass,pass",
         ]
         assert "all pass" in err
+
+    def test_worker_exception_is_reported(self, capsys, monkeypatch):
+        verify_irrep = verify_module.verify_irrep
+
+        def failing_at_11(p, q):
+            if (p, q) == (1, 1):
+                raise ConsistencyError("no closed form")
+            return verify_irrep(p, q)
+
+        monkeypatch.setattr("su3rep.verify.verify_irrep", failing_at_11)
+        code, out, err = run(capsys, "sweep", "--max-d", "9")
+        assert code == 1
+        prefix = [line.rsplit(",", 1)[0] for line in out.splitlines()[1:]]
+        assert prefix == [
+            "0,0,1,pass,pass,pass",
+            "0,1,3,pass,pass,pass",
+            "1,0,3,pass,pass,pass",
+            "1,1,8,fail,fail,fail",
+            "2,0,6,pass,pass,pass",
+        ]
+        assert err == (
+            "FAILED (1,1): ConsistencyError: no closed form\n"
+            "5 irreps checked below d = 9: FAILURES PRESENT\n"
+        )
 
     def test_empty_sweep_is_usage_error(self, capsys):
         code, out, err = run(capsys, "sweep", "--max-d", "1")
@@ -192,12 +217,12 @@ class TestUnknownsAndOracle:
         )
 
     def test_oracle_size_guard(self, capsys):
-        code, out, err = run(capsys, "oracle", "--p", "5", "--q", "3")
+        code, out, err = run(capsys, "oracle", "--p", "25", "--q", "12")
         assert (code, out) == (2, "")
-        assert err == "su3rep: error: oracle is desk-scale only (d <= 64)\n"
+        assert err == "su3rep: error: oracle is desk-scale only (d <= 4000)\n"
 
     def test_orientation_guard(self, capsys):
         code, _, err = run(capsys, "unknowns", "--p", "1", "--q", "2")
         assert code == 2 and "p >= q" in err
-        code, _, err = run(capsys, "oracle", "--p", "9", "--q", "9")
+        code, _, err = run(capsys, "oracle", "--p", "25", "--q", "12")
         assert code == 2 and "desk-scale" in err

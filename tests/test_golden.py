@@ -50,7 +50,7 @@ VERIFY_CASES = [
     (p, q, oracle)
     for p, q in ((0, 0), (1, 0), (2, 1), (3, 2), (2, 3))
     for oracle in (False, True)
-] + [(5, 3, True)]  # the oracle's size guard
+] + [(5, 3, True), (25, 12, True)]  # inside and past the oracle's size bound
 CORRUPTED_CASES = [
     (p, q, field)
     for p, q in ((3, 2), (2, 3))

@@ -158,6 +158,52 @@ def test_is_transpose_of_reads_every_term():
     assert not RadMatrix(2).is_transpose_of(RadMatrix(3))
 
 
+@st.composite
+def _shift_cases(draw):
+    """(D, x, alpha): D rational and diagonal, built through put so that its
+    den differs from x's; x sometimes kept to the cells where D_r - D_c is alpha."""
+    x, _ = draw(_matrix_pairs())
+    n = x.n
+    diag = RadMatrix(n)
+    for r, v in enumerate(draw(st.lists(_coeffs, min_size=n, max_size=n))):
+        diag.put(r, r, v)
+    alpha = draw(_coeffs)
+    if draw(st.booleans()):
+        kept = RadMatrix(n)
+        for r, c, v in x.items():
+            if diag.get(r, r) - diag.get(c, c) == alpha:
+                kept.put(r, c, v)
+        x = kept
+    return diag, x, alpha
+
+
+@given(_shift_cases())
+def test_shift_residual_matches_commutator(drawn):
+    diag, x, alpha = drawn
+    numerators = diag.rational_diagonal()
+    assert numerators is not None
+    got = x.shift_residual(numerators, diag.den, alpha)
+    want = _combine(((1, commutator(diag, x)), (-alpha, x)))
+    assert got == want
+    assert got.is_zero() == want.is_zero()
+    assert got.max_abs_float() == want.max_abs_float()
+    assert _stores_no_zero(got)
+
+
+def test_rational_diagonal_reads_only_rational_diagonals():
+    mat = RadMatrix(3)
+    assert mat.rational_diagonal() == [0, 0, 0]
+    mat.put(0, 0, Fraction(1, 2))
+    mat.put(2, 2, Fraction(-3, 4))
+    assert mat.rational_diagonal() == [2, 0, -3] and mat.den == 4
+    irrational = RadMatrix(3)
+    irrational.put(1, 1, RadicalSum.from_terms([(1, 1), (1, 7)]))
+    assert irrational.rational_diagonal() is None
+    off_diagonal = RadMatrix(3)
+    off_diagonal.put(0, 1, 1)
+    assert off_diagonal.rational_diagonal() is None
+
+
 _positions = st.tuples(st.integers(0, 3), st.integers(0, 3))
 
 

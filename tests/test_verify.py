@@ -31,7 +31,14 @@ from su3rep import (
 from su3rep import generators
 from su3rep import verify as verify_module
 from su3rep.matrices import RadMatrix, _combine, commutator
-from su3rep.verify import COMMUTATOR_TABLE, MIRROR_PAIRS, _rref_solve, sweep_labels
+from su3rep.verify import (
+    COMMUTATOR_TABLE,
+    ORACLE_MAX_DIM,
+    SERRE_RELATIONS,
+    _relation_name,
+    _rref_solve,
+    sweep_labels,
+)
 
 
 class TestCommutators:
@@ -112,8 +119,9 @@ class TestOracle:
         }
 
     def test_desk_scale_guard(self):
+        assert dimension(25, 12) == 6591 > ORACLE_MAX_DIM
         with pytest.raises(ValueError, match="desk-scale"):
-            oracle_solve(5, 3)
+            oracle_solve(25, 12)
         with pytest.raises(ValueError):
             oracle_solve(0, 1)
 
@@ -130,12 +138,12 @@ class TestOracle:
         assert (2, 3) not in solved
         assert compare_with_oracle(1, 1) == []
 
-    def test_matches_closed_forms_below_300(self):
-        labels = [(p, q) for p, q in sweep_labels(300) if p >= q]
-        assert len(labels) == 61
+    def test_matches_closed_forms_below_1000(self):
+        labels = [(p, q) for p, q in sweep_labels(1000) if p >= q]
+        assert len(labels) == 150
         for p, q in labels:
             formula = block_unknown_squares(p, q)
-            solved = oracle_solve(p, q, max_dim=dimension(p, q))
+            solved = oracle_solve(p, q)
             for key in set(formula) | set(solved):
                 assert formula.get(key, 0) == solved.get(key, 0), (p, q, key)
 
@@ -336,6 +344,27 @@ class TestSweep:
         assert all(a < b for a, b, da, db in zip(mapped, mapped[1:], dims, dims[1:]) if da == db)
 
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_worker_exception_is_a_failed_row(self, monkeypatch, jobs):
+        verify_irrep = verify_module.verify_irrep
+
+        def failing_at_21(p, q):
+            if (p, q) == (2, 1):
+                raise ConsistencyError("no closed form")
+            return verify_irrep(p, q)
+
+        monkeypatch.setattr("su3rep.verify.verify_irrep", failing_at_21)
+        summary = sweep(30, jobs=jobs)
+        assert not summary.passed
+        assert [(r.p, r.q) for r in summary.rows] == sweep_labels(30)
+        [failed] = [r for r in summary.rows if (r.p, r.q) == (2, 1)]
+        assert (failed.commutators_ok, failed.casimir_ok, failed.structure_ok) == (False,) * 3
+        assert failed.error == "ConsistencyError: no closed form"
+        others = [r for r in summary.rows if r is not failed]
+        assert all(r.commutators_ok and r.casimir_ok and r.structure_ok and not r.error
+                   for r in others)
+
+
 class TestFloatCrossCheck:
     @pytest.mark.parametrize("p,q", [(3, 2), (5, 3)])
     def test_float_commutators_small_residual(self, p, q):
@@ -468,7 +497,7 @@ class TestGoldenNegativeControls:
 
 
 # ---------------------------------------------------------------------------
-# Mirror pairs: a relation read off its transposed partner
+# Serre's presentation: the rows read off T3 and U3, six products, nine derived
 
 
 _FIELDS = {
@@ -477,71 +506,129 @@ _FIELDS = {
 }
 _PARTNER = {"Tp": "Tm", "Tm": "Tp", "T3": "T3", "Up": "Um", "Um": "Up", "U3": "U3",
             "Vp": "Vm", "Vm": "Vp"}
-
-
-def _normal(a, b, rhs):
-    """[a,b] = rhs with the operands sorted: [b,a] = -rhs is the same relation."""
-    sign = 1 if a < b else -1
-    return min(a, b), max(a, b), {key: sign * c for c, key in rhs}
-
-
-def _transposed(a, b, rhs):
-    """[a,b] = sum c M transposed, each matrix replaced by its partner."""
-    return _PARTNER[b], _PARTNER[a], tuple((c, _PARTNER[key]) for c, key in rhs)
+_LADDERS = ("Tp", "Tm", "Up", "Um", "Vp", "Vm")
 
 
 @contextlib.contextmanager
 def _groups_handed_to_kernel():
-    """Record how many relation groups each _combine_all call is handed."""
-    counts = []
+    """Record the relation groups handed to each _combine_all call."""
+    calls = []
     original = verify_module._combine_all
 
     def recording(groups):
-        groups = list(groups)
-        counts.append(len(groups))
+        groups = [list(group) for group in groups]
+        calls.append(groups)
         return original(groups)
 
     with mock.patch.object(verify_module, "_combine_all", recording):
-        yield counts
+        yield calls
 
 
-class TestMirrorPairs:
-    def test_pairing_read_off_the_table(self):
-        assert len(MIRROR_PAIRS) == 12
-        paired = [k for pair in MIRROR_PAIRS for k in pair]
-        assert len(set(paired)) == 24
-        alone = [COMMUTATOR_TABLE[k] for k in range(28) if k not in paired]
-        assert {row[:2] for row in alone} == {
-            ("T3", "U3"), ("Tp", "Tm"), ("Up", "Um"), ("Vp", "Vm")
-        }
-        for row in alone:
-            assert _normal(*_transposed(*row)) == _normal(*row)
-        for i, j in MIRROR_PAIRS:
-            assert i < j
-            assert _normal(*_transposed(*COMMUTATOR_TABLE[i])) == _normal(*COMMUTATOR_TABLE[j])
-            assert _normal(*_transposed(*COMMUTATOR_TABLE[j])) == _normal(*COMMUTATOR_TABLE[i])
+def _counts(calls):
+    return [len(groups) for groups in calls]
 
-    @pytest.mark.parametrize("p,q", [(5, 3), (3, 5)])
-    def test_clean_set_computes_16_relations(self, p, q):
-        with _groups_handed_to_kernel() as counts:
-            report = check_commutators(build_generator_set(p, q))
-        assert report.passed and len(report.relations) == 28
-        assert counts == [16]
 
+def _product_operands(calls):
+    """The ids of the matrices multiplied in any group handed to the kernel."""
+    return {id(m) for groups in calls for group in groups for _, *mats in group
+            if len(mats) == 2 for m in mats}
+
+
+def _scaled(gs, factors):
+    """gs with each named matrix times its factor."""
+    mats = gs.matrices()
+    return dataclasses.replace(gs, **{_FIELDS[name]: mats[name].scaled(f)
+                                      for name, f in factors.items()})
+
+
+def _shifted(gs, name, c):
+    """gs with c times the identity added to T3 or U3."""
+    mat = gs.matrices()[name]
+    return dataclasses.replace(gs, **{_FIELDS[name]: mat + RadMatrix.identity(gs.dim, c)})
+
+
+def _wrong_shift_pair(gs):
+    """gs with 1 added at (0, 1) of T+ and (1, 0) of T-: adjointness and the
+    diagonal T3, U3 are kept, and the two states differ in t3 by 0, not 1."""
+    assert gs.t_three.get(0, 0) - gs.t_three.get(1, 1) != 1
+    return dataclasses.replace(gs, t_plus=_added(gs.t_plus, 0, 1, 1),
+                               t_minus=_added(gs.t_minus, 1, 0, 1))
+
+
+# Each corruption keeps adjointness and breaks one hypothesis of the Serre
+# shortcut: a Serre product, a weight read or a rational diagonal.  The value
+# is the work handed to _combine_all: 6 Serre groups then the other 9 ladder
+# rows, or all 15 ladder rows in one call (plus T3's 6 rows when T3 is
+# irrational, since [T3,U3] is still read off U3).
+_HYPOTHESIS_CONTROLS = {
+    "T3 + I": (lambda gs: _shifted(gs, "T3", 1), [6, 9]),
+    "U3 + 2I": (lambda gs: _shifted(gs, "U3", 2), [6, 9]),
+    "T+ and T- times 2": (lambda gs: _scaled(gs, {"Tp": 2, "Tm": 2}), [6, 9]),
+    "V+ and V- times 2": (lambda gs: _scaled(gs, {"Vp": 2, "Vm": 2}), [6, 9]),
+    "ladder pair at a wrong weight shift": (_wrong_shift_pair, [15]),
+    # every Serre product holds; only the weight reads see alpha scaled by 4
+    "T, U times 2; V, T3, U3 times 4": (
+        lambda gs: _scaled(gs, {"Tp": 2, "Tm": 2, "Up": 2, "Um": 2,
+                                "Vp": 4, "Vm": 4, "T3": 4, "U3": 4}), [15]),
+    "sqrt 7 on a T3 diagonal entry": (lambda gs: _plus_sqrt7_at_first_entry(gs, "t_three"),
+                                      [21]),
+}
+
+
+class TestSerreHypotheses:
     @pytest.mark.parametrize("label", [(3, 2), (2, 3)])
-    def test_corrupted_u_plus_computes_both_sides_of_pairs_naming_it(self, label):
-        bad = _plus_sqrt7_at_first_entry(build_generator_set(*label), "u_plus")
-        with _groups_handed_to_kernel() as counts:
+    @pytest.mark.parametrize("kind", sorted(_HYPOTHESIS_CONTROLS))
+    def test_each_broken_hypothesis_fails_as_computed(self, label, kind):
+        corrupt, work = _HYPOTHESIS_CONTROLS[kind]
+        bad = corrupt(build_generator_set(*label))
+        with _groups_handed_to_kernel() as calls:
             report = check_commutators(bad)
         assert not report.passed
-        # U+ and U- fail their adjoint test; U3 and the T and V matrices pass
-        naming_u = [
-            (i, j) for i, j in MIRROR_PAIRS
-            if {"Up", "Um"} & {*COMMUTATOR_TABLE[i][:2], *(k for _, k in COMMUTATOR_TABLE[i][2])}
+        assert [(r.name, r.exact, r.residual) for r in report.relations] == _full_evaluation(bad)
+        assert _counts(calls) == work
+
+    @pytest.mark.parametrize("label", [(3, 2), (2, 3)])
+    def test_rescaled_set_keeps_every_serre_product(self, label):
+        gs = build_generator_set(*label)
+        bad = _HYPOTHESIS_CONTROLS["T, U times 2; V, T3, U3 times 4"][0](gs)
+        mats = bad.matrices()
+        for a, b, rhs in COMMUTATOR_TABLE:
+            if (a, b) in SERRE_RELATIONS:
+                residual = [(1, commutator(mats[a], mats[b]))] + [(-c, mats[k]) for c, k in rhs]
+                assert _combine(residual).is_zero()
+
+
+class TestSerreWorkCounts:
+    def test_serre_rows_read_off_the_table(self):
+        rows = {(a, b): _relation_name(a, b, rhs) for a, b, rhs in COMMUTATOR_TABLE}
+        assert [rows[pair] for pair in SERRE_RELATIONS] == [
+            "[Tp,Tm] = 2*T3", "[Up,Um] = 2*U3", "[Tp,Um] = 0", "[Tp,Up] = Vp",
+            "[Tp,Vp] = 0", "[Up,Vp] = 0",
         ]
-        assert len(naming_u) == 7
-        # 4 self-mirrored relations, both sides of 7 pairs, one side of the other 5
-        assert counts == [4 + 2 * 7 + 5] == [23]
+        ladder = [(a, b) for a, b, _ in COMMUTATOR_TABLE if a in _LADDERS and b in _LADDERS]
+        assert len(ladder) == 15
+        assert set(SERRE_RELATIONS) < set(ladder)
+
+    @pytest.mark.parametrize("p,q", [(5, 3), (3, 5)])
+    def test_clean_set_hands_the_kernel_six_groups(self, p, q):
+        gs = build_generator_set(p, q)
+        with _groups_handed_to_kernel() as calls:
+            report = check_commutators(gs)
+        assert report.passed and len(report.relations) == 28
+        assert _counts(calls) == [6]
+        assert all(r.residual == 0.0 for r in report.relations)
+
+    @pytest.mark.parametrize("label", [(3, 2), (2, 3)])
+    def test_corrupted_u_plus_computes_the_15_ladder_rows(self, label):
+        bad = _plus_sqrt7_at_first_entry(build_generator_set(*label), "u_plus")
+        with _groups_handed_to_kernel() as calls:
+            report = check_commutators(bad)
+        assert not report.passed
+        # U+ fails its adjoint test; T3 and U3 are untouched, so their 13
+        # rows are still weight reads and no product names them
+        assert _counts(calls) == [15]
+        mats = bad.matrices()
+        assert _product_operands(calls) == {id(mats[x]) for x in _LADDERS}
 
 
 @lru_cache(maxsize=None)
@@ -563,22 +650,44 @@ _DELTAS = st.builds(
     st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
     st.sampled_from([1, 2, 3, 7]),
 )
+_FACTORS = st.sampled_from([Fraction(2), Fraction(3), Fraction(1, 2), Fraction(-2)])
 
 
 @st.composite
 def _corrupted_sets(draw):
     """A small set in either orientation and one kind of corruption:
     "ladder pair" adds delta at (r, c) of a ladder and at (c, r) of its
-    partner (adjointness kept), "one ladder" at (r, c) of a ladder only, and
-    "off-diagonal" at r != c of T3 or U3."""
+    partner (adjointness kept), "one ladder" at (r, c) of a ladder only,
+    "off-diagonal" at r != c of T3 or U3, "cartan shift" a rational multiple
+    of the identity to T3 or U3, "pair scaled" scales a ladder and its partner
+    by one factor, "rescaled" the T and U ladders by l and V, T3 and U3 by
+    l * l, and "irrational diagonal" an irrational delta at (r, r) of T3 or U3."""
     p, q = draw(st.sampled_from([(1, 0), (0, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3),
                                  (3, 2), (2, 3)]))
     gs = _generator_set(p, q)
-    kind = draw(st.sampled_from(["none", "ladder pair", "one ladder", "off-diagonal"]))
+    kind = draw(st.sampled_from(["none", "ladder pair", "one ladder", "off-diagonal",
+                                 "cartan shift", "pair scaled", "rescaled",
+                                 "irrational diagonal"]))
     if kind == "none":
         return gs, kind
     d, delta = gs.dim, draw(_DELTAS)
     r = draw(st.integers(0, d - 1))
+    mats = gs.matrices()
+    if kind in ("cartan shift", "irrational diagonal"):
+        name = draw(st.sampled_from(["T3", "U3"]))
+        if kind == "cartan shift":
+            return _shifted(gs, name, draw(st.fractions(-3, 3, max_denominator=4).filter(bool))), kind
+        delta = RadicalSum.from_terms([(draw(st.sampled_from([1, -1, Fraction(1, 2)])),
+                                        draw(st.sampled_from([2, 3, 7])))])
+        return dataclasses.replace(gs, **{_FIELDS[name]: _added(mats[name], r, r, delta)}), kind
+    if kind == "pair scaled":
+        name = draw(st.sampled_from(["Tp", "Up", "Vp"]))
+        f = draw(_FACTORS)
+        return _scaled(gs, {name: f, _PARTNER[name]: f}), kind
+    if kind == "rescaled":
+        f = draw(_FACTORS)
+        return _scaled(gs, {"Tp": f, "Tm": f, "Up": f, "Um": f,
+                            "Vp": f * f, "Vm": f * f, "T3": f * f, "U3": f * f}), kind
     if kind == "off-diagonal":
         name = draw(st.sampled_from(["T3", "U3"]))
         c = draw(st.integers(0, d - 2))
@@ -586,7 +695,6 @@ def _corrupted_sets(draw):
     else:
         name = draw(st.sampled_from(["Tp", "Tm", "Up", "Um", "Vp", "Vm"]))
         c = draw(st.integers(0, d - 1))
-    mats = gs.matrices()
     changed = {_FIELDS[name]: _added(mats[name], r, c, delta)}
     if kind == "ladder pair":
         partner = _PARTNER[name]
@@ -605,14 +713,13 @@ def _full_evaluation(gs):
     return out
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(_corrupted_sets())
 def test_mirrored_report_matches_full_evaluation(drawn):
     gs, kind = drawn
-    with _groups_handed_to_kernel() as counts:
+    with _groups_handed_to_kernel() as calls:
         report = check_commutators(gs)
     assert [(r.name, r.exact, r.residual) for r in report.relations] == _full_evaluation(gs)
     assert report.passed == (kind == "none")
-    # adjointness kept: only the 16 representatives are computed
-    [count] = counts
-    assert (count == 16) == (kind in ("none", "ladder pair"))
+    # only a set that keeps every hypothesis and all six products stops at 6
+    assert (_counts(calls) == [6]) == (kind == "none")
