@@ -57,7 +57,8 @@ CORRUPTED_CASES = [
     for field in ("u_plus", "t_three", "v_minus")
 ]
 SWEEP_MAX_D = 100
-UNKNOWNS_MAX_D = 1000  # every p >= q irrep below it: q = 0, q = 1 and q >= 2
+UNKNOWNS_MAX_D = 6000  # every p >= q irrep below it: q = 0, q = 1 and q >= 2
+DIAGONAL_MAX_D = 1000  # the same for the weights and the T3/U3 CSV pins
 
 
 def _run(*argv: str) -> dict:
@@ -128,20 +129,20 @@ def unknowns_digests() -> dict[str, str]:
 
 
 def weights_digests() -> dict[str, str]:
-    """sha256 of `weights` stdout for every irrep with d < UNKNOWNS_MAX_D, both orientations."""
-    labels = sorted({label for p, q in _labels_below(UNKNOWNS_MAX_D) for label in ((p, q), (q, p))})
+    """sha256 of `weights` stdout for every irrep with d < DIAGONAL_MAX_D, both orientations."""
+    labels = sorted({label for p, q in _labels_below(DIAGONAL_MAX_D) for label in ((p, q), (q, p))})
     return {f"{p},{q}": _digest("weights", "--p", str(p), "--q", str(q)) for p, q in labels}
 
 
 def diagonal_csv_digests() -> dict[str, dict[str, str]]:
     """sha256 of `generate --format csv` for T3 and U3, every p >= q irrep with
-    d < UNKNOWNS_MAX_D: the diagonals spell out the block order and the leads."""
+    d < DIAGONAL_MAX_D: the diagonals spell out the block order and the leads."""
     return {
         f"{p},{q}": {
             name: _digest("generate", "--p", str(p), "--q", str(q), "--matrix", name, "--format", "csv")
             for name in ("T3", "U3")
         }
-        for p, q in _labels_below(UNKNOWNS_MAX_D)
+        for p, q in _labels_below(DIAGONAL_MAX_D)
     }
 
 
