@@ -10,6 +10,7 @@ from .radical import RadicalSum, sqrt_of_rational
 from .matrices import RadMatrix, commutator
 from .structure import (
     StateLabel,
+    admissible_blocks,
     block_offsets,
     dimension,
     state_labels,
@@ -18,12 +19,11 @@ from .structure import (
     weight_multiplicities,
 )
 from .su2 import ladder_coefficient, spin_block
-from .unknowns import ConsistencyError, block_unknown_squares, cap_start
+from .unknowns import ConsistencyError, block_unknown_squares
 from .generators import (
     ComplexMatrix,
     GellMannSet,
     GeneratorSet,
-    admissible_blocks,
     build_generator_set,
     build_t_matrices,
     build_u3,
@@ -65,7 +65,6 @@ __all__ = [
     "build_t_matrices",
     "build_u3",
     "build_uplus_vplus",
-    "cap_start",
     "casimir_eigenvalue",
     "check_casimir",
     "check_commutators",

@@ -20,6 +20,7 @@ from .radical import RadicalSum
 from .structure import (
     _check_label,
     _check_ordered,
+    admissible_blocks,
     block_offsets,
     dimension,
     tspin_list,
@@ -119,26 +120,6 @@ def build_u3(p: int, q: int) -> RadMatrix:
         for off, two_s, two_lead in zip(offsets, spins, leads)
         for a in range(two_s + 1)
     ])
-
-
-def admissible_blocks(p: int, q: int) -> list[tuple[int, int, int]]:
-    """Block positions (i, j) where U+ and V+ may be nonzero, with the
-    doubled spin shift 2t_j - 2s_i in {+1, -1}, sorted by (i, j).
-
-    Row block i pairs with the block whose doubled spin is 2s_i + shift and
-    whose doubled lead is 2u3_i - 2 (shift +1) or 2u3_i - 1 (shift -1).
-    (Doubled spin, doubled lead) names a block uniquely, so each partner is
-    one lookup; blocks are in ascending spin, so the shift -1 partner comes
-    before the shift +1 one.
-    """
-    blocks = list(zip(tspin_list(p, q), u3_leads(p, q)))
-    index = {block: j for j, block in enumerate(blocks, 1)}
-    return [
-        (i, index[partner], shift)
-        for i, (two_s, lead) in enumerate(blocks, 1)
-        for shift, gap in ((-1, 1), (1, 2))
-        if (partner := (two_s + shift, lead - gap)) in index
-    ]
 
 
 def unit_raising_blocks(p: int, q: int) -> list[tuple[tuple[int, int], list[Entry], list[Entry]]]:

@@ -7,7 +7,8 @@ block (a, b) for each 0 <= a <= p, 0 <= b <= q, with doubled spin
 hypercharge 3Y = 3(a - b) - 2(p - q)).  The block order is that table
 sorted by (2s, lead): spins ascending, and within a run of equal spins the
 smaller lead first.  Equal a + b and equal a - 2b force equal (a, b), so no
-two blocks tie and the sort is the order.  Spins and 3-components are
+two blocks tie and the sort is the order.  U+ and V+ join block (a, b) to
+(a - 1, b) and to (a, b + 1).  Spins and 3-components are
 stored doubled (2s, 2*sigma, 2*u3) so every label is an integer.
 
 All list builders here require p >= q; callers wanting q > p go through the
@@ -41,14 +42,17 @@ class StateLabel:
 
 
 @lru_cache(maxsize=None)
-def _block_table(p: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(doubled spins, doubled leads) of the branching table in block order."""
+def _block_table(
+    p: int, q: int
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """(doubled spins, doubled leads, pairs (a, b)) of the branching table in
+    block order."""
     _check_ordered(p, q)
-    spins, leads = zip(*sorted(
-        (a + b, a - 2 * b - p + q) for a in range(p + 1) for b in range(q + 1)
+    spins, leads, pairs = zip(*sorted(
+        (a + b, a - 2 * b - p + q, (a, b)) for a in range(p + 1) for b in range(q + 1)
     ))
     assert sum(two_s + 1 for two_s in spins) == dimension(p, q)
-    return spins, leads
+    return spins, leads, pairs
 
 
 def tspin_list(p: int, q: int) -> tuple[int, ...]:
@@ -66,6 +70,24 @@ def u3_leads(p: int, q: int) -> tuple[int, ...]:
     """Doubled U-spin lead components 2*u3(i, s_i), one per block; strictly
     increasing within each run of equal spins."""
     return _block_table(p, q)[1]
+
+
+def admissible_blocks(p: int, q: int) -> list[tuple[int, int, int]]:
+    """Block positions (i, j) where U+ and V+ may be nonzero, with the
+    doubled spin shift 2t_j - 2s_i in {+1, -1}, sorted by (i, j).
+
+    Row block (a, b) pairs with (a - 1, b) (shift -1) and (a, b + 1)
+    (shift +1) where the table has them.  Blocks are in ascending spin, so
+    the shift -1 partner comes before the shift +1 one.
+    """
+    pairs = _block_table(p, q)[2]
+    index = {pair: j for j, pair in enumerate(pairs, 1)}
+    return [
+        (i, index[partner], shift)
+        for i, (a, b) in enumerate(pairs, 1)
+        for shift, partner in ((-1, (a - 1, b)), (1, (a, b + 1)))
+        if partner in index
+    ]
 
 
 def state_labels(p: int, q: int) -> list[StateLabel]:

@@ -4,7 +4,6 @@ import pytest
 
 from su3rep import (
     block_offsets,
-    cap_start,
     dimension,
     state_labels,
     tspin_list,
@@ -39,12 +38,6 @@ class TestDimension:
     def test_negative_label_rejected(self):
         with pytest.raises(ValueError):
             dimension(-1, 0)
-
-
-def test_cap_start():
-    assert cap_start(0) == 1
-    assert cap_start(1) == 1
-    assert cap_start(3) == 4
 
 
 class TestTSpinList:

@@ -1,15 +1,8 @@
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 
-from su3rep import unknowns
-from su3rep import (
-    ConsistencyError,
-    admissible_blocks,
-    block_unknown_squares,
-    dimension,
-)
+from su3rep import admissible_blocks, block_unknown_squares, dimension, tspin_list
 
 
 def all_labels(max_d):
@@ -69,6 +62,25 @@ class TestStructuralInvariants:
             admissible = {(i, j) for i, j, _ in admissible_blocks(p, q)}
             assert admissible <= set(block_unknown_squares(p, q))
 
+    def test_keys_are_admissible_blocks_or_run_overhangs_below_1000(self):
+        # positive squares on exactly the admissible blocks; a zero on
+        # (first, last) of each spin run of two or more blocks; nothing else
+        for p, q in all_labels(999):
+            admissible = {(i, j) for i, j, _ in admissible_blocks(p, q)}
+            spins = tspin_list(p, q)
+            overhang = {
+                (spins.index(s) + 1, len(spins) - spins[::-1].index(s))
+                for s in set(spins) if spins.count(s) > 1
+            }
+            squares = block_unknown_squares(p, q)
+            assert set(squares) == admissible | overhang, (p, q)
+            assert all(squares[key] > 0 for key in admissible), (p, q)
+            assert all(squares[key] == 0 for key in overhang), (p, q)
+            # the cached map is copied out: a caller's edit does not stick
+            want = dict(squares)
+            squares.clear()
+            assert block_unknown_squares(p, q) == want, (p, q)
+
     def test_q0_closed_form_satisfies_recursion(self):
         # interior identity of the lower-middle recursion: with no caps the
         # stencil collapses to "one less than the entry a step back"
@@ -77,49 +89,3 @@ class TestStructuralInvariants:
             for j in range(2, p + 1):
                 assert squares[(j + 1, j)] == squares[(j, j - 1)] - 1
             assert squares[(2, 1)] == p
-
-
-@pytest.fixture
-def uncached():
-    """Clear every lru_cache in su3rep.unknowns before and after the test, so
-    a patched family list is read and its result is not kept."""
-
-    def clear():
-        for obj in vars(unknowns).values():
-            if hasattr(obj, "cache_clear"):
-                obj.cache_clear()
-
-    clear()
-    yield
-    clear()
-
-
-def _patched_families(edit):
-    """Patch _closed_form_entries(p, q) to yield edit(p, q, its entries)."""
-    original = unknowns._closed_form_entries
-    return mock.patch.object(
-        unknowns, "_closed_form_entries", lambda p, q: edit(p, q, original(p, q))
-    )
-
-
-class TestGuards:
-    """Negative controls: a broken family list must raise, never pass."""
-
-    def test_repeated_entry_overlaps(self, uncached):
-        def repeat_first(p, q, entries):
-            entries = list(entries)
-            return [entries[0]] + entries
-
-        with _patched_families(repeat_first):
-            with pytest.raises(ConsistencyError, match=r"families overlap at \(\d+,\d+\) for \(5,3\)"):
-                block_unknown_squares(5, 3)
-
-    def test_missing_upper_middle_is_undefined(self, uncached):
-        # entries end with (i, j, value); offset q is the upper middle only
-        def drop_upper_middle(p, q, entries):
-            return [e for e in entries if e[-2] - e[-3] != q]
-
-        with _patched_families(drop_upper_middle):
-            with pytest.raises(ConsistencyError, match=r"references undefined \(4,7\)"):
-                block_unknown_squares(5, 3)
-        assert block_unknown_squares(5, 3)[(4, 7)] == Fraction(27, 4)
