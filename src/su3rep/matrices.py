@@ -288,6 +288,8 @@ def _combine_all(groups: Iterable[Iterable[tuple]]) -> Iterator[RadMatrix]:
     decoded: dict[int, dict[int, list[tuple[int, int, int]]]] = {}
     for terms in groups:
         sizes = sorted({mat.n for _, mats in terms for mat in mats})
+        if not sizes:
+            raise ValueError("empty sum: a group with no terms has no size")
         if len(sizes) > 1:
             raise ValueError("shape mismatch: " + " vs ".join(map(str, sizes)))
         n = sizes[0]

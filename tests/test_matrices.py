@@ -104,6 +104,14 @@ def test_kernel_matches_dense_reference(drawn):
         assert list(_combine(terms).items()) == list(result.items())
 
 
+def test_empty_sum_has_no_size():
+    with pytest.raises(ValueError, match="empty sum"):
+        _combine(())
+    a = RadMatrix(2)
+    with pytest.raises(ValueError, match="empty sum"):
+        list(_combine_all([[(1, a)], []]))
+
+
 @st.composite
 def _transpose_candidates(draw):
     """(a, b, sign): b grown through put with multi-radicand entries and one

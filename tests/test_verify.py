@@ -12,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from su3rep import (
     CheckReport,
+    ComplexMatrix,
     ConsistencyError,
+    GellMannSet,
     RadicalSum,
     RelationCheck,
     block_unknown_squares,
@@ -101,6 +103,22 @@ class TestStructure:
         )
         checks = check_structure(bad)
         assert not all(c.exact for c in checks)
+
+    def test_reality_split_names_the_offenders(self):
+        # gell_mann_matrix leaves the unused part zero, so only a hand-built
+        # set can break the split: an antisymmetric imaginary part on F1 and
+        # a symmetric real part on F2 keep both hermitian and traceless
+        fs = to_gell_mann(build_generator_set(1, 0))
+        antisym, sym = RadMatrix(3), RadMatrix(3)
+        for r, c, sign in ((0, 1, 1), (1, 0, -1)):
+            antisym.put(r, c, RadicalSum(sign))
+            sym.put(r, c, RadicalSum(1))
+        bad = GellMannSet(1, 0, (ComplexMatrix(fs[1].re, antisym), ComplexMatrix(sym, fs[2].im))
+                          + fs.matrices[2:])
+        herm, trace, reality = check_structure(bad)
+        assert herm.exact and trace.exact
+        assert not reality.exact
+        assert reality.name == "F1,F3,F4,F6,F8 real; F2,F5,F7 imaginary (violated by F[1, 2])"
 
 
 class TestOracle:
