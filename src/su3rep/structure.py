@@ -8,8 +8,8 @@ hypercharge 3Y = 3(a - b) - 2(p - q)).  The block order is that table
 sorted by (2s, lead): spins ascending, and within a run of equal spins the
 smaller lead first.  Equal a + b and equal a - 2b force equal (a, b), so no
 two blocks tie and the sort is the order.  U+ and V+ join block (a, b) to
-(a - 1, b) and to (a, b + 1).  Spins and 3-components are
-stored doubled (2s, 2*sigma, 2*u3) so every label is an integer.
+(a - 1, b) and to (a, b + 1).  Spins and 3-components are stored doubled
+(2s, 2*sigma, 2*u3) so every label is an integer.
 
 All list builders here require p >= q; callers wanting q > p go through the
 negative-transpose path in the generators module.

@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .structure import _block_table, _check_ordered, admissible_blocks
+from .structure import _block_table, admissible_blocks
 
 
 class ConsistencyError(RuntimeError):
@@ -39,8 +39,7 @@ class ConsistencyError(RuntimeError):
 
 @lru_cache(maxsize=None)
 def _squares(p: int, q: int) -> dict[tuple[int, int], Fraction]:
-    _check_ordered(p, q)
-    spins, _, pairs = _block_table(p, q)
+    spins, _, pairs = _block_table(p, q)  # raises for q > p
     values: dict[tuple[int, int], Fraction] = {}
     for i, j, shift in admissible_blocks(p, q):
         a, b = pairs[i - 1]

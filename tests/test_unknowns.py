@@ -82,7 +82,7 @@ class TestStructuralInvariants:
             assert block_unknown_squares(p, q) == want, (p, q)
 
     def test_q0_closed_form_satisfies_recursion(self):
-        # interior identity of the lower-middle recursion: with no caps the
+        # interior identity of the paper's lower-middle recursion: with no caps the
         # stencil collapses to "one less than the entry a step back"
         for p in range(2, 11):
             squares = block_unknown_squares(p, 0)
