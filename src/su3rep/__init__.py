@@ -9,6 +9,7 @@ multiples of square roots, and verifies the su(3) algebra on them.
 from .radical import RadicalSum, sqrt_of_rational
 from .matrices import RadMatrix, commutator
 from .structure import (
+    ConsistencyError,
     StateLabel,
     admissible_blocks,
     block_offsets,
@@ -19,12 +20,13 @@ from .structure import (
     weight_multiplicities,
 )
 from .su2 import ladder_coefficient, spin_block
-from .unknowns import ConsistencyError, block_unknown_squares
+from .unknowns import block_unknown_squares
 from .generators import (
     ComplexMatrix,
     GellMannSet,
     GeneratorSet,
     build_generator_set,
+    build_matrices,
     build_t_matrices,
     build_u3,
     build_uplus_vplus,
@@ -62,6 +64,7 @@ __all__ = [
     "block_offsets",
     "block_unknown_squares",
     "build_generator_set",
+    "build_matrices",
     "build_t_matrices",
     "build_u3",
     "build_uplus_vplus",

@@ -13,17 +13,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections.abc import Iterator
 from fractions import Fraction
 
 from .generators import (
+    GELL_MANN_INPUTS,
     GELL_MANN_NAMES,
     MATRIX_NAMES,
-    build_generator_set,
+    build_matrices,
     gell_mann_matrix,
 )
-from .radical import RadicalSum
 from .structure import dimension, weight_multiplicities
 from .unknowns import block_unknown_squares
 from .verify import (
@@ -132,31 +133,35 @@ def _write(text: str, output: str | None) -> int:
 
 def _cells(p: int, q: int, name: str) -> Iterator[tuple]:
     """The nonzero cells of one basis matrix in (row, col) order, 1-based:
-    (row, col, ((part, value), ...)), part "value" for the eight ladder
-    matrices and "re", "im" for F1..F8."""
-    gs = build_generator_set(p, q)
+    (row, col, ((part, triples), ...)), part "value" for the eight ladder
+    matrices and "re", "im" for F1..F8, and triples as in
+    ``RadicalSum.to_triples``.  Only the matrices the name reads are built."""
     if name in MATRIX_NAMES:
-        for r, c, v in gs.matrices()[name].items():
-            yield r + 1, c + 1, (("value", v),)
+        for r, c, triples in build_matrices(p, q, (name,))[name].triple_items():
+            yield r + 1, c + 1, (("value", triples),)
         return
-    fmat = gell_mann_matrix(gs, GELL_MANN_NAMES.index(name) + 1)
-    re = {(r, c): v for r, c, v in fmat.re.items()}
-    im = {(r, c): v for r, c, v in fmat.im.items()}
-    zero = RadicalSum(0)
+    k = GELL_MANN_NAMES.index(name) + 1
+    fmat = gell_mann_matrix(build_matrices(p, q, GELL_MANN_INPUTS[k]), k)
+    re = {(r, c): triples for r, c, triples in fmat.re.triple_items()}
+    im = {(r, c): triples for r, c, triples in fmat.im.triple_items()}
     for r, c in sorted(re.keys() | im.keys()):
-        yield r + 1, c + 1, (("re", re.get((r, c), zero)), ("im", im.get((r, c), zero)))
+        yield r + 1, c + 1, (("re", re.get((r, c), [])), ("im", im.get((r, c), [])))
+
+
+def _approx(triples: list[tuple[int, int, int]]) -> float:
+    """The float value of an entry, summed in ascending sf as
+    ``RadicalSum.to_float`` sums it."""
+    return sum(num / den * math.sqrt(sf) for num, den, sf in triples)
 
 
 def _generate_json(p: int, q: int, name: str, approx: bool) -> str:
     entries = []
     for row, col, parts in _cells(p, q, name):
         entry = {"row": row, "col": col}
-        for part, value in parts:
-            entry[part] = [
-                {"num": num, "den": den, "sf": sf} for num, den, sf in value.to_triples()
-            ]
+        for part, triples in parts:
+            entry[part] = [{"num": num, "den": den, "sf": sf} for num, den, sf in triples]
         if approx:
-            floats = {part: value.to_float() for part, value in parts}
+            floats = {part: _approx(triples) for part, triples in parts}
             entry["approx"] = floats["value"] if "value" in floats else floats
         entries.append(entry)
     payload = {"p": p, "q": q, "d": dimension(p, q), "matrix": name, "entries": entries}
@@ -167,12 +172,12 @@ def _generate_csv(p: int, q: int, name: str, approx: bool) -> str:
     header = "row,col,num,den,sf" if name in MATRIX_NAMES else "row,col,part,num,den,sf"
     lines = [header + ",approx" if approx else header]
     for row, col, parts in _cells(p, q, name):
-        for part, value in parts:
+        for part, triples in parts:
             cell = f"{row},{col}," if part == "value" else f"{row},{col},{part},"
-            for num, den, sf in value.to_triples():
+            for num, den, sf in triples:
                 line = f"{cell}{num},{den},{sf}"
                 if approx:
-                    line += f",{Fraction(num, den) * sf ** 0.5!r}"
+                    line += f",{num / den * sf ** 0.5!r}"
                 lines.append(line)
     return "\n".join(lines) + "\n"
 

@@ -12,12 +12,14 @@ basis F1..F8, stored as (real, imaginary) matrix pairs.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .matrices import Entry, RadMatrix, _combine
 from .radical import RadicalSum
 from .structure import (
+    ConsistencyError,
     _check_label,
     _check_ordered,
     admissible_blocks,
@@ -27,10 +29,15 @@ from .structure import (
     u3_leads,
 )
 from .su2 import spin_entries
-from .unknowns import ConsistencyError, block_unknown_squares
+from .unknowns import block_unknown_squares
 
 MATRIX_NAMES = ("Tp", "Tm", "T3", "Up", "Um", "U3", "Vp", "Vm")
 GELL_MANN_NAMES = tuple(f"F{i}" for i in range(1, 9))
+# The ladder matrices each Fk is made of (see gell_mann_matrix).
+GELL_MANN_INPUTS = {
+    1: ("Tp", "Tm"), 2: ("Tp", "Tm"), 3: ("T3",), 4: ("Vp", "Vm"),
+    5: ("Vp", "Vm"), 6: ("Up", "Um"), 7: ("Up", "Um"), 8: ("U3", "T3"),
+}
 
 
 @dataclass(frozen=True)
@@ -174,53 +181,66 @@ def build_uplus_vplus(
     return RadMatrix.from_entries(d, u_entries), RadMatrix.from_entries(d, v_entries)
 
 
+def build_matrices(p: int, q: int, names: Iterable[str]) -> dict[str, RadMatrix]:
+    """The named matrices of (p, q), either orientation, keyed by name in
+    ``MATRIX_NAMES`` order.
+
+    Only the families the names need are built: T+, T- and T3 together,
+    U3 alone, and U+ and V+ together (U- and V- are their transposes).
+    For q > p each named matrix is the negative transpose of its (q, p)
+    namesake, and only the named ones are transposed.
+    """
+    _check_label(p, q)
+    wanted = set(names)
+    if q > p:
+        return {name: m.negative_transpose() for name, m in build_matrices(q, p, wanted).items()}
+    built: dict[str, RadMatrix] = {}
+    if wanted & {"Tp", "Tm", "T3"}:
+        built.update(zip(("Tp", "Tm", "T3"), build_t_matrices(p, q)))
+    if "U3" in wanted:
+        built["U3"] = build_u3(p, q)
+    if wanted & {"Up", "Um", "Vp", "Vm"}:
+        built["Up"], built["Vp"] = build_uplus_vplus(p, q, block_unknown_squares(p, q))
+        for plus, minus in (("Up", "Um"), ("Vp", "Vm")):
+            if minus in wanted:
+                built[minus] = built[plus].transpose()
+    return {name: built[name] for name in sorted(wanted, key=MATRIX_NAMES.index)}
+
+
 def build_generator_set(p: int, q: int) -> GeneratorSet:
     """All eight matrices for (p, q), either orientation."""
-    _check_label(p, q)
-    if q > p:
-        return build_generator_set(q, p).negative_transpose()
-    t_plus, t_minus, t_three = build_t_matrices(p, q)
-    u_three = build_u3(p, q)
-    u_plus, v_plus = build_uplus_vplus(p, q, block_unknown_squares(p, q))
-    return GeneratorSet(
-        p=p,
-        q=q,
-        t_plus=t_plus,
-        t_minus=t_minus,
-        t_three=t_three,
-        u_plus=u_plus,
-        u_minus=u_plus.transpose(),
-        u_three=u_three,
-        v_plus=v_plus,
-        v_minus=v_plus.transpose(),
-    )
+    matrices = build_matrices(p, q, MATRIX_NAMES)
+    return GeneratorSet(p, q, *(matrices[name] for name in MATRIX_NAMES))
 
 
 _SQRT3_THIRD = RadicalSum.from_terms([(Fraction(1, 3), 3)])  # 1/sqrt(3)
 
 
-def gell_mann_matrix(gs: GeneratorSet, k: int) -> ComplexMatrix:
-    """The hermitian basis matrix Fk, 1 <= k <= 8.
+def gell_mann_matrix(matrices: Mapping[str, RadMatrix], k: int) -> ComplexMatrix:
+    """The hermitian basis matrix Fk, 1 <= k <= 8, from the ladder matrices
+    by name (``GeneratorSet.matrices()``, or any mapping that holds
+    ``GELL_MANN_INPUTS[k]``).
 
     F1 = (T+ + T-)/2, F2 = -i(T+ - T-)/2, F3 = T3, F4/F5 likewise from V,
     F6/F7 from U, and F8 = (2 U3 + T3)/sqrt(3).
     """
     if not 1 <= k <= 8:
         raise IndexError("F index must be 1..8")
-    half = Fraction(1, 2)
-    zero = RadMatrix(gs.dim)
     if k == 3:
-        return ComplexMatrix(gs.t_three, zero)
-    if k == 8:
-        return ComplexMatrix(_combine(((2, gs.u_three), (1, gs.t_three))).scaled(_SQRT3_THIRD), zero)
-    ladders = {1: (gs.t_plus, gs.t_minus), 4: (gs.v_plus, gs.v_minus), 6: (gs.u_plus, gs.u_minus)}
-    if k in ladders:
-        plus, minus = ladders[k]
-        return ComplexMatrix(_combine(((half, plus), (half, minus))), zero)
-    plus, minus = ladders[k - 1]  # F2, F5, F7: the imaginary partner
-    return ComplexMatrix(zero, _combine(((half, minus), (-half, plus))))
+        t_three = matrices["T3"]
+        return ComplexMatrix(t_three, RadMatrix(t_three.n))
+    a, b = (matrices[name] for name in GELL_MANN_INPUTS[k])
+    half = Fraction(1, 2)
+    zero = RadMatrix(a.n)
+    if k == 8:  # a = U3, b = T3
+        return ComplexMatrix(_combine(((2, a), (1, b))).scaled(_SQRT3_THIRD), zero)
+    if k in (1, 4, 6):  # a, b = X+, X-
+        return ComplexMatrix(_combine(((half, a), (half, b))), zero)
+    # F2, F5, F7: the imaginary partner
+    return ComplexMatrix(zero, _combine(((half, b), (-half, a))))
 
 
 def to_gell_mann(gs: GeneratorSet) -> GellMannSet:
     """Convert to the hermitian basis F1..F8; see gell_mann_matrix."""
-    return GellMannSet(gs.p, gs.q, tuple(gell_mann_matrix(gs, k) for k in range(1, 9)))
+    matrices = gs.matrices()
+    return GellMannSet(gs.p, gs.q, tuple(gell_mann_matrix(matrices, k) for k in range(1, 9)))

@@ -72,8 +72,9 @@ class RadMatrix:
         """The matrix (den, rows) less its zero numerators and empty rows.
 
         Rows are kept, not copied, and only a row holding a zero is rebuilt:
-        every caller (``_combine_all``, ``transpose``, ``trace``, ``identity``,
-        ``shift_residual``) passes dicts it has just built and drops them."""
+        every caller (``_combine_all``, ``transpose``, ``negative_transpose``,
+        ``trace``, ``identity``, ``shift_residual``) passes dicts it has just
+        built and drops them."""
         out = cls(n)
         out.den = den
         for r, row in rows.items():
@@ -139,28 +140,47 @@ class RadMatrix:
             del self._rows[r]
 
     def get(self, r: int, c: int) -> RadicalSum:
-        return self._cells(r, {}).get(c, _ZERO)
-
-    def _cells(self, r: int, fractions: dict[int, Fraction]) -> dict[int, RadicalSum]:
-        """Row r's nonzero entries by column.  ``fractions`` maps a numerator
-        to its value over den; numerators repeat, so each is reduced once."""
-        n, den = self.n, self.den
-        cells: dict[int, dict[int, Fraction]] = {}
-        for key, v in sorted(self._rows.get(r, {}).items()):
-            sf, c = divmod(key, n)
-            value = fractions.get(v)
-            if value is None:
-                value = fractions[v] = Fraction(v, den)
-            cells.setdefault(c, {})[sf] = value
-        return {c: RadicalSum._raw(t) for c, t in cells.items()}
+        return next((v for _, col, v in self._decoded((r,)) if col == c), _ZERO)
 
     def items(self) -> Iterator[tuple[int, int, RadicalSum]]:
         """Nonzero entries sorted by (row, col)."""
-        fractions: dict[int, Fraction] = {}
-        for r in sorted(self._rows):
-            cells = self._cells(r, fractions)
+        return self._decoded(sorted(self._rows))
+
+    def triple_items(self) -> Iterator[tuple[int, int, list[tuple[int, int, int]]]]:
+        """Nonzero entries sorted by (row, col), each as its ``to_triples``:
+        (num, den, sf) in lowest terms, ascending by sf.  Each term is its
+        stored numerator v over ``den`` divided by g = gcd(v, den), with no
+        ``Fraction`` or ``RadicalSum`` in between."""
+        den, gcd = self.den, math.gcd
+        for r, c, terms in self._entries(sorted(self._rows)):
+            yield r, c, [(v // g, den // g, sf) for sf, v in terms for g in (gcd(v, den),)]
+
+    def _entries(self, rows: Iterable[int]) -> Iterator[tuple[int, int, list[tuple[int, int]]]]:
+        """(row, col, [(sf, numerator), ...]) of each nonzero entry in the
+        given rows, by column within a row and by sf within an entry: the one
+        row walk that ``items``, ``get`` and ``triple_items`` decode."""
+        n, stored = self.n, self._rows
+        for r in rows:
+            cells: dict[int, list[tuple[int, int]]] = {}
+            for key, v in sorted(stored.get(r, {}).items()):
+                sf, c = divmod(key, n)
+                cells.setdefault(c, []).append((sf, v))
             for c in sorted(cells):
                 yield r, c, cells[c]
+
+    def _decoded(self, rows: Iterable[int]) -> Iterator[tuple[int, int, RadicalSum]]:
+        """``_entries`` with each entry as a RadicalSum.  Numerators repeat,
+        so each is reduced to a Fraction once."""
+        den = self.den
+        fractions: dict[int, Fraction] = {}
+        for r, c, terms in self._entries(rows):
+            cell = {}
+            for sf, v in terms:
+                value = fractions.get(v)
+                if value is None:
+                    value = fractions[v] = Fraction(v, den)
+                cell[sf] = value
+            yield r, c, RadicalSum._raw(cell)
 
     @property
     def nnz(self) -> int:
@@ -202,7 +222,16 @@ class RadMatrix:
         return RadMatrix._raw(n, self.den, rows)
 
     def negative_transpose(self) -> "RadMatrix":
-        return -self.transpose()
+        """-self^T in one pass.  Its loop is ``transpose``'s with a sign;
+        ``transpose`` keeps its own, since it runs on the verification path,
+        which would pay for the multiply."""
+        n = self.n
+        rows: dict[int, dict[int, int]] = {}
+        for r, row in self._rows.items():
+            for key, v in row.items():
+                sf, c = divmod(key, n)
+                rows.setdefault(c, {})[sf * n + r] = -v
+        return RadMatrix._raw(n, self.den, rows)
 
     def is_transpose_of(self, other: "RadMatrix", sign: int = 1) -> bool:
         """self == sign * other^T in O(nnz), building nothing: each stored term,

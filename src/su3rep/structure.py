@@ -23,6 +23,10 @@ from functools import lru_cache
 from itertools import accumulate
 
 
+class ConsistencyError(RuntimeError):
+    """An internal cross-reference failed; signals a range or formula bug."""
+
+
 def dimension(p: int, q: int) -> int:
     """Number of states in the (p, q) irrep: (p+1)(q+1)(p+q+2)/2."""
     _check_label(p, q)

@@ -30,11 +30,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from .structure import ConsistencyError  # noqa: F401  (re-exported; raised elsewhere)
 from .structure import _block_table, admissible_blocks
-
-
-class ConsistencyError(RuntimeError):
-    """An internal cross-reference failed; signals a range or formula bug."""
 
 
 @lru_cache(maxsize=None)

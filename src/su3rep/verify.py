@@ -54,8 +54,8 @@ from .generators import (
     unit_raising_blocks,
 )
 from .matrices import RadMatrix, _combine, _combine_all, commutator
-from .structure import dimension, state_labels
-from .unknowns import ConsistencyError, block_unknown_squares
+from .structure import ConsistencyError, dimension, state_labels
+from .unknowns import block_unknown_squares
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,68 @@
+import contextlib
 import json
 from fractions import Fraction
 from unittest import mock
 
 import pytest
 
-from su3rep import ConsistencyError, RadicalSum, build_generator_set, generators
+from su3rep import (
+    ConsistencyError,
+    RadicalSum,
+    RadMatrix,
+    build_generator_set,
+    dimension,
+    generators,
+    to_gell_mann,
+)
+from su3rep.generators import GELL_MANN_NAMES, MATRIX_NAMES
 from su3rep import verify as verify_module
 from su3rep.cli import main
+
+
+_ALL_NAMES = MATRIX_NAMES + GELL_MANN_NAMES
+# The ladder matrices each export reads.
+_READS = {name: {name} for name in MATRIX_NAMES} | {
+    "F1": {"Tp", "Tm"}, "F2": {"Tp", "Tm"}, "F3": {"T3"}, "F4": {"Vp", "Vm"},
+    "F5": {"Vp", "Vm"}, "F6": {"Up", "Um"}, "F7": {"Up", "Um"}, "F8": {"U3", "T3"},
+}
+# The builder of each family of ladder matrices: a builder is called exactly
+# when an export reads one of its family.
+_FAMILIES = {
+    "build_t_matrices": {"Tp", "Tm", "T3"},
+    "build_u3": {"U3"},
+    "build_uplus_vplus": {"Up", "Um", "Vp", "Vm"},
+    "block_unknown_squares": {"Up", "Um", "Vp", "Vm"},
+}
+# every irrep with d < 100 in both orientations, and (8, 4), (4, 8)
+_EXPORT_LABELS = [
+    (p, q) for p in range(13) for q in range(13) if dimension(p, q) < 100
+] + [(8, 4), (4, 8)]
+
+
+def _families(reads):
+    return {builder for builder, family in _FAMILIES.items() if family & reads}
+
+
+def _called(calls):
+    return {name for name in _FAMILIES if calls[name].call_count}
+
+
+@contextlib.contextmanager
+def _builder_counts():
+    """Call-counting wraps of each family builder in the generators module and
+    of RadMatrix.transpose and negative_transpose."""
+    with contextlib.ExitStack() as stack:
+        calls = {
+            name: stack.enter_context(
+                mock.patch.object(generators, name, wraps=getattr(generators, name))
+            )
+            for name in _FAMILIES
+        }
+        for method in ("transpose", "negative_transpose"):
+            calls[method] = stack.enter_context(mock.patch.object(
+                RadMatrix, method, autospec=True, side_effect=getattr(RadMatrix, method)
+            ))
+        yield calls
 
 
 def run(capsys, *argv):
@@ -65,10 +121,52 @@ class TestGenerate:
 
     @pytest.mark.parametrize("name", ["F1", "F2", "F6", "F8"])
     def test_one_gell_mann_matrix_built(self, capsys, name):
-        # only the requested F matrix is combined, not all eight
-        with mock.patch.object(generators, "_combine", wraps=generators._combine) as combine:
+        # only the requested F matrix is combined, not all eight, and only
+        # the families it reads are built
+        with mock.patch.object(generators, "_combine", wraps=generators._combine) as combine, \
+                _builder_counts() as calls:
             code, _, _ = run(capsys, "generate", "--p", "2", "--q", "1", "--matrix", name)
         assert code == 0 and combine.call_count == 1
+        assert _called(calls) == _families(_READS[name])
+
+    @pytest.mark.parametrize("p,q", [(2, 1), (1, 2)])
+    @pytest.mark.parametrize("name", _ALL_NAMES)
+    def test_each_export_builds_only_its_family(self, capsys, name, p, q):
+        reads = _READS[name]
+        with _builder_counts() as calls:
+            code, _, _ = run(capsys, "generate", "--p", str(p), "--q", str(q), "--matrix", name)
+        assert code == 0
+        assert _called(calls) == _families(reads)
+        # U- and V- are transposes of U+ and V+, built only when read
+        assert calls["transpose"].call_count == len(reads & {"Um", "Vm"})
+        # for q > p, exactly the matrices read are negative-transposed
+        assert calls["negative_transpose"].call_count == (len(reads) if q > p else 0)
+
+    @pytest.mark.parametrize("p,q", _EXPORT_LABELS)
+    def test_export_equals_the_full_build(self, capsys, p, q):
+        gs = build_generator_set(p, q)
+        fs = to_gell_mann(gs)
+        for name in _ALL_NAMES:
+            code, out, _ = run(capsys, "generate", "--p", str(p), "--q", str(q), "--matrix", name)
+            payload = json.loads(out)
+            assert code == 0 and (payload["p"], payload["q"], payload["matrix"]) == (p, q, name)
+
+            def triples(terms):
+                return [(t["num"], t["den"], t["sf"]) for t in terms]
+
+            if name.startswith("F"):
+                f = fs[int(name[1:])]
+                got = {(e["row"], e["col"]): (triples(e["re"]), triples(e["im"]))
+                       for e in payload["entries"]}
+                cells = sorted({(r, c) for r, c, _ in f.re.items()}
+                               | {(r, c) for r, c, _ in f.im.items()})
+                want = {(r + 1, c + 1): (f.re.get(r, c).to_triples(), f.im.get(r, c).to_triples())
+                        for r, c in cells}
+            else:
+                got = {(e["row"], e["col"]): triples(e["value"]) for e in payload["entries"]}
+                want = {(r + 1, c + 1): v.to_triples() for r, c, v in gs.matrices()[name].items()}
+            assert got == want, name
+            assert list(got) == sorted(want), name
 
     def test_approx_column(self, capsys):
         _, out, _ = run(

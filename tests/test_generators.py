@@ -12,6 +12,7 @@ from su3rep import (
     block_offsets,
     block_unknown_squares,
     build_generator_set,
+    build_matrices,
     build_t_matrices,
     build_u3,
     build_uplus_vplus,
@@ -241,6 +242,22 @@ class TestGeneratorSet:
         gs = build_generator_set(0, 0)
         assert all(m.is_zero() for m in gs.matrices().values())
 
+    @pytest.mark.parametrize("label", [(3, 2), (2, 3)])
+    def test_named_subset_equals_the_full_set(self, label):
+        full = build_generator_set(*label).matrices()
+        for names in (["Vm", "Tp"], ["U3"], ["Um", "Um"], list(full)):
+            built = build_matrices(*label, iter(names))
+            assert list(built) == [name for name in full if name in names]
+            for name, mat in built.items():
+                assert list(mat.items()) == list(full[name].items()), name
+
+    def test_consistency_error_is_one_class(self):
+        import su3rep
+        from su3rep import generators, structure, unknowns
+
+        assert (su3rep.ConsistencyError is structure.ConsistencyError
+                is unknowns.ConsistencyError is generators.ConsistencyError)
+
     def test_swapped_label_is_negative_transpose(self):
         direct = build_generator_set(1, 0)
         swapped = build_generator_set(0, 1)
@@ -283,7 +300,7 @@ class TestGellMann:
     @pytest.mark.parametrize("k", [0, 9])
     def test_index_out_of_range(self, k):
         with pytest.raises(IndexError, match="1..8"):
-            gell_mann_matrix(build_generator_set(1, 0), k)
+            gell_mann_matrix(build_generator_set(1, 0).matrices(), k)
 
     def test_all_hermitian_adjoint(self):
         fs = to_gell_mann(build_generator_set(1, 1))

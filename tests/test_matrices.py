@@ -113,6 +113,47 @@ def test_empty_sum_has_no_size():
 
 
 @st.composite
+def _stored_forms(draw):
+    """A matrix given by its stored integers: a den with small factors and
+    numerators that are multiples of one of den's divisors (so most share a
+    factor with den), up to three square-free radicands per cell."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    den = draw(st.sampled_from([1, 2, 4, 6, 12, 30, 36, 60]))
+    divisors = [k for k in range(1, den + 1) if den % k == 0]
+    numerator = st.builds(
+        lambda k, m: k * m, st.sampled_from(divisors), st.integers(-5, 5).filter(bool)
+    )
+    cells = st.dictionaries(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+        st.dictionaries(st.sampled_from([1, 2, 3, 5, 6, 7, 10]), numerator,
+                        min_size=1, max_size=3),
+        max_size=2 * n,
+    )
+    rows: dict[int, dict[int, int]] = {}
+    for (r, c), terms in draw(cells).items():
+        rows.setdefault(r, {}).update({sf * n + c: v for sf, v in terms.items()})
+    return RadMatrix._raw(n, den, rows)
+
+
+@given(st.one_of(_stored_forms(), _matrix_pairs().map(lambda pair: pair[0])))
+def test_triple_items_are_the_items_to_triples(mat):
+    assert list(mat.triple_items()) == [(r, c, v.to_triples()) for r, c, v in mat.items()]
+
+
+def _stores_no_zero_numerator(mat: RadMatrix) -> bool:
+    return all(row and all(row.values()) for row in mat._rows.values())
+
+
+@given(st.one_of(_stored_forms(), _matrix_pairs().map(lambda pair: pair[0])))
+def test_negative_transpose_is_minus_the_transpose(mat):
+    once = mat.negative_transpose()
+    assert once == -mat.transpose()
+    assert list(once.items()) == list((-mat.transpose()).items())
+    assert once.den == mat.den
+    assert _stores_no_zero_numerator(once)
+
+
+@st.composite
 def _transpose_candidates(draw):
     """(a, b, sign): b grown through put with multi-radicand entries and one
     entry over 5; a is sign * b^T rebuilt through put from a den of 7, so the
