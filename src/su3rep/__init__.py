@@ -27,6 +27,7 @@ from .generators import (
     GeneratorSet,
     build_generator_set,
     build_matrices,
+    build_t_matrix,
     build_t_matrices,
     build_u3,
     build_uplus_vplus,
@@ -65,6 +66,7 @@ __all__ = [
     "block_unknown_squares",
     "build_generator_set",
     "build_matrices",
+    "build_t_matrix",
     "build_t_matrices",
     "build_u3",
     "build_uplus_vplus",

@@ -288,8 +288,13 @@ _COMMANDS = {
 }
 
 
+# Built once: parse_args keeps no state between calls, and every call gets
+# a fresh Namespace.
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     return _COMMANDS[args.command](args)
 
 

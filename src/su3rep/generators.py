@@ -99,19 +99,24 @@ class GellMannSet:
         return self.matrices[index - 1]
 
 
+_SPIN_KINDS = {"Tp": "plus", "Tm": "minus", "T3": "three"}
+
+
+def build_t_matrix(p: int, q: int, name: str) -> RadMatrix:
+    """One of T+, T-, T3 (name "Tp", "Tm" or "T3"), block-diagonal from the
+    standard spin matrices."""
+    _check_ordered(p, q)
+    kind = _SPIN_KINDS[name]
+    return RadMatrix.from_entries(dimension(p, q), [
+        (off + r, off + c, sign, a, b)
+        for off, two_s in zip(block_offsets(p, q), tspin_list(p, q))
+        for r, c, sign, a, b in spin_entries(kind, two_s)
+    ])
+
+
 def build_t_matrices(p: int, q: int) -> tuple[RadMatrix, RadMatrix, RadMatrix]:
     """Block-diagonal T+, T-, T3 from the standard spin matrices."""
-    _check_ordered(p, q)
-    blocks = list(zip(block_offsets(p, q), tspin_list(p, q)))
-    d = dimension(p, q)
-    plus, minus, three = (
-        RadMatrix.from_entries(d, [
-            (off + r, off + c, sign, a, b)
-            for off, two_s in blocks
-            for r, c, sign, a, b in spin_entries(kind, two_s)
-        ])
-        for kind in ("plus", "minus", "three")
-    )
+    plus, minus, three = (build_t_matrix(p, q, name) for name in _SPIN_KINDS)
     return plus, minus, three
 
 
@@ -185,8 +190,8 @@ def build_matrices(p: int, q: int, names: Iterable[str]) -> dict[str, RadMatrix]
     """The named matrices of (p, q), either orientation, keyed by name in
     ``MATRIX_NAMES`` order.
 
-    Only the families the names need are built: T+, T- and T3 together,
-    U3 alone, and U+ and V+ together (U- and V- are their transposes).
+    Only what the names need is built: T+, T- and T3 each on its own, U3
+    alone, and U+ and V+ together (U- and V- are their transposes).
     For q > p each named matrix is the negative transpose of its (q, p)
     namesake, and only the named ones are transposed.
     """
@@ -194,9 +199,7 @@ def build_matrices(p: int, q: int, names: Iterable[str]) -> dict[str, RadMatrix]
     wanted = set(names)
     if q > p:
         return {name: m.negative_transpose() for name, m in build_matrices(q, p, wanted).items()}
-    built: dict[str, RadMatrix] = {}
-    if wanted & {"Tp", "Tm", "T3"}:
-        built.update(zip(("Tp", "Tm", "T3"), build_t_matrices(p, q)))
+    built = {name: build_t_matrix(p, q, name) for name in _SPIN_KINDS if name in wanted}
     if "U3" in wanted:
         built["U3"] = build_u3(p, q)
     if wanted & {"Up", "Um", "Vp", "Vm"}:

@@ -155,6 +155,11 @@ class RadMatrix:
         for r, c, terms in self._entries(sorted(self._rows)):
             yield r, c, [(v // g, den // g, sf) for sf, v in terms for g in (gcd(v, den),)]
 
+    def stored_terms(self) -> Iterator[tuple[int, int, int]]:
+        """(row, key, numerator) of every stored term, unsorted: the entry at
+        (row, key % n) holds numerator / den times sqrt(key // n)."""
+        return ((r, key, v) for r, row in self._rows.items() for key, v in row.items())
+
     def _entries(self, rows: Iterable[int]) -> Iterator[tuple[int, int, list[tuple[int, int]]]]:
         """(row, col, [(sf, numerator), ...]) of each nonzero entry in the
         given rows, by column within a row and by sf within an entry: the one

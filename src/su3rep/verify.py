@@ -39,6 +39,7 @@ instead, so every reported residual is that row's own.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -49,11 +50,11 @@ from .generators import (
     GellMannSet,
     GeneratorSet,
     build_generator_set,
-    build_t_matrices,
+    build_t_matrix,
     to_gell_mann,
     unit_raising_blocks,
 )
-from .matrices import RadMatrix, _combine, _combine_all, commutator
+from .matrices import RadMatrix, _combine, _combine_all
 from .structure import ConsistencyError, dimension, state_labels
 from .unknowns import block_unknown_squares
 
@@ -240,38 +241,48 @@ def check_structure(fs: GellMannSet) -> list[RelationCheck]:
 # Brute-force oracle for the block unknowns
 
 # The oracle's default size bound.  oracle_solve(20, 10), d = 3696, takes about
-# 0.3 s, and all 150 p >= q irreps with d < 1000 about 4 s.
+# 0.3 s, and all 150 p >= q irreps with d < 1000 about 3 s (2.6 to 4.2 s over
+# runs on a shared 2-CPU Linux x86-64 machine, CPython 3.11.7).
 ORACLE_MAX_DIM = 4000
 
 
-def _by_radicand(rel: str, mat: RadMatrix) -> dict[tuple[str, int, int, int], Fraction]:
-    """(rel, row, col, radicand) -> rational coefficient, for every term of mat."""
-    return {(rel, r, c, m): coeff for r, c, v in mat.items() for coeff, m in v.terms()}
-
-
-def _eliminate(
-    row: dict[int, Fraction], rhs: Fraction, var: int, pivot: dict[int, Fraction], prhs: Fraction
-) -> tuple[dict[int, Fraction], Fraction]:
-    """(row, rhs) less row[var] times the pivot equation, zeros dropped."""
+def _eliminate(row: dict[int, int], rhs: int, var: int, pivot: dict[int, int],
+               prhs: int) -> tuple[dict[int, int], int]:
+    """(row, rhs) with var eliminated by the pivot equation, fraction-free:
+    row * (pc/g) - pivot * (f/g) with f = row[var], pc = pivot[var] and
+    g = gcd(f, pc), zeros dropped."""
     f = row.get(var)
     if not f:
         return row, rhs
-    out = dict(row)
+    pc = pivot[var]
+    g = math.gcd(f, pc)
+    a, b = pc // g, f // g
+    out = {v: c * a for v, c in row.items()}
     for v, c in pivot.items():
-        out[v] = out.get(v, 0) - f * c
-    return {v: c for v, c in out.items() if c}, rhs - f * prhs
+        out[v] = out.get(v, 0) - b * c
+    return {v: c for v, c in out.items() if c}, rhs * a - prhs * b
+
+
+def _primitive(row: dict[int, int], rhs: int, lead: int) -> tuple[dict[int, int], int]:
+    """(row, rhs) over the gcd of its entries and rhs, positive at lead."""
+    g = math.gcd(*row.values(), rhs)
+    if row[lead] < 0:
+        g = -g
+    return {v: c // g for v, c in row.items()}, rhs // g
 
 
 def _rref_solve(
-    rows: list[tuple[dict[int, Fraction], Fraction]], nvars: int
+    rows: list[tuple[dict[int, int], int]], nvars: int
 ) -> tuple[list[Fraction | None], list[int]]:
-    """Exact sparse Gauss-Jordan; returns per-variable solutions (None if
-    free) and the list of free variable indices.  Raises on inconsistency.
+    """Exact sparse Gauss-Jordan on integer equations; returns per-variable
+    solutions (None if free) and the list of free variable indices.  Raises
+    on inconsistency.
 
-    Each pivot row has coefficient 1 at its pivot and 0 at every other
-    pivot, so one pass over the pivots fully reduces a new row.
+    Each pivot row is primitive, positive at its pivot and 0 at every other
+    pivot, so one pass over the pivots fully reduces a new row, and a
+    solution is one Fraction, rhs over the pivot coefficient.
     """
-    pivots: dict[int, tuple[dict[int, Fraction], Fraction]] = {}
+    pivots: dict[int, tuple[dict[int, int], int]] = {}
     for row, rhs in rows:
         row = {v: c for v, c in row.items() if c}
         for var in [v for v in row if v in pivots]:
@@ -281,19 +292,23 @@ def _rref_solve(
                 raise ConsistencyError("oracle equations are inconsistent")
             continue
         new = min(row)
-        inv = 1 / row[new]
-        row, rhs = {v: c * inv for v, c in row.items()}, rhs * inv
+        row, rhs = _primitive(row, rhs, new)
         for var, (prow, prhs) in pivots.items():
-            pivots[var] = _eliminate(prow, prhs, new, row, rhs)
+            if new in prow:
+                pivots[var] = _primitive(*_eliminate(prow, prhs, new, row, rhs), var)
         pivots[new] = (row, rhs)
     solution: list[Fraction | None] = [None] * nvars
     free = []
     for var in range(nvars):
         if var in pivots and len(pivots[var][0]) == 1:
-            solution[var] = pivots[var][1]
+            solution[var] = Fraction(pivots[var][1], pivots[var][0][var])
         else:
             free.append(var)  # no pivot, or one entangled with a free variable
     return solution, free
+
+
+# The two relations the oracle solves, in the order of its unit groups.
+_ORACLE_RELATIONS = ("[U+,U-]", "[V-,U+]")
 
 
 def oracle_solve(p: int, q: int, max_dim: int = ORACLE_MAX_DIM) -> dict[tuple[int, int], Fraction]:
@@ -308,9 +323,10 @@ def oracle_solve(p: int, q: int, max_dim: int = ORACLE_MAX_DIM) -> dict[tuple[in
     a unit commutator or the right-hand side is nonzero, [U+,U-] = 2 U3 and
     [V-,U+] = -T- are linear in the x_k with those unit commutators'
     entries as coefficients.  Radicals of distinct square-free integers are
-    linearly independent over the rationals, so each (cell, radicand) pair
-    is one rational equation.  Nothing else is added: a square these
-    equations leave free is an error, never a guess.
+    linearly independent over the rationals, so each stored (cell, radicand)
+    key is one rational equation, scaled to integers by the lcm of its
+    denominators and solved in integers.  Nothing else is added: a square
+    these equations leave free is an error, never a guess.
     """
     d = dimension(p, q)
     if p < q:
@@ -320,25 +336,30 @@ def oracle_solve(p: int, q: int, max_dim: int = ORACLE_MAX_DIM) -> dict[tuple[in
 
     units = unit_raising_blocks(p, q)
     blocks = [key for key, _, _ in units]
-    # (relation, row, col, radicand) -> {block index: coefficient of its square}
-    coeffs: dict[tuple[str, int, int, int], dict[int, Fraction]] = {}
-    for k, (_, u_entries, v_entries) in enumerate(units):
+    groups = []  # [U_k, U_k^T] and [V_k^T, U_k] of each block k, in one pass
+    for _, u_entries, v_entries in units:
         unit_u = RadMatrix.from_entries(d, u_entries)
         unit_v = RadMatrix.from_entries(d, v_entries)
-        for rel, mat in (
-            ("[U+,U-]", commutator(unit_u, unit_u.transpose())),
-            ("[V-,U+]", commutator(unit_v.transpose(), unit_u)),
-        ):
-            for key, coeff in _by_radicand(rel, mat).items():
-                coeffs.setdefault(key, {})[k] = coeff
-    rhs = _by_radicand("[V-,U+]", -build_t_matrices(p, q)[1])
-    rhs.update(
-        (("[U+,U-]", k, k, 1), Fraction(lbl.two_u3))
-        for k, lbl in enumerate(state_labels(p, q))
-        if lbl.two_u3
-    )
-    cells = sorted(coeffs.keys() | rhs.keys())
-    equations = [(coeffs.get(key, {}), rhs.get(key, Fraction(0))) for key in cells]
+        u_t, v_t = unit_u.transpose(), unit_v.transpose()
+        groups.append([(1, unit_u, u_t), (-1, u_t, unit_u)])
+        groups.append([(1, v_t, unit_u), (-1, unit_u, v_t)])
+    # (relation, row, stored key) -> [(block index, or None for the
+    # right-hand side, numerator, den), ...]
+    terms: dict[tuple[str, int, int], list[tuple[int | None, int, int]]] = {}
+    for i, mat in enumerate(_combine_all(groups)):
+        for r, key, v in mat.stored_terms():
+            terms.setdefault((_ORACLE_RELATIONS[i % 2], r, key), []).append((i // 2, v, mat.den))
+    t_minus = build_t_matrix(p, q, "Tm")
+    for r, key, v in t_minus.stored_terms():
+        terms.setdefault((_ORACLE_RELATIONS[1], r, key), []).append((None, -v, t_minus.den))
+    for k, lbl in enumerate(state_labels(p, q)):
+        if lbl.two_u3:  # 2 U3 at (k, k), radicand 1: key 1 * d + k
+            terms.setdefault((_ORACLE_RELATIONS[0], k, d + k), []).append((None, lbl.two_u3, 1))
+    equations = []
+    for key in sorted(terms):
+        scale = math.lcm(*(den for _, _, den in terms[key]))
+        row = {k: v * (scale // den) for k, v, den in terms[key]}
+        equations.append((row, row.pop(None, 0)))
 
     solution, free = _rref_solve(equations, len(blocks))
     if free:

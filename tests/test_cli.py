@@ -15,6 +15,7 @@ from su3rep import (
     to_gell_mann,
 )
 from su3rep.generators import GELL_MANN_NAMES, MATRIX_NAMES
+from su3rep import cli
 from su3rep import verify as verify_module
 from su3rep.cli import main
 
@@ -28,7 +29,7 @@ _READS = {name: {name} for name in MATRIX_NAMES} | {
 # The builder of each family of ladder matrices: a builder is called exactly
 # when an export reads one of its family.
 _FAMILIES = {
-    "build_t_matrices": {"Tp", "Tm", "T3"},
+    "build_t_matrix": {"Tp", "Tm", "T3"},
     "build_u3": {"U3"},
     "build_uplus_vplus": {"Up", "Um", "Vp", "Vm"},
     "block_unknown_squares": {"Up", "Um", "Vp", "Vm"},
@@ -137,6 +138,9 @@ class TestGenerate:
             code, _, _ = run(capsys, "generate", "--p", str(p), "--q", str(q), "--matrix", name)
         assert code == 0
         assert _called(calls) == _families(reads)
+        # each of T+, T- and T3 is built on its own, once if read
+        built = sorted(c.args[2] for c in calls["build_t_matrix"].call_args_list)
+        assert built == sorted(reads & {"Tp", "Tm", "T3"})
         # U- and V- are transposes of U+ and V+, built only when read
         assert calls["transpose"].call_count == len(reads & {"Um", "Vm"})
         # for q > p, exactly the matrices read are negative-transposed
@@ -176,6 +180,35 @@ class TestGenerate:
         lines = out.splitlines()
         assert lines[0] == "row,col,num,den,sf,approx"
         assert lines[1].endswith(",0.5")
+
+    def test_main_builds_no_parser_per_call(self, capsys):
+        with mock.patch.object(cli, "build_parser", wraps=cli.build_parser) as builds, \
+                mock.patch("argparse.ArgumentParser.__init__",
+                           side_effect=AssertionError("parser built in main")):
+            for _ in range(2):
+                code, _, _ = run(capsys, "generate", "--p", "1", "--q", "0", "--matrix", "T3")
+                assert code == 0
+        assert builds.call_count == 0
+
+    def test_reused_parser_keeps_no_state(self, capsys, tmp_path):
+        # --approx and -o, then neither, then both again: each call prints and
+        # writes what the same call through a fresh parser does
+        target = tmp_path / "f8.csv"
+        plain = ["generate", "--p", "2", "--q", "1", "--matrix", "F8", "--format", "csv"]
+        flagged = plain + ["--approx", "-o", str(target)]
+
+        def outcome(argv, parser):
+            target.unlink(missing_ok=True)
+            with mock.patch.object(cli, "_PARSER", parser):
+                result = run(capsys, *argv)
+            return result, target.read_text() if target.exists() else None
+
+        reused = cli._PARSER
+        for argv in (flagged, plain, flagged):
+            assert outcome(argv, reused) == outcome(argv, cli.build_parser())
+        assert ",approx" in outcome(flagged, reused)[1]
+        (code, out, _), written = outcome(plain, reused)
+        assert code == 0 and written is None and ",approx" not in out
 
     def test_deterministic(self, capsys):
         _, first, _ = run(capsys, "generate", "--p", "3", "--q", "1", "--matrix", "Vp")

@@ -189,13 +189,25 @@ class TestOracle:
         assert compare_with_oracle(2, 1) == ["block (3, 1): closed form 4 != solved 3"]
 
     def test_no_equations_is_an_error_not_a_guess(self, monkeypatch):
-        monkeypatch.setattr("su3rep.verify.commutator", lambda a, b: RadMatrix(a.n))
+        # every unit commutator zero: no equation holds an unknown
+        monkeypatch.setattr("su3rep.verify._combine_all",
+                            lambda groups: (RadMatrix(3) for _ in groups))
         with pytest.raises(ConsistencyError):
             oracle_solve(1, 0)
 
+    @pytest.mark.parametrize("p,q", [(1, 0), (2, 1), (3, 3)])
+    def test_shifted_right_hand_side_is_inconsistent(self, monkeypatch, p, q):
+        # 2 U3 off by one at a single state: [U+,U-] is traceless, so no
+        # squares can solve the corrupted system
+        labels = verify_module.state_labels(p, q)
+        shifted = [dataclasses.replace(labels[0], two_u3=labels[0].two_u3 + 1)] + labels[1:]
+        monkeypatch.setattr("su3rep.verify.state_labels", lambda *_: shifted)
+        with pytest.raises(ConsistencyError, match="inconsistent"):
+            oracle_solve(p, q)
+
 
 def _eq(coeffs, rhs):
-    return {v: Fraction(c) for v, c in coeffs.items()}, Fraction(rhs)
+    return dict(coeffs), rhs
 
 
 class TestRrefSolve:
@@ -220,6 +232,29 @@ class TestRrefSolve:
     def test_no_variables(self):
         assert _rref_solve([], 0) == ([], [])
         assert _rref_solve([_eq({}, 0)], 0) == ([], [])
+
+    def test_non_unit_pivot_gives_a_rational(self):
+        solution, free = _rref_solve([_eq({0: 2}, 3)], 1)
+        assert (solution, free) == ([Fraction(3, 2)], [])
+        assert isinstance(solution[0], Fraction)
+
+    def test_negative_leading_coefficient(self):
+        rows = [_eq({0: -3, 1: 1}, -5), _eq({1: -2}, -2)]
+        assert _rref_solve(rows, 2) == ([2, 1], [])
+        assert _rref_solve([_eq({0: -4}, 2)], 1) == ([Fraction(-1, 2)], [])
+
+    def test_common_factor_with_rhs(self):
+        rows = [_eq({0: 6, 1: 4}, 10), _eq({0: 6, 1: -4}, 2)]
+        assert _rref_solve(rows, 2) == ([1, 1], [])
+        assert _rref_solve([_eq({0: 6, 1: 4}, 10)], 2) == ([None, None], [0, 1])
+
+    def test_inconsistent_only_after_integer_scaling(self):
+        # 2x + 4y = 6 is x + 2y = 3, which 3x + 6y = 10 contradicts only
+        # once both are scaled to a common x coefficient
+        with pytest.raises(ConsistencyError, match="inconsistent"):
+            _rref_solve([_eq({0: 2, 1: 4}, 6), _eq({0: 3, 1: 6}, 10)], 2)
+        assert _rref_solve([_eq({0: 2, 1: 4}, 6), _eq({0: 3, 1: 6}, 9), _eq({1: 5}, 5)],
+                           2) == ([1, 1], [])
 
 
 class TestNegativeControls:
