@@ -2,7 +2,8 @@
 
 Subcommands: generate, verify, sweep, weights, unknowns, oracle.  Data goes
 to standard output (or --output), diagnostics to standard error.  Exit codes:
-0 success / all checks pass, 1 verification failure, 2 usage error.
+0 success / all checks pass, 1 verification failure, 2 usage error (an irrep
+above the --max-d size budget of generate, verify and weights included).
 
 All output is exact by default; --approx appends floating-point columns for
 human convenience.  Identical invocations produce byte-identical output
@@ -12,7 +13,7 @@ human convenience.  Identical invocations produce byte-identical output
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import math
 import sys
 from collections.abc import Iterator
@@ -51,6 +52,14 @@ def _positive(text: str) -> int:
     return value
 
 
+# generate, verify and weights refuse an irrep above this dimension unless
+# --max-d raises it; (40, 20), d = 26 691, fits
+DEFAULT_MAX_D = 30_000
+
+
+# Built on first use, then reused: parse_args keeps no state between calls,
+# and every call gets a fresh Namespace.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="su3rep",
@@ -63,11 +72,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--p", type=_nonnegative, required=True)
         p.add_argument("--q", type=_nonnegative, required=True)
 
+    def add_budget(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--max-d",
+            dest="budget",
+            metavar="MAX_D",
+            type=_positive,
+            default=DEFAULT_MAX_D,
+            help="refuse an irrep of larger dimension (default %(default)s)",
+        )
+
     def add_output(p: argparse.ArgumentParser) -> None:
         p.add_argument("-o", "--output", default=None, help="write to file instead of stdout")
 
     gen = sub.add_parser("generate", help="emit one basis matrix")
     add_label(gen)
+    add_budget(gen)
     gen.add_argument(
         "--matrix", required=True, choices=MATRIX_NAMES + GELL_MANN_NAMES
     )
@@ -81,6 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run the exact checks for one irrep")
     add_label(ver)
+    add_budget(ver)
     ver.add_argument(
         "--oracle",
         action="store_true",
@@ -93,6 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     wts = sub.add_parser("weights", help="emit weight multiplicities as CSV")
     add_label(wts)
+    add_budget(wts)
     add_output(wts)
 
     unk = sub.add_parser("unknowns", help="emit the squared block unknowns as CSV")
@@ -155,6 +177,8 @@ def _approx(triples: list[tuple[int, int, int]]) -> float:
 
 
 def _generate_json(p: int, q: int, name: str, approx: bool) -> str:
+    import json  # only generate --format json needs it
+
     entries = []
     for row, col, parts in _cells(p, q, name):
         entry = {"row": row, "col": col}
@@ -288,13 +312,14 @@ _COMMANDS = {
 }
 
 
-# Built once: parse_args keeps no state between calls, and every call gets
-# a fresh Namespace.
-_PARSER = build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # generate, verify and weights carry a size budget, checked on the label
+    # alone before anything is built
+    if "budget" in args and (d := dimension(args.p, args.q)) > args.budget:
+        return _usage_error(
+            f"irrep ({args.p}, {args.q}) has d = {d}, above the --max-d budget of {args.budget}"
+        )
     return _COMMANDS[args.command](args)
 
 

@@ -42,7 +42,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -486,6 +485,10 @@ def sweep(max_d: int, jobs: int = 1) -> SweepSummary:
     # never more workers than CPUs or irreps, whatever jobs asks for
     workers = min(jobs, os.cpu_count() or 1, len(labels))
     if workers > 1:
+        # imported here: the process-pool stack (multiprocessing, socket,
+        # pickle, ...) would otherwise be about a third of su3rep's import
+        from concurrent.futures import ProcessPoolExecutor
+
         # largest irreps first, so that no big one starts last
         largest_first = sorted(labels, key=lambda label: (-dimension(*label), label))
         with ProcessPoolExecutor(max_workers=workers) as pool:

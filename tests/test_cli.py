@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import json
 from fractions import Fraction
@@ -15,7 +16,7 @@ from su3rep import (
     to_gell_mann,
 )
 from su3rep.generators import GELL_MANN_NAMES, MATRIX_NAMES
-from su3rep import cli
+from su3rep import cli, structure
 from su3rep import verify as verify_module
 from su3rep.cli import main
 
@@ -182,13 +183,18 @@ class TestGenerate:
         assert lines[1].endswith(",0.5")
 
     def test_main_builds_no_parser_per_call(self, capsys):
-        with mock.patch.object(cli, "build_parser", wraps=cli.build_parser) as builds, \
-                mock.patch("argparse.ArgumentParser.__init__",
-                           side_effect=AssertionError("parser built in main")):
-            for _ in range(2):
+        # after a cold cache, three calls build one parser: its __init__ and
+        # one per subcommand, and no more
+        init = argparse.ArgumentParser.__init__
+        cli.build_parser.cache_clear()
+        with mock.patch.object(
+            argparse.ArgumentParser, "__init__", autospec=True, side_effect=init
+        ) as inits:
+            for _ in range(3):
                 code, _, _ = run(capsys, "generate", "--p", "1", "--q", "0", "--matrix", "T3")
                 assert code == 0
-        assert builds.call_count == 0
+        assert cli.build_parser.cache_info().misses == 1
+        assert inits.call_count == 1 + len(cli._COMMANDS)
 
     def test_reused_parser_keeps_no_state(self, capsys, tmp_path):
         # --approx and -o, then neither, then both again: each call prints and
@@ -199,13 +205,14 @@ class TestGenerate:
 
         def outcome(argv, parser):
             target.unlink(missing_ok=True)
-            with mock.patch.object(cli, "_PARSER", parser):
+            with mock.patch.object(cli, "build_parser", lambda: parser):
                 result = run(capsys, *argv)
             return result, target.read_text() if target.exists() else None
 
-        reused = cli._PARSER
+        reused = cli.build_parser()
+        assert cli.build_parser() is reused
         for argv in (flagged, plain, flagged):
-            assert outcome(argv, reused) == outcome(argv, cli.build_parser())
+            assert outcome(argv, reused) == outcome(argv, cli.build_parser.__wrapped__())
         assert ",approx" in outcome(flagged, reused)[1]
         (code, out, _), written = outcome(plain, reused)
         assert code == 0 and written is None and ",approx" not in out
@@ -320,6 +327,55 @@ class TestWeights:
         _, first, _ = run(capsys, "weights", "--p", "5", "--q", "3")
         _, second, _ = run(capsys, "weights", "--p", "5", "--q", "3")
         assert first == second
+
+
+class TestBudget:
+    # where generate, verify and weights look up the builders they call
+    _BUILDERS = [
+        (cli, "build_matrices"),
+        (verify_module, "build_generator_set"),
+        (structure, "state_labels"),
+    ]
+
+    @pytest.mark.parametrize("p,q", [(200, 200), (400, 100), (100, 400)])
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--matrix", "T3"],
+        ["generate", "--matrix", "F8", "--format", "csv"],
+        ["verify"],
+        ["weights"],
+    ])
+    def test_over_budget_exits_before_building(self, capsys, p, q, argv):
+        # each builder the three commands reach raises, so an exit 2 shows
+        # that the budget was checked on the label alone
+        with contextlib.ExitStack() as stack:
+            for module, name in self._BUILDERS:
+                stack.enter_context(mock.patch.object(
+                    module, name, side_effect=AssertionError(f"{name} called")
+                ))
+            code, out, err = run(capsys, *argv, "--p", str(p), "--q", str(q))
+        d = dimension(p, q)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"su3rep: error: irrep ({p}, {q}) has d = {d}, "
+            f"above the --max-d budget of {cli.DEFAULT_MAX_D}\n"
+        )
+
+    def test_default_budget_admits_40_20(self, capsys):
+        with mock.patch.dict(cli._COMMANDS, verify=lambda args: 0):
+            assert run(capsys, "verify", "--p", "40", "--q", "20") == (0, "", "")
+
+    def test_budget_is_inclusive_and_settable(self, capsys):
+        # (2, 1) has d = 15
+        code, out, _ = run(capsys, "weights", "--p", "2", "--q", "1", "--max-d", "15")
+        assert code == 0 and out.startswith("two_t3,three_y,count\n")
+        code, out, err = run(capsys, "verify", "--p", "2", "--q", "1", "--max-d", "14")
+        assert (code, out) == (2, "")
+        assert "d = 15" in err and "budget of 14" in err
+
+    def test_nonpositive_budget_is_usage_error(self):
+        with pytest.raises(SystemExit) as err:
+            main(["weights", "--p", "1", "--q", "0", "--max-d", "0"])
+        assert err.value.code == 2
 
 
 class TestUnknownsAndOracle:

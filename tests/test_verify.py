@@ -368,7 +368,8 @@ class TestSweep:
                 record.mapped.append(list(items))
                 return map(fn, record.mapped[-1])
 
-        monkeypatch.setattr("su3rep.verify.ProcessPoolExecutor", RecordingPool)
+        # sweep imports the pool class from concurrent.futures when it forks
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         return record
 
     @pytest.mark.parametrize("cpus,pools", [(4, [4]), (1, []), (None, [])])
