@@ -3,7 +3,8 @@
 Subcommands: generate, verify, sweep, weights, unknowns, oracle.  Data goes
 to standard output (or --output), diagnostics to standard error.  Exit codes:
 0 success / all checks pass, 1 verification failure, 2 usage error (an irrep
-above the --max-d size budget of generate, verify and weights included).
+above the --max-d size budget of generate, verify, weights and unknowns
+included).
 
 All output is exact by default; --approx appends floating-point columns for
 human convenience.  Identical invocations produce byte-identical output
@@ -119,6 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     unk = sub.add_parser("unknowns", help="emit the squared block unknowns as CSV")
     add_label(unk)
+    add_budget(unk)
     add_output(unk)
 
     orc = sub.add_parser(
@@ -314,8 +316,8 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    # generate, verify and weights carry a size budget, checked on the label
-    # alone before anything is built
+    # generate, verify, weights and unknowns carry a size budget, checked on
+    # the label alone before anything is built
     if "budget" in args and (d := dimension(args.p, args.q)) > args.budget:
         return _usage_error(
             f"irrep ({args.p}, {args.q}) has d = {d}, above the --max-d budget of {args.budget}"

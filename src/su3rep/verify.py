@@ -9,9 +9,10 @@ the assembled unit matrices and knows nothing about the closed-form families.
 The commutators follow Serre's presentation of sl(3) (Serre 1966, Algebres
 de Lie semi-simples complexes; Humphreys, Introduction to Lie Algebras,
 section 18.3): it is generated by e = (T+, U+), f = (T-, U-) and
-h = (2 T3, 2 U3) subject to [h_i, h_j] = 0, [h_i, e_j] = a_ji e_j,
-[h_i, f_j] = -a_ji f_j, [e_i, f_j] = delta_ij h_i and the (ad e)^2, (ad f)^2
-relations, with a the Cartan matrix.  The checks read them in three steps.
+h = (2 T3, 2 U3) subject to Chevalley's relations [h_i, h_j] = 0,
+[h_i, e_j] = a_ji e_j, [h_i, f_j] = -a_ji f_j, [e_i, f_j] = delta_ij h_i,
+and the (ad e)^2, (ad f)^2 relations, with a the Cartan matrix.  The checks
+read them in four steps.
 
 - The 13 rows with T3 or U3 as an operand need no product when that operand
   is diagonal and rational: [h, X] - alpha X has entry
@@ -19,22 +20,40 @@ relations, with a the Cartan matrix.  The checks read them in three steps.
   two states whose h differs by alpha (``RadMatrix.shift_residual``), and
   [T3, U3] = 0 holds because both are diagonal.
 - When those rows hold and each lowering matrix is the transpose of its
-  raising partner (``RadMatrix.is_transpose_of``), six products remain:
-  [T+,T-] = 2 T3, [U+,U-] = 2 U3, [T+,U-] = 0, [T+,U+] = V+, [T+,V+] = 0 and
-  [U+,V+] = 0.  Their transposes are the f-side relations, and [U+,T-] = 0
-  is the transpose of [T+,U-].  With V+ = [T+,U+] the last two are the
-  (ad e)^2 relations.
-- If all six are zero, the eight matrices satisfy every defining relation,
-  so they are the image of a representation of sl(3): V+ = [T+,U+] is the
-  image of [e_1, e_2], and V- = V+^T = [U-,T-] (adjointness) the image of
-  [f_2, f_1].  Each of the other 9 ladder rows holds in sl(3), where it
-  follows from the defining relations by the Jacobi identity, so it holds
-  for the matrices too: an exact PASS with no product.
+  raising partner (``RadMatrix.is_transpose_of``), four products remain:
+  [T+,T-] = 2 T3, [U+,U-] = 2 U3, [T+,U-] = 0 and [T+,U+] = V+.  The first
+  three are Chevalley's [e_i, f_j] relations; their transposes are the
+  f-side ones, and [U+,T-] = 0 is the transpose of [T+,U-].  The fourth
+  names V+ = [e_1, e_2].
+- If all four are zero, the (ad e)^2 relations [T+,V+] = 0 and [U+,V+] = 0
+  follow.  Take theta = [T+,V+].  [T-,U+] = 0 is the transpose of [T+,U-],
+  so the Jacobi identity and the Cartan rows give [T-,V+] = [-2 T3, U+] = U+
+  and [T-,theta] = [-2 T3, V+] + [T+,U+] = -V+ + V+ = 0, and also
+  [2 T3, theta] = 2 theta + theta = 3 theta.  ad T+, ad T- and ad 2 T3 make
+  End(V) a finite-dimensional sl(2) module, in which a vector killed by the
+  lowering operator has weight <= 0; so theta = 0.  For phi = [U+,V+] the
+  same steps with U+, U-, 2 U3 and [U-,V+] = [T+, -2 U3] = -T+ give
+  [U-,phi] = 0 and [2 U3, phi] = 3 phi, so phi = 0.  This is the standard
+  argument that the Serre relations hold in integrable modules (Kac,
+  Infinite Dimensional Lie Algebras, chapter 3).  The (ad f)^2 relations
+  are their transposes.
+- Then the eight matrices satisfy every defining relation, so they are the
+  image of a representation of sl(3): V+ = [T+,U+] is the image of
+  [e_1, e_2], and V- = V+^T = [U-,T-] (adjointness) the image of [f_2, f_1].
+  Each of the other 9 ladder rows holds in sl(3), where it follows from the
+  defining relations by the Jacobi identity, so it holds for the matrices
+  too: with the two (ad e)^2 rows, 11 exact PASSes with no product.
 
 Every hypothesis is read off the matrices themselves.  When one fails (a
 T3 or U3 that is not rational and diagonal, a weight read, an adjoint test or
-a Serre product), the rows it would have settled are computed as products
-instead, so every reported residual is that row's own.
+one of the four products), the rows it would have settled are computed as
+products instead, so every reported residual is that row's own.
+
+The Casimir's ladder terms are half sums (X+X- + X-X+)/2, which equal
+X-X+ + [X+,X-]/2 for any matrices.  When ``verify_irrep``'s commutator report
+holds [T+,T-], [U+,U-] and [V+,V-] exactly, [X+,X-]/2 is half that row's
+right-hand side, so the Casimir takes three ladder products, not six.  It is
+the same matrix, so the same verdict and residual.
 """
 
 from __future__ import annotations
@@ -136,14 +155,15 @@ def _relation_name(a: str, b: str, rhs: tuple[tuple[Fraction, str], ...]) -> str
 # Each lowering matrix is the transpose of its raising partner; a T3 or U3
 # that passes its weight reads is diagonal, so its own transpose.
 _ADJOINT = {"Tp": "Tm", "Up": "Um", "Vp": "Vm"}
-# Serre's relations on e = (Tp, Up), f = (Tm, Um), h = (2 T3, 2 U3) that take
-# a product, with Vp = [Tp,Up]; each names its table row by the operands.
-SERRE_RELATIONS = (("Tp", "Tm"), ("Up", "Um"), ("Tp", "Um"), ("Tp", "Up"), ("Tp", "Vp"),
-                   ("Up", "Vp"))
+# Chevalley's [e_i, f_j] relations on e = (Tp, Up), f = (Tm, Um),
+# h = (2 T3, 2 U3), and Vp = [Tp,Up]: the rows that take a product when the
+# weight reads and adjoint tests hold; each names its table row by the operands.
+CHEVALLEY_RELATIONS = (("Tp", "Tm"), ("Up", "Um"), ("Tp", "Um"), ("Tp", "Up"))
 _CARTAN_ROWS = tuple(k for k, (a, b, _) in enumerate(COMMUTATOR_TABLE) if {a, b} & {"T3", "U3"})
-_SERRE_ROWS = tuple(k for k, (a, b, _) in enumerate(COMMUTATOR_TABLE) if (a, b) in SERRE_RELATIONS)
+_CHEVALLEY_ROWS = tuple(k for k, (a, b, _) in enumerate(COMMUTATOR_TABLE)
+                        if (a, b) in CHEVALLEY_RELATIONS)
 _DERIVED_ROWS = tuple(k for k in range(len(COMMUTATOR_TABLE))
-                      if k not in _CARTAN_ROWS and k not in _SERRE_ROWS)
+                      if k not in _CARTAN_ROWS and k not in _CHEVALLEY_ROWS)
 
 
 def _weight_read(mats: dict[str, RadMatrix], diagonals: dict[str, list[int] | None],
@@ -161,8 +181,8 @@ def _weight_read(mats: dict[str, RadMatrix], diagonals: dict[str, list[int] | No
 
 def check_commutators(gs: GeneratorSet) -> CheckReport:
     """Evaluate all 28 commutation relations exactly: the Cartan rows by
-    weight reads where T3 or U3 allows, the ladder rows by Serre's relations
-    when every hypothesis holds, and every other row by its product."""
+    weight reads where T3 or U3 allows, the ladder rows by Chevalley's four
+    relations when every hypothesis holds, and every other row by its product."""
     mats = gs.matrices()
     diagonals = {h: mats[h].rational_diagonal() for h in ("T3", "U3")}
     residuals = {k: _weight_read(mats, diagonals, *COMMUTATOR_TABLE[k]) for k in _CARTAN_ROWS}
@@ -175,9 +195,10 @@ def check_commutators(gs: GeneratorSet) -> CheckReport:
 
     if (all(r is not None and r.is_zero() for r in residuals.values())
             and all(mats[x].is_transpose_of(mats[y]) for x, y in _ADJOINT.items())):
-        residuals.update(computed(_SERRE_ROWS))
-        if all(residuals[k].is_zero() for k in _SERRE_ROWS):
-            residuals.update((k, RadMatrix(gs.dim)) for k in _DERIVED_ROWS)  # Serre's theorem
+        residuals.update(computed(_CHEVALLEY_ROWS))
+        if all(residuals[k].is_zero() for k in _CHEVALLEY_ROWS):
+            # the sl(2)-module argument, then Serre's theorem
+            residuals.update((k, RadMatrix(gs.dim)) for k in _DERIVED_ROWS)
         else:
             residuals.update(computed(_DERIVED_ROWS))
     else:  # every row not yet read, the 15 ladder rows among them
@@ -197,14 +218,29 @@ def casimir_eigenvalue(p: int, q: int) -> Fraction:
     return Fraction(p * p + p * q + q * q, 3) + p + q
 
 
-def check_casimir(gs: GeneratorSet) -> RelationCheck:
+# The ladder pairs of the Casimir; [X+,X-] of each is a table row.
+_CASIMIR_ROWS = tuple(row for row in COMMUTATOR_TABLE
+                      if row[:2] in (("Tp", "Tm"), ("Up", "Um"), ("Vp", "Vm")))
+
+
+def check_casimir(gs: GeneratorSet, commutators: CheckReport | None = None) -> RelationCheck:
     """The quadratic invariant must equal its eigenvalue times the identity:
-    (T+T- + T-T+ + V+V- + V-V+ + U+U- + U-U+)/2 + T3^2 + Y^2/3, Y = 2 U3 + T3."""
+    (T+T- + T-T+ + V+V- + V-V+ + U+U- + U-U+)/2 + T3^2 + Y^2/3, Y = 2 U3 + T3.
+
+    ``commutators`` is ``check_commutators(gs)`` of this same set.  When it
+    holds [T+,T-], [U+,U-] and [V+,V-] exactly, each half sum is taken as
+    X-X+ + [X+,X-]/2 with the row's right-hand side for [X+,X-]: three ladder
+    products, and the same matrix as the six-product sum used otherwise."""
     mats = gs.matrices()
     y = _combine([(2, mats["U3"]), (1, mats["T3"])])
     eigen = casimir_eigenvalue(gs.p, gs.q)
-    ladders = (("Tp", "Tm"), ("Tm", "Tp"), ("Vp", "Vm"), ("Vm", "Vp"), ("Up", "Um"), ("Um", "Up"))
-    terms = [(_HALF, mats[a], mats[b]) for a, b in ladders]
+    exact = {r.name for r in commutators.relations if r.exact} if commutators else set()
+    if all(_relation_name(*row) in exact for row in _CASIMIR_ROWS):
+        terms = [(1, mats[b], mats[a]) for a, b, _ in _CASIMIR_ROWS]
+        terms += [(_HALF * c, mats[key]) for _, _, rhs in _CASIMIR_ROWS for c, key in rhs]
+    else:
+        terms = [(_HALF, mats[x], mats[y]) for a, b, _ in _CASIMIR_ROWS
+                 for x, y in ((a, b), (b, a))]
     terms += [
         (1, mats["T3"], mats["T3"]),
         (Fraction(1, 3), y, y),
@@ -401,8 +437,9 @@ def compare_with_oracle(p: int, q: int) -> list[str]:
 def verify_irrep(p: int, q: int, with_oracle: bool = False) -> CheckReport:
     """Commutators, Casimir and structure for one irrep, as one report."""
     gs = build_generator_set(p, q)
-    entries = list(check_commutators(gs).relations)
-    entries.append(check_casimir(gs))
+    commutators = check_commutators(gs)
+    entries = list(commutators.relations)
+    entries.append(check_casimir(gs, commutators))
     entries.extend(check_structure(to_gell_mann(gs)))
     if with_oracle:
         mismatches = compare_with_oracle(max(p, q), min(p, q))

@@ -330,11 +330,12 @@ class TestWeights:
 
 
 class TestBudget:
-    # where generate, verify and weights look up the builders they call
+    # where generate, verify, weights and unknowns look up the builders they call
     _BUILDERS = [
         (cli, "build_matrices"),
         (verify_module, "build_generator_set"),
         (structure, "state_labels"),
+        (cli, "block_unknown_squares"),
     ]
 
     @pytest.mark.parametrize("p,q", [(200, 200), (400, 100), (100, 400)])
@@ -343,9 +344,10 @@ class TestBudget:
         ["generate", "--matrix", "F8", "--format", "csv"],
         ["verify"],
         ["weights"],
+        ["unknowns"],
     ])
     def test_over_budget_exits_before_building(self, capsys, p, q, argv):
-        # each builder the three commands reach raises, so an exit 2 shows
+        # each builder the four commands reach raises, so an exit 2 shows
         # that the budget was checked on the label alone
         with contextlib.ExitStack() as stack:
             for module, name in self._BUILDERS:

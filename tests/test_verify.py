@@ -36,7 +36,7 @@ from su3rep.matrices import RadMatrix, _combine, commutator
 from su3rep.verify import (
     COMMUTATOR_TABLE,
     ORACLE_MAX_DIM,
-    SERRE_RELATIONS,
+    CHEVALLEY_RELATIONS,
     _relation_name,
     _rref_solve,
     sweep_labels,
@@ -290,7 +290,7 @@ class TestRelationKinds:
         assert [len(report.of_kind(k).relations) for k in counts] == list(counts.values())
 
     def test_sweep_reads_each_kind(self, monkeypatch):
-        def failing_casimir(gs):
+        def failing_casimir(gs, commutators=None):
             return RelationCheck("casimir = ?", False, 1.0, kind="casimir")
 
         monkeypatch.setattr("su3rep.verify.check_casimir", failing_casimir)
@@ -551,7 +551,7 @@ class TestGoldenNegativeControls:
 
 
 # ---------------------------------------------------------------------------
-# Serre's presentation: the rows read off T3 and U3, six products, nine derived
+# Serre's presentation: the rows read off T3 and U3, four products, 11 derived
 
 
 _FIELDS = {
@@ -610,17 +610,17 @@ def _wrong_shift_pair(gs):
 
 
 # Each corruption keeps adjointness and breaks one hypothesis of the Serre
-# shortcut: a Serre product, a weight read or a rational diagonal.  The value
-# is the work handed to _combine_all: 6 Serre groups then the other 9 ladder
-# rows, or all 15 ladder rows in one call (plus T3's 6 rows when T3 is
+# shortcut: a Chevalley product, a weight read or a rational diagonal.  The
+# value is the work handed to _combine_all: 4 Chevalley groups then the other
+# 11 ladder rows, or all 15 ladder rows in one call (plus T3's 6 rows when T3 is
 # irrational, since [T3,U3] is still read off U3).
 _HYPOTHESIS_CONTROLS = {
-    "T3 + I": (lambda gs: _shifted(gs, "T3", 1), [6, 9]),
-    "U3 + 2I": (lambda gs: _shifted(gs, "U3", 2), [6, 9]),
-    "T+ and T- times 2": (lambda gs: _scaled(gs, {"Tp": 2, "Tm": 2}), [6, 9]),
-    "V+ and V- times 2": (lambda gs: _scaled(gs, {"Vp": 2, "Vm": 2}), [6, 9]),
+    "T3 + I": (lambda gs: _shifted(gs, "T3", 1), [4, 11]),
+    "U3 + 2I": (lambda gs: _shifted(gs, "U3", 2), [4, 11]),
+    "T+ and T- times 2": (lambda gs: _scaled(gs, {"Tp": 2, "Tm": 2}), [4, 11]),
+    "V+ and V- times 2": (lambda gs: _scaled(gs, {"Vp": 2, "Vm": 2}), [4, 11]),
     "ladder pair at a wrong weight shift": (_wrong_shift_pair, [15]),
-    # every Serre product holds; only the weight reads see alpha scaled by 4
+    # every Chevalley product holds; only the weight reads see alpha scaled by 4
     "T, U times 2; V, T3, U3 times 4": (
         lambda gs: _scaled(gs, {"Tp": 2, "Tm": 2, "Up": 2, "Um": 2,
                                 "Vp": 4, "Vm": 4, "T3": 4, "U3": 4}), [15]),
@@ -647,7 +647,7 @@ class TestSerreHypotheses:
         bad = _HYPOTHESIS_CONTROLS["T, U times 2; V, T3, U3 times 4"][0](gs)
         mats = bad.matrices()
         for a, b, rhs in COMMUTATOR_TABLE:
-            if (a, b) in SERRE_RELATIONS:
+            if (a, b) in CHEVALLEY_RELATIONS:
                 residual = [(1, commutator(mats[a], mats[b]))] + [(-c, mats[k]) for c, k in rhs]
                 assert _combine(residual).is_zero()
 
@@ -655,21 +655,20 @@ class TestSerreHypotheses:
 class TestSerreWorkCounts:
     def test_serre_rows_read_off_the_table(self):
         rows = {(a, b): _relation_name(a, b, rhs) for a, b, rhs in COMMUTATOR_TABLE}
-        assert [rows[pair] for pair in SERRE_RELATIONS] == [
+        assert [rows[pair] for pair in CHEVALLEY_RELATIONS] == [
             "[Tp,Tm] = 2*T3", "[Up,Um] = 2*U3", "[Tp,Um] = 0", "[Tp,Up] = Vp",
-            "[Tp,Vp] = 0", "[Up,Vp] = 0",
         ]
         ladder = [(a, b) for a, b, _ in COMMUTATOR_TABLE if a in _LADDERS and b in _LADDERS]
         assert len(ladder) == 15
-        assert set(SERRE_RELATIONS) < set(ladder)
+        assert set(CHEVALLEY_RELATIONS) < set(ladder)
 
     @pytest.mark.parametrize("p,q", [(5, 3), (3, 5)])
-    def test_clean_set_hands_the_kernel_six_groups(self, p, q):
+    def test_clean_set_hands_the_kernel_four_groups(self, p, q):
         gs = build_generator_set(p, q)
         with _groups_handed_to_kernel() as calls:
             report = check_commutators(gs)
         assert report.passed and len(report.relations) == 28
-        assert _counts(calls) == [6]
+        assert _counts(calls) == [4]
         assert all(r.residual == 0.0 for r in report.relations)
 
     @pytest.mark.parametrize("label", [(3, 2), (2, 3)])
@@ -775,5 +774,77 @@ def test_mirrored_report_matches_full_evaluation(drawn):
         report = check_commutators(gs)
     assert [(r.name, r.exact, r.residual) for r in report.relations] == _full_evaluation(gs)
     assert report.passed == (kind == "none")
-    # only a set that keeps every hypothesis and all six products stops at 6
-    assert (_counts(calls) == [6]) == (kind == "none")
+    # only a set that keeps every hypothesis and all four products stops at 4
+    assert (_counts(calls) == [4]) == (kind == "none")
+
+
+# ---------------------------------------------------------------------------
+# The Casimir's Gram form: X-X+ + [X+,X-]/2 once the commutator report holds
+# [X+,X-] exactly, the six-product sum otherwise
+
+
+def _both_orientations(labels):
+    return sorted(set(labels) | {(q, p) for p, q in labels})
+
+
+def _casimir_forms(gs):
+    """The Casimir line with the set's commutator report, and without it."""
+    return check_casimir(gs, check_commutators(gs)), check_casimir(gs)
+
+
+class TestCasimirGramForm:
+    def test_sweep_range_in_both_orientations(self):
+        for label in _both_orientations(sweep_labels(300)):
+            gram, six = _casimir_forms(_generator_set(*label))
+            assert gram == six and gram.exact, label
+
+    @pytest.mark.parametrize("label,field", sorted(_GOLDEN_FAILURES))
+    def test_golden_failures(self, label, field):
+        gram, six = _casimir_forms(_plus_sqrt7_at_first_entry(_generator_set(*label), field))
+        assert gram == six and not gram.exact
+
+    @pytest.mark.parametrize("label", [(3, 2), (2, 3)])
+    @pytest.mark.parametrize("kind", sorted(_HYPOTHESIS_CONTROLS))
+    def test_hypothesis_controls(self, label, kind):
+        gram, six = _casimir_forms(_HYPOTHESIS_CONTROLS[kind][0](_generator_set(*label)))
+        assert gram == six
+
+    @pytest.mark.parametrize("built,label", [((4, 0), (2, 1)), ((0, 4), (1, 2))])
+    def test_failing_casimir_through_the_gram_form(self, built, label):
+        # (4,0) and (2,1) both have d = 15: relabelled, every commutator holds,
+        # so the Gram form is taken, and the Casimir eigenvalue differs
+        gs = dataclasses.replace(_generator_set(*built), p=label[0], q=label[1])
+        assert check_commutators(gs).passed
+        gram, six = _casimir_forms(gs)
+        assert gram == six and not gram.exact and gram.residual == 4.0
+
+    @pytest.mark.parametrize("p,q", [(5, 3), (3, 5)])
+    def test_verify_path_makes_three_ladder_products(self, p, q):
+        gs = build_generator_set(p, q)
+        ladders = {id(m) for name, m in gs.matrices().items() if name in _LADDERS}
+        calls = []
+
+        def recording(terms):
+            terms = list(terms)
+            calls.append(terms)
+            return _combine(terms)
+
+        def ladder_products():
+            return [t for terms in calls for t in terms if len(t) == 3
+                    and {id(t[1]), id(t[2])} <= ladders]
+
+        with mock.patch.object(verify_module, "build_generator_set", return_value=gs), \
+                mock.patch.object(verify_module, "_combine", recording):
+            assert verify_irrep(p, q).passed
+            assert len(ladder_products()) == 3
+            calls.clear()
+            assert check_casimir(gs).exact  # no report: the six-product sum
+            assert len(ladder_products()) == 6
+
+
+@settings(max_examples=100, deadline=None)
+@given(_corrupted_sets())
+def test_casimir_gram_form_matches_six_products(drawn):
+    gs, kind = drawn
+    gram, six = _casimir_forms(gs)
+    assert gram == six
