@@ -28,7 +28,6 @@ from .generators import (
     build_generator_set,
     build_matrices,
     build_t_matrix,
-    build_t_matrices,
     build_u3,
     build_uplus_vplus,
     gell_mann_matrix,
@@ -67,7 +66,6 @@ __all__ = [
     "build_generator_set",
     "build_matrices",
     "build_t_matrix",
-    "build_t_matrices",
     "build_u3",
     "build_uplus_vplus",
     "casimir_eigenvalue",

@@ -3,8 +3,8 @@
 Subcommands: generate, verify, sweep, weights, unknowns, oracle.  Data goes
 to standard output (or --output), diagnostics to standard error.  Exit codes:
 0 success / all checks pass, 1 verification failure, 2 usage error (an irrep
-above the --max-d size budget of generate, verify, weights and unknowns
-included).
+above the --max-d size budget of generate, verify, weights and unknowns, and
+a sweep bound above that default budget, included).
 
 All output is exact by default; --approx appends floating-point columns for
 human convenience.  Identical invocations produce byte-identical output
@@ -53,8 +53,9 @@ def _positive(text: str) -> int:
     return value
 
 
-# generate, verify and weights refuse an irrep above this dimension unless
-# --max-d raises it; (40, 20), d = 26 691, fits
+# generate, verify, weights and unknowns refuse an irrep above this dimension
+# unless --max-d raises it; (40, 20), d = 26 691, fits.  sweep checks d < its
+# --max-d, which may be at most DEFAULT_MAX_D + 1 (1693 irreps).
 DEFAULT_MAX_D = 30_000
 
 
@@ -110,7 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     swp = sub.add_parser("sweep", help="verify every irrep below a dimension bound")
-    swp.add_argument("--max-d", type=_positive, required=True)
+    swp.add_argument("--max-d", type=_positive, required=True,
+                     help=f"check every irrep with d below this, at most {DEFAULT_MAX_D + 1}")
     swp.add_argument("--jobs", type=_positive, default=1)
 
     wts = sub.add_parser("weights", help="emit weight multiplicities as CSV")
@@ -248,6 +250,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.max_d < 2:
         return _usage_error(f"--max-d must be at least 2: no irrep has d < {args.max_d}")
+    if args.max_d > DEFAULT_MAX_D + 1:
+        return _usage_error(f"sweep --max-d is at most {DEFAULT_MAX_D + 1}, got {args.max_d}")
     summary = sweep(args.max_d, jobs=args.jobs)
     lines = ["p,q,d,commutators,casimir,structure,ms"]
     for row in summary.rows:

@@ -21,7 +21,6 @@ from .radical import RadicalSum
 from .structure import (
     ConsistencyError,
     _check_label,
-    _check_ordered,
     admissible_blocks,
     block_offsets,
     dimension,
@@ -63,12 +62,6 @@ class GeneratorSet:
         """The eight matrices in field order, keyed by MATRIX_NAMES."""
         return {name: getattr(self, f.name) for name, f in zip(MATRIX_NAMES, fields(self)[2:])}
 
-    def negative_transpose(self) -> "GeneratorSet":
-        """The (q, p) set: every matrix M replaced by -M^T."""
-        return GeneratorSet(
-            self.q, self.p, *(m.negative_transpose() for m in self.matrices().values())
-        )
-
 
 @dataclass(frozen=True)
 class ComplexMatrix:
@@ -105,7 +98,6 @@ _SPIN_KINDS = {"Tp": "plus", "Tm": "minus", "T3": "three"}
 def build_t_matrix(p: int, q: int, name: str) -> RadMatrix:
     """One of T+, T-, T3 (name "Tp", "Tm" or "T3"), block-diagonal from the
     standard spin matrices."""
-    _check_ordered(p, q)
     kind = _SPIN_KINDS[name]
     return RadMatrix.from_entries(dimension(p, q), [
         (off + r, off + c, sign, a, b)
@@ -114,15 +106,8 @@ def build_t_matrix(p: int, q: int, name: str) -> RadMatrix:
     ])
 
 
-def build_t_matrices(p: int, q: int) -> tuple[RadMatrix, RadMatrix, RadMatrix]:
-    """Block-diagonal T+, T-, T3 from the standard spin matrices."""
-    plus, minus, three = (build_t_matrix(p, q, name) for name in _SPIN_KINDS)
-    return plus, minus, three
-
-
 def build_u3(p: int, q: int) -> RadMatrix:
     """Diagonal U3: block i starts at its lead and increases by 1/2 per state."""
-    _check_ordered(p, q)
     offsets = block_offsets(p, q)
     spins = tspin_list(p, q)
     leads = u3_leads(p, q)
@@ -166,7 +151,6 @@ def build_uplus_vplus(
 ) -> tuple[RadMatrix, RadMatrix]:
     """Assemble U+ and V+ from the squared block unknowns (positive roots):
     each entry is one root sqrt(u^2 * x), u the unit entry, x the square."""
-    _check_ordered(p, q)
     u_entries: list[Entry] = []
     v_entries: list[Entry] = []
     for (i, j), unit_u, unit_v in unit_raising_blocks(p, q):
@@ -198,7 +182,7 @@ def build_matrices(p: int, q: int, names: Iterable[str]) -> dict[str, RadMatrix]
     _check_label(p, q)
     wanted = set(names)
     if q > p:
-        return {name: m.negative_transpose() for name, m in build_matrices(q, p, wanted).items()}
+        return {name: m.transpose(-1) for name, m in build_matrices(q, p, wanted).items()}
     built = {name: build_t_matrix(p, q, name) for name in _SPIN_KINDS if name in wanted}
     if "U3" in wanted:
         built["U3"] = build_u3(p, q)

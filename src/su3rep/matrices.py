@@ -72,9 +72,8 @@ class RadMatrix:
         """The matrix (den, rows) less its zero numerators and empty rows.
 
         Rows are kept, not copied, and only a row holding a zero is rebuilt:
-        every caller (``_combine_all``, ``transpose``, ``negative_transpose``,
-        ``trace``, ``identity``, ``shift_residual``) passes dicts it has just
-        built and drops them."""
+        every caller (``_combine_all``, ``transpose``, ``trace``, ``identity``,
+        ``shift_residual``) passes dicts it has just built and drops them."""
         out = cls(n)
         out.den = den
         for r, row in rows.items():
@@ -174,18 +173,10 @@ class RadMatrix:
                 yield r, c, cells[c]
 
     def _decoded(self, rows: Iterable[int]) -> Iterator[tuple[int, int, RadicalSum]]:
-        """``_entries`` with each entry as a RadicalSum.  Numerators repeat,
-        so each is reduced to a Fraction once."""
+        """``_entries`` with each entry as a RadicalSum."""
         den = self.den
-        fractions: dict[int, Fraction] = {}
         for r, c, terms in self._entries(rows):
-            cell = {}
-            for sf, v in terms:
-                value = fractions.get(v)
-                if value is None:
-                    value = fractions[v] = Fraction(v, den)
-                cell[sf] = value
-            yield r, c, RadicalSum._raw(cell)
+            yield r, c, RadicalSum._raw({sf: Fraction(v, den) for sf, v in terms})
 
     @property
     def nnz(self) -> int:
@@ -217,25 +208,14 @@ class RadMatrix:
     def __matmul__(self, other: "RadMatrix") -> "RadMatrix":
         return _combine(((1, self, other),))
 
-    def transpose(self) -> "RadMatrix":
+    def transpose(self, sign: int = 1) -> "RadMatrix":
+        """sign * self^T in one pass: sign -1 gives the (q, p) irrep's matrix."""
         n = self.n
         rows: dict[int, dict[int, int]] = {}
         for r, row in self._rows.items():
             for key, v in row.items():
                 sf, c = divmod(key, n)
-                rows.setdefault(c, {})[sf * n + r] = v
-        return RadMatrix._raw(n, self.den, rows)
-
-    def negative_transpose(self) -> "RadMatrix":
-        """-self^T in one pass.  Its loop is ``transpose``'s with a sign;
-        ``transpose`` keeps its own, since it runs on the verification path,
-        which would pay for the multiply."""
-        n = self.n
-        rows: dict[int, dict[int, int]] = {}
-        for r, row in self._rows.items():
-            for key, v in row.items():
-                sf, c = divmod(key, n)
-                rows.setdefault(c, {})[sf * n + r] = -v
+                rows.setdefault(c, {})[sf * n + r] = sign * v
         return RadMatrix._raw(n, self.den, rows)
 
     def is_transpose_of(self, other: "RadMatrix", sign: int = 1) -> bool:
@@ -316,7 +296,10 @@ def _combine_all(groups: Iterable[Iterable[tuple]]) -> Iterator[RadMatrix]:
     Each right operand's rows are decoded into (col, sf, numerator) triples
     once for all the groups.  The memo is keyed by id and ends with the call;
     ``groups`` is read whole before the first sum, so every operand
-    outlives the memo."""
+    outlives the memo.  The checks hand over every row they compute in one
+    call, so a matrix that several rows multiply is decoded once; the
+    oracle makes one call per block, so each block's unit matrices and
+    their memo are freed before the next block's are built."""
     gcd = math.gcd
     groups = [[(Fraction(coeff), mats) for coeff, *mats in group] for group in groups]
     decoded: dict[int, dict[int, list[tuple[int, int, int]]]] = {}

@@ -28,14 +28,18 @@ Block indices are 1-based.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .structure import ConsistencyError  # noqa: F401  (re-exported; raised elsewhere)
 from .structure import _block_table, admissible_blocks
 
 
-@lru_cache(maxsize=None)
-def _squares(p: int, q: int) -> dict[tuple[int, int], Fraction]:
+def block_unknown_squares(p: int, q: int) -> dict[tuple[int, int], Fraction]:
+    """Sparse map (block-row, block-col) -> squared unknown, for p >= q.
+
+    Every admissible block position is covered with a positive square; the
+    overhang key of each spin run carries an exact zero (the matrices simply
+    have no entries there).
+    """
     spins, _, pairs = _block_table(p, q)  # raises for q > p
     values: dict[tuple[int, int], Fraction] = {}
     for i, j, shift in admissible_blocks(p, q):
@@ -49,13 +53,3 @@ def _squares(p: int, q: int) -> dict[tuple[int, int], Fraction]:
         runs.setdefault(two_s, []).append(k)
     values.update({(run[0], run[-1]): Fraction(0) for run in runs.values() if len(run) > 1})
     return values
-
-
-def block_unknown_squares(p: int, q: int) -> dict[tuple[int, int], Fraction]:
-    """Sparse map (block-row, block-col) -> squared unknown, for p >= q.
-
-    Every admissible block position is covered with a positive square; the
-    overhang key of each spin run carries an exact zero (the matrices simply
-    have no entries there).
-    """
-    return dict(_squares(p, q))

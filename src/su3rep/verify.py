@@ -199,11 +199,11 @@ def check_commutators(gs: GeneratorSet) -> CheckReport:
         if all(residuals[k].is_zero() for k in _CHEVALLEY_ROWS):
             # the sl(2)-module argument, then Serre's theorem
             residuals.update((k, RadMatrix(gs.dim)) for k in _DERIVED_ROWS)
-        else:
-            residuals.update(computed(_DERIVED_ROWS))
-    else:  # every row not yet read, the 15 ladder rows among them
-        residuals.update(computed(tuple(k for k in range(len(COMMUTATOR_TABLE))
-                                        if residuals.get(k) is None)))
+    # every row no hypothesis settled: the 11 derived rows when a Chevalley
+    # product fails, or the 15 ladder rows (and any unread Cartan row)
+    unsettled = tuple(k for k in range(len(COMMUTATOR_TABLE)) if residuals.get(k) is None)
+    if unsettled:
+        residuals.update(computed(unsettled))
     checks = tuple(_relation_check("commutator", _relation_name(*row), residuals[k])
                    for k, row in enumerate(COMMUTATOR_TABLE))
     return CheckReport(gs.p, gs.q, checks)
@@ -371,19 +371,18 @@ def oracle_solve(p: int, q: int, max_dim: int = ORACLE_MAX_DIM) -> dict[tuple[in
 
     units = unit_raising_blocks(p, q)
     blocks = [key for key, _, _ in units]
-    groups = []  # [U_k, U_k^T] and [V_k^T, U_k] of each block k, in one pass
-    for _, u_entries, v_entries in units:
-        unit_u = RadMatrix.from_entries(d, u_entries)
-        unit_v = RadMatrix.from_entries(d, v_entries)
-        u_t, v_t = unit_u.transpose(), unit_v.transpose()
-        groups.append([(1, unit_u, u_t), (-1, u_t, unit_u)])
-        groups.append([(1, v_t, unit_u), (-1, unit_u, v_t)])
     # (relation, row, stored key) -> [(block index, or None for the
     # right-hand side, numerator, den), ...]
     terms: dict[tuple[str, int, int], list[tuple[int | None, int, int]]] = {}
-    for i, mat in enumerate(_combine_all(groups)):
-        for r, key, v in mat.stored_terms():
-            terms.setdefault((_ORACLE_RELATIONS[i % 2], r, key), []).append((i // 2, v, mat.den))
+    for k, (_, u_entries, v_entries) in enumerate(units):
+        # [U_k, U_k^T] and [V_k^T, U_k], one call per block, so that block
+        # k's matrices are freed before block k + 1's are built
+        unit_u = RadMatrix.from_entries(d, u_entries)
+        u_t, v_t = unit_u.transpose(), RadMatrix.from_entries(d, v_entries).transpose()
+        groups = ([(1, unit_u, u_t), (-1, u_t, unit_u)], [(1, v_t, unit_u), (-1, unit_u, v_t)])
+        for relation, mat in zip(_ORACLE_RELATIONS, _combine_all(groups)):
+            for r, key, v in mat.stored_terms():
+                terms.setdefault((relation, r, key), []).append((k, v, mat.den))
     t_minus = build_t_matrix(p, q, "Tm")
     for r, key, v in t_minus.stored_terms():
         terms.setdefault((_ORACLE_RELATIONS[1], r, key), []).append((None, -v, t_minus.den))

@@ -137,10 +137,7 @@ def test_criterion_7_swapped_orientation():
     for p, q in [(0, 1), (1, 2), (2, 3), (3, 5)]:
         gs = build_generator_set(p, q)
         assert check_commutators(gs).passed
-        twice = gs.negative_transpose().negative_transpose()
-        assert all(
-            twice.matrices()[key] == gs.matrices()[key] for key in gs.matrices()
-        )
+        assert all(m.transpose(-1).transpose(-1) == m for m in gs.matrices().values())
     _report(7, "q>p irreps pass all 28 commutators; double negative transpose "
                "is the identity")
 

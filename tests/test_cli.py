@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import json
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -52,7 +53,7 @@ def _called(calls):
 @contextlib.contextmanager
 def _builder_counts():
     """Call-counting wraps of each family builder in the generators module and
-    of RadMatrix.transpose and negative_transpose."""
+    of RadMatrix.transpose, whose calls are counted by sign."""
     with contextlib.ExitStack() as stack:
         calls = {
             name: stack.enter_context(
@@ -60,10 +61,14 @@ def _builder_counts():
             )
             for name in _FAMILIES
         }
-        for method in ("transpose", "negative_transpose"):
-            calls[method] = stack.enter_context(mock.patch.object(
-                RadMatrix, method, autospec=True, side_effect=getattr(RadMatrix, method)
-            ))
+        calls["transpose"] = signs = Counter()
+        transpose = RadMatrix.transpose
+
+        def counted(mat, sign=1):
+            signs[sign] += 1
+            return transpose(mat, sign)
+
+        stack.enter_context(mock.patch.object(RadMatrix, "transpose", counted))
         yield calls
 
 
@@ -143,9 +148,9 @@ class TestGenerate:
         built = sorted(c.args[2] for c in calls["build_t_matrix"].call_args_list)
         assert built == sorted(reads & {"Tp", "Tm", "T3"})
         # U- and V- are transposes of U+ and V+, built only when read
-        assert calls["transpose"].call_count == len(reads & {"Um", "Vm"})
+        assert calls["transpose"][1] == len(reads & {"Um", "Vm"})
         # for q > p, exactly the matrices read are negative-transposed
-        assert calls["negative_transpose"].call_count == (len(reads) if q > p else 0)
+        assert calls["transpose"][-1] == (len(reads) if q > p else 0)
 
     @pytest.mark.parametrize("p,q", _EXPORT_LABELS)
     def test_export_equals_the_full_build(self, capsys, p, q):
@@ -316,6 +321,21 @@ class TestSweep:
         assert (code, out) == (2, "")
         assert err.startswith("su3rep: error:") and "at least 2" in err
 
+    def test_bound_above_the_budget_exits_before_listing(self, capsys, monkeypatch):
+        # a bound above DEFAULT_MAX_D + 1 exits 2 before the irreps are
+        # listed; DEFAULT_MAX_D + 1 itself, the largest sweep, is listed
+        def listing(max_d):
+            raise LookupError(f"sweep_labels({max_d}) called")
+
+        monkeypatch.setattr(verify_module, "sweep_labels", listing)
+        top = cli.DEFAULT_MAX_D + 1
+        for bound in (top + 1, 10**6):
+            code, out, err = run(capsys, "sweep", "--max-d", str(bound))
+            assert (code, out) == (2, "")
+            assert err == f"su3rep: error: sweep --max-d is at most {top}, got {bound}\n"
+        with pytest.raises(LookupError, match=f"sweep_labels\\({top}\\)"):
+            main(["sweep", "--max-d", str(top)])
+
 
 class TestWeights:
     def test_quark_triplet(self, capsys):
@@ -413,5 +433,7 @@ class TestUnknownsAndOracle:
     def test_orientation_guard(self, capsys):
         code, _, err = run(capsys, "unknowns", "--p", "1", "--q", "2")
         assert code == 2 and "p >= q" in err
+        code, out, err = run(capsys, "oracle", "--p", "2", "--q", "4")
+        assert (code, out) == (2, "") and "p >= q" in err
         code, _, err = run(capsys, "oracle", "--p", "25", "--q", "12")
         assert code == 2 and "desk-scale" in err

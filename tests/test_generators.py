@@ -13,7 +13,7 @@ from su3rep import (
     block_unknown_squares,
     build_generator_set,
     build_matrices,
-    build_t_matrices,
+    build_t_matrix,
     build_u3,
     build_uplus_vplus,
     dimension,
@@ -42,12 +42,17 @@ def diagonal_values(mat):
     return [mat.get(k, k) for k in range(mat.n)]
 
 
+def _conjugate(gs):
+    """The (q, p) set: every matrix M of gs replaced by -M^T."""
+    return GeneratorSet(gs.q, gs.p, *(m.transpose(-1) for m in gs.matrices().values()))
+
+
 def _reference_set(p, q):
     """The eight matrices assembled entry by entry with ``put`` in RadicalSum
     arithmetic: spin blocks from ladder_coefficient, U3 from the leads, and
     each U+/V+ entry as the product of two roots, sqrt(u^2) * sqrt(x_ij)."""
     if q > p:
-        return _reference_set(q, p).negative_transpose()
+        return _conjugate(_reference_set(q, p))
     d = dimension(p, q)
     offsets = block_offsets(p, q)
     spins = tspin_list(p, q)
@@ -108,7 +113,7 @@ class TestAssemblyMatchesReference:
 
 class TestTMatrices:
     def test_fundamental_t3(self):
-        _, _, t3 = build_t_matrices(1, 0)
+        t3 = build_t_matrix(1, 0, "T3")
         assert diagonal_values(t3) == [
             RadicalSum(0),
             RadicalSum(Fraction(1, 2)),
@@ -116,16 +121,16 @@ class TestTMatrices:
         ]
 
     def test_trivial_irrep(self):
-        tp, tm, t3 = build_t_matrices(0, 0)
+        tp, tm, t3 = (build_t_matrix(0, 0, name) for name in ("Tp", "Tm", "T3"))
         assert tp.is_zero() and tm.is_zero() and t3.is_zero()
 
     def test_adjoint_plus_count(self):
         # blocks 2s = 0, 1, 1, 2 contribute 0 + 1 + 1 + 2 superdiagonal entries
-        tp, _, _ = build_t_matrices(1, 1)
+        tp = build_t_matrix(1, 1, "Tp")
         assert tp.nnz == 4
 
     def test_minus_is_transpose(self):
-        tp, tm, _ = build_t_matrices(3, 2)
+        tp, tm = build_t_matrix(3, 2, "Tp"), build_t_matrix(3, 2, "Tm")
         assert tm == tp.transpose()
 
 
@@ -141,7 +146,7 @@ class TestU3:
     @pytest.mark.parametrize("p,q", [(1, 0), (1, 1), (3, 2), (5, 3)])
     def test_traceless(self, p, q):
         assert build_u3(p, q).trace().is_zero
-        assert build_t_matrices(p, q)[2].trace().is_zero
+        assert build_t_matrix(p, q, "T3").trace().is_zero
 
 
 class TestAdmissibleBlocks:
@@ -174,6 +179,12 @@ class TestRaisingMatrices:
         squares.pop((2, 1))
         with pytest.raises(ConsistencyError, match="no block unknown"):
             build_uplus_vplus(1, 0, squares)
+
+    def test_negative_unknown_raises(self):
+        squares = block_unknown_squares(2, 1)
+        squares[(3, 1)] = -squares[(3, 1)]
+        with pytest.raises(ConsistencyError, match=r"negative squared unknown -3 at \(3,1\)"):
+            build_uplus_vplus(2, 1, squares)
 
     def test_vplus_negative_in_spin_raising_blocks(self):
         gs = build_generator_set(1, 1)
@@ -262,12 +273,12 @@ class TestGeneratorSet:
         direct = build_generator_set(1, 0)
         swapped = build_generator_set(0, 1)
         for key in direct.matrices():
-            assert swapped.matrices()[key] == direct.matrices()[key].negative_transpose()
+            assert swapped.matrices()[key] == direct.matrices()[key].transpose(-1)
 
     def test_negative_transpose_involution(self):
         for p, q in [(1, 0), (2, 1), (3, 5)]:
             gs = build_generator_set(p, q)
-            twice = gs.negative_transpose().negative_transpose()
+            twice = _conjugate(_conjugate(gs))
             assert all(
                 twice.matrices()[key] == gs.matrices()[key] for key in gs.matrices()
             )
@@ -282,9 +293,9 @@ class TestGeneratorSet:
     def test_transposes_in_both_orientations(self, label):
         gs = build_generator_set(*label)
         for mat in gs.matrices().values():
-            once = mat.negative_transpose()
+            once = mat.transpose(-1)
             assert (once + mat.transpose()).is_zero()
-            assert list(once.negative_transpose().items()) == list(mat.items())
+            assert list(once.transpose(-1).items()) == list(mat.items())
         assert gs.u_minus == gs.u_plus.transpose()
         assert gs.v_minus == gs.v_plus.transpose()
 

@@ -146,7 +146,7 @@ def _stores_no_zero_numerator(mat: RadMatrix) -> bool:
 
 @given(st.one_of(_stored_forms(), _matrix_pairs().map(lambda pair: pair[0])))
 def test_negative_transpose_is_minus_the_transpose(mat):
-    once = mat.negative_transpose()
+    once = mat.transpose(-1)
     assert once == -mat.transpose()
     assert list(once.items()) == list((-mat.transpose()).items())
     assert once.den == mat.den
