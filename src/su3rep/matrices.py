@@ -154,11 +154,6 @@ class RadMatrix:
         for r, c, terms in self._entries(sorted(self._rows)):
             yield r, c, [(v // g, den // g, sf) for sf, v in terms for g in (gcd(v, den),)]
 
-    def stored_terms(self) -> Iterator[tuple[int, int, int]]:
-        """(row, key, numerator) of every stored term, unsorted: the entry at
-        (row, key % n) holds numerator / den times sqrt(key // n)."""
-        return ((r, key, v) for r, row in self._rows.items() for key, v in row.items())
-
     def _entries(self, rows: Iterable[int]) -> Iterator[tuple[int, int, list[tuple[int, int]]]]:
         """(row, col, [(sf, numerator), ...]) of each nonzero entry in the
         given rows, by column within a row and by sf within an entry: the one
@@ -297,9 +292,7 @@ def _combine_all(groups: Iterable[Iterable[tuple]]) -> Iterator[RadMatrix]:
     once for all the groups.  The memo is keyed by id and ends with the call;
     ``groups`` is read whole before the first sum, so every operand
     outlives the memo.  The checks hand over every row they compute in one
-    call, so a matrix that several rows multiply is decoded once; the
-    oracle makes one call per block, so each block's unit matrices and
-    their memo are freed before the next block's are built."""
+    call, so a matrix that several rows multiply is decoded once."""
     gcd = math.gcd
     groups = [[(Fraction(coeff), mats) for coeff, *mats in group] for group in groups]
     decoded: dict[int, dict[int, list[tuple[int, int, int]]]] = {}

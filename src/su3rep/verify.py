@@ -3,8 +3,10 @@
 Everything here is a zero test in exact radical arithmetic: the 28
 commutation relations, the quadratic Casimir identity, the structural
 requirements on the hermitian basis, and a brute-force solver for the block
-unknowns.  The solver reads its equations off the commutation relations of
-the assembled unit matrices and knows nothing about the closed-form families.
+unknowns.  The solver reads linear equations in the squared unknowns off the
+diagonals of [U+,U-] and [V+,V-], from the unit entries of the assembly walk
+and the state labels; it builds no matrix and knows nothing about the
+closed-form families.
 
 The commutators follow Serre's presentation of sl(3) (Serre 1966, Algebres
 de Lie semi-simples complexes; Humphreys, Introduction to Lie Algebras,
@@ -68,7 +70,6 @@ from .generators import (
     GellMannSet,
     GeneratorSet,
     build_generator_set,
-    build_t_matrix,
     to_gell_mann,
     unit_raising_blocks,
 )
@@ -218,9 +219,9 @@ def casimir_eigenvalue(p: int, q: int) -> Fraction:
     return Fraction(p * p + p * q + q * q, 3) + p + q
 
 
-# The ladder pairs of the Casimir; [X+,X-] of each is a table row.
-_CASIMIR_ROWS = tuple(row for row in COMMUTATOR_TABLE
-                      if row[:2] in (("Tp", "Tm"), ("Up", "Um"), ("Vp", "Vm")))
+# The ladder pairs of the Casimir; [X+,X-] of each is a table row, by index.
+_CASIMIR_ROWS = tuple(k for k, (a, b, _) in enumerate(COMMUTATOR_TABLE)
+                      if (a, b) in (("Tp", "Tm"), ("Up", "Um"), ("Vp", "Vm")))
 
 
 def check_casimir(gs: GeneratorSet, commutators: CheckReport | None = None) -> RelationCheck:
@@ -234,13 +235,12 @@ def check_casimir(gs: GeneratorSet, commutators: CheckReport | None = None) -> R
     mats = gs.matrices()
     y = _combine([(2, mats["U3"]), (1, mats["T3"])])
     eigen = casimir_eigenvalue(gs.p, gs.q)
-    exact = {r.name for r in commutators.relations if r.exact} if commutators else set()
-    if all(_relation_name(*row) in exact for row in _CASIMIR_ROWS):
-        terms = [(1, mats[b], mats[a]) for a, b, _ in _CASIMIR_ROWS]
-        terms += [(_HALF * c, mats[key]) for _, _, rhs in _CASIMIR_ROWS for c, key in rhs]
+    rows = [COMMUTATOR_TABLE[k] for k in _CASIMIR_ROWS]
+    if commutators and all(commutators.relations[k].exact for k in _CASIMIR_ROWS):
+        terms = [(1, mats[b], mats[a]) for a, b, _ in rows]
+        terms += [(_HALF * c, mats[key]) for _, _, rhs in rows for c, key in rhs]
     else:
-        terms = [(_HALF, mats[x], mats[y]) for a, b, _ in _CASIMIR_ROWS
-                 for x, y in ((a, b), (b, a))]
+        terms = [(_HALF, mats[x], mats[y]) for a, b, _ in rows for x, y in ((a, b), (b, a))]
     terms += [
         (1, mats["T3"], mats["T3"]),
         (Fraction(1, 3), y, y),
@@ -275,9 +275,9 @@ def check_structure(fs: GellMannSet) -> list[RelationCheck]:
 # ---------------------------------------------------------------------------
 # Brute-force oracle for the block unknowns
 
-# The oracle's default size bound.  oracle_solve(20, 10), d = 3696, takes about
-# 0.3 s, and all 150 p >= q irreps with d < 1000 about 3 s (2.6 to 4.2 s over
-# runs on a shared 2-CPU Linux x86-64 machine, CPython 3.11.7).
+# The oracle's default size bound.  oracle_solve(20, 10), d = 3696, takes 0.10
+# to 0.15 s, and all 150 p >= q irreps with d < 1000 1.4 to 1.5 s (best of 5,
+# over runs on a shared 2-CPU Linux x86-64 machine, CPython 3.11.7).
 ORACLE_MAX_DIM = 4000
 
 
@@ -342,26 +342,22 @@ def _rref_solve(
     return solution, free
 
 
-# The two relations the oracle solves, in the order of its unit groups.
-_ORACLE_RELATIONS = ("[U+,U-]", "[V-,U+]")
-
-
 def oracle_solve(p: int, q: int, max_dim: int = ORACLE_MAX_DIM) -> dict[tuple[int, int], Fraction]:
     """Solve the commutation relations directly for the squared block unknowns.
 
     One unknown x_k per admissible block k.  ``unit_raising_blocks``, the
-    walk ``build_uplus_vplus`` scales by sqrt(x_k), gives the unit matrices
-    U_k, V_k (x_k = 1, every other square 0) in one pass, so
-    U+ = sum_k sqrt(x_k) U_k and V+ = sum_k sqrt(x_k) V_k.  [U_k, U_k^T] is
-    diagonal and [V_k^T, U_k] block-diagonal, while a product of two
-    different blocks lands off the diagonal blocks.  So on the cells where
-    a unit commutator or the right-hand side is nonzero, [U+,U-] = 2 U3 and
-    [V-,U+] = -T- are linear in the x_k with those unit commutators'
-    entries as coefficients.  Radicals of distinct square-free integers are
-    linearly independent over the rationals, so each stored (cell, radicand)
-    key is one rational equation, scaled to integers by the lcm of its
-    denominators and solved in integers.  Nothing else is added: a square
-    these equations leave free is an error, never a guess.
+    walk ``build_uplus_vplus`` scales by sqrt(x_k), gives each block's unit
+    entries (x_k = 1, every other square 0) as (r, c, sign, a, b), the root
+    sign * sqrt(a/b).  Each matrix position lies in exactly one block, so
+    entry (s, s) of X+ X+^T - X+^T X+ is the sum over k of x_k times the a/b
+    of block k's unit entries in row s minus those in column s: linear in
+    the x_k, rational, with no cross terms and no radicals.  The diagonals
+    of [U+,U-] = 2 U3 and [V+,V-] = 2 U3 + 2 T3 give two such equations per
+    state, each scaled to integers by the lcm of its b's and solved in
+    integers.  Nothing else is added: a square these equations leave free
+    is an error, never a guess.  Signs do not enter, so the relative signs
+    of the U+ and V+ unit entries and T-'s radicals are not the oracle's to
+    test: ``check_commutators`` proves them on every assembled set.
     """
     d = dimension(p, q)
     if p < q:
@@ -371,29 +367,22 @@ def oracle_solve(p: int, q: int, max_dim: int = ORACLE_MAX_DIM) -> dict[tuple[in
 
     units = unit_raising_blocks(p, q)
     blocks = [key for key, _, _ in units]
-    # (relation, row, stored key) -> [(block index, or None for the
-    # right-hand side, numerator, den), ...]
-    terms: dict[tuple[str, int, int], list[tuple[int | None, int, int]]] = {}
+    # (relation, state) -> [(block index, a, b), ...]: x_k * a/b on the
+    # diagonal of [U+,U-] (relation 0) or [V+,V-] (relation 1); a block has
+    # at most one entry in a row or column, and never both for one state
+    terms: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
     for k, (_, u_entries, v_entries) in enumerate(units):
-        # [U_k, U_k^T] and [V_k^T, U_k], one call per block, so that block
-        # k's matrices are freed before block k + 1's are built
-        unit_u = RadMatrix.from_entries(d, u_entries)
-        u_t, v_t = unit_u.transpose(), RadMatrix.from_entries(d, v_entries).transpose()
-        groups = ([(1, unit_u, u_t), (-1, u_t, unit_u)], [(1, v_t, unit_u), (-1, unit_u, v_t)])
-        for relation, mat in zip(_ORACLE_RELATIONS, _combine_all(groups)):
-            for r, key, v in mat.stored_terms():
-                terms.setdefault((relation, r, key), []).append((k, v, mat.den))
-    t_minus = build_t_matrix(p, q, "Tm")
-    for r, key, v in t_minus.stored_terms():
-        terms.setdefault((_ORACLE_RELATIONS[1], r, key), []).append((None, -v, t_minus.den))
-    for k, lbl in enumerate(state_labels(p, q)):
-        if lbl.two_u3:  # 2 U3 at (k, k), radicand 1: key 1 * d + k
-            terms.setdefault((_ORACLE_RELATIONS[0], k, d + k), []).append((None, lbl.two_u3, 1))
+        for relation, entries in enumerate((u_entries, v_entries)):
+            for r, c, _, a, b in entries:
+                terms.setdefault((relation, r), []).append((k, a, b))
+                terms.setdefault((relation, c), []).append((k, -a, b))
     equations = []
-    for key in sorted(terms):
-        scale = math.lcm(*(den for _, _, den in terms[key]))
-        row = {k: v * (scale // den) for k, v, den in terms[key]}
-        equations.append((row, row.pop(None, 0)))
+    for s, lbl in enumerate(state_labels(p, q)):
+        for relation, rhs in enumerate((lbl.two_u3, lbl.two_u3 + lbl.two_sigma)):
+            found = terms.pop((relation, s), [])
+            scale = math.lcm(*(b for _, _, b in found))
+            row = {k: a * (scale // b) for k, a, b in found}
+            equations.append((row, rhs * scale))
 
     solution, free = _rref_solve(equations, len(blocks))
     if free:

@@ -189,11 +189,47 @@ class TestOracle:
         assert compare_with_oracle(2, 1) == ["block (3, 1): closed form 4 != solved 3"]
 
     def test_no_equations_is_an_error_not_a_guess(self, monkeypatch):
-        # every unit commutator zero: no equation holds an unknown
-        monkeypatch.setattr("su3rep.verify._combine_all",
-                            lambda groups: (RadMatrix(3) for _ in groups))
-        with pytest.raises(ConsistencyError):
+        # a copy of the last block under a new key: every equation holds the
+        # two squares only as their sum, so neither is determined
+        def doubled(p, q):
+            units = generators.unit_raising_blocks(p, q)
+            _, u_entries, v_entries = units[-1]
+            return units + [((0, 0), u_entries, v_entries)]
+
+        monkeypatch.setattr("su3rep.verify.unit_raising_blocks", doubled)
+        with pytest.raises(ConsistencyError, match="underdetermined"):
             oracle_solve(1, 0)
+
+    def test_raised_v_unit_entry_is_inconsistent(self, monkeypatch):
+        # one V+ unit square off by 1/b: no squares solve both diagonals
+        def raised(p, q):
+            units = generators.unit_raising_blocks(p, q)
+            key, u_entries, ((r, c, sign, a, b), *rest) = units[0]
+            units[0] = (key, u_entries, [(r, c, sign, a + 1, b), *rest])
+            return units
+
+        monkeypatch.setattr("su3rep.verify.unit_raising_blocks", raised)
+        with pytest.raises(ConsistencyError, match="inconsistent"):
+            oracle_solve(2, 1)
+
+    @pytest.mark.parametrize("p,q", [(2, 1), (3, 3)])
+    def test_flipped_v_block_is_left_to_the_commutators(self, monkeypatch, p, q):
+        # signs do not enter the oracle's equations: with one block's V+
+        # entries negated its squares still equal the closed forms, and the
+        # commutator check is what catches the sign
+        original = generators.unit_raising_blocks
+
+        def flipped(p, q):
+            units = original(p, q)
+            key, u_entries, v_entries = units[0]
+            units[0] = (key, u_entries, [(r, c, -sign, a, b) for r, c, sign, a, b in v_entries])
+            return units
+
+        monkeypatch.setattr(generators, "unit_raising_blocks", flipped)
+        monkeypatch.setattr(verify_module, "unit_raising_blocks", flipped)
+        assert compare_with_oracle(p, q) == []
+        failures = [r.name for r in check_commutators(build_generator_set(p, q)).failures()]
+        assert "[Tp,Up] = Vp" in failures
 
     @pytest.mark.parametrize("p,q", [(1, 0), (2, 1), (3, 3)])
     def test_shifted_right_hand_side_is_inconsistent(self, monkeypatch, p, q):
