@@ -12,15 +12,16 @@ two blocks tie and the sort is the order.  U+ and V+ join block (a, b) to
 (2s, 2*sigma, 2*u3) so every label is an integer.
 
 All list builders here require p >= q; callers wanting q > p go through the
-negative-transpose path in the generators module.
+negative-transpose path in the generators module.  ``weight_multiplicities``,
+a closed form in both orientations, reads no branching table, so the
+verifier's weight certificate rests on nothing ``_block_table`` computes.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, product
 
 
 class ConsistencyError(RuntimeError):
@@ -124,13 +125,20 @@ def state_labels(p: int, q: int) -> list[StateLabel]:
 def weight_multiplicities(p: int, q: int) -> dict[tuple[int, int], int]:
     """Counts of states per weight point, keyed by (2*T3, 3*Y).
 
-    T3 = sigma and the hypercharge is Y = (4/3)u3 + (2/3)sigma, so in the
-    doubled/tripled integer units 3Y = 2*(2u3) + 2*sigma.
+    By (p,0) x (0,q) = sum over k of (p-k, q-k), the weights of (p, q) are
+    those of Sym^p(C^3) x Sym^q(C^3*) less those of Sym^(p-1) x Sym^(q-1).
+    A weight x*u + y*d + z*s of the triplet weights u = (1, 1), d = (-1, 1),
+    s = (0, -2), with x + y + z = p - q, is in them C(m+2, 2) and C(m+1, 2)
+    times, m = q - sum of max(0, -x_i); so it has multiplicity m + 1.
     """
-    counts: Counter[tuple[int, int]] = Counter()
-    for lbl in state_labels(p, q):
-        counts[(lbl.two_sigma, 2 * lbl.two_u3 + lbl.two_sigma)] += 1
-    return dict(counts)
+    _check_label(p, q)
+    counts = {}
+    for x, y in product(range(-q, p + 1), repeat=2):
+        z = p - q - x - y
+        n = q + 1 - max(0, -x) - max(0, -y) - max(0, -z)
+        if n > 0:
+            counts[(x - y, x + y - 2 * z)] = n
+    return counts
 
 
 def _check_label(p: int, q: int) -> None:

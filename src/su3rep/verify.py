@@ -51,11 +51,18 @@ T3 or U3 that is not rational and diagonal, a weight read, an adjoint test or
 one of the four products), the rows it would have settled are computed as
 products instead, so every reported residual is that row's own.
 
-The Casimir's ladder terms are half sums (X+X- + X-X+)/2, which equal
-X-X+ + [X+,X-]/2 for any matrices.  When ``verify_irrep``'s commutator report
-holds [T+,T-], [U+,U-] and [V+,V-] exactly, [X+,X-]/2 is half that row's
-right-hand side, so the Casimir takes three ladder products, not six.  It is
-the same matrix, so the same verdict and residual.
+When ``verify_irrep``'s report holds all 28 rows exactly, the matrices carry
+a representation of sl(3).  If T3 and U3 store only rational diagonal terms
+whose (2 T3, 3Y) multiset, 3Y = 2 (2 U3) + 2 T3, is ``weight_multiplicities``
+of (p, q), it is completely reducible (Weyl) with the character of (p, q), so
+it is the irrep (p, q), on which the Casimir is a scalar (Schur).  On the
+highest weight, T3 = p/2, U3 = q/2 and each (X+X- + X-X+)/2 is [X+,X-]/2, so
+the scalar is ``casimir_eigenvalue(p, q)``: an exact PASS with no product.
+
+Otherwise the Casimir is computed.  Its half sums equal X-X+ + [X+,X-]/2 for
+any matrices.  When the report holds [T+,T-], [U+,U-] and [V+,V-] exactly,
+[X+,X-]/2 is half that row's right-hand side: three ladder products, not six,
+and the same matrix, so the same verdict and residual.
 """
 
 from __future__ import annotations
@@ -63,6 +70,7 @@ from __future__ import annotations
 import math
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -74,7 +82,7 @@ from .generators import (
     unit_raising_blocks,
 )
 from .matrices import RadMatrix, _combine, _combine_all
-from .structure import ConsistencyError, dimension, state_labels
+from .structure import ConsistencyError, dimension, state_labels, weight_multiplicities
 from .unknowns import block_unknown_squares
 
 
@@ -222,21 +230,41 @@ def casimir_eigenvalue(p: int, q: int) -> Fraction:
 # The ladder pairs of the Casimir; [X+,X-] of each is a table row, by index.
 _CASIMIR_ROWS = tuple(k for k, (a, b, _) in enumerate(COMMUTATOR_TABLE)
                       if (a, b) in (("Tp", "Tm"), ("Up", "Um"), ("Vp", "Vm")))
+_TABLE_NAMES = tuple(_relation_name(*row) for row in COMMUTATOR_TABLE)
+
+
+def _weight_certificate(gs: GeneratorSet) -> bool:
+    """Whether T3 and U3 store only rational diagonal terms, 2 T3 and 2 U3
+    integers, whose (2 T3, 3Y) multiset is ``weight_multiplicities``; O(d)."""
+    t3, u3 = gs.t_three, gs.u_three
+    diagonals = t3.rational_diagonal(), u3.rational_diagonal()
+    if None in diagonals:
+        return False
+    halves = [divmod(2 * t, t3.den) + divmod(2 * u, u3.den) for t, u in zip(*diagonals)]
+    if any(t_rest or u_rest for _, t_rest, _, u_rest in halves):
+        return False
+    weights = Counter((two_t3, 2 * two_u3 + two_t3) for two_t3, _, two_u3, _ in halves)
+    return weights == Counter(weight_multiplicities(gs.p, gs.q))
 
 
 def check_casimir(gs: GeneratorSet, commutators: CheckReport | None = None) -> RelationCheck:
     """The quadratic invariant must equal its eigenvalue times the identity:
     (T+T- + T-T+ + V+V- + V-V+ + U+U- + U-U+)/2 + T3^2 + Y^2/3, Y = 2 U3 + T3.
 
-    ``commutators`` is ``check_commutators(gs)`` of this same set.  When it
-    holds [T+,T-], [U+,U-] and [V+,V-] exactly, each half sum is taken as
-    X-X+ + [X+,X-]/2 with the row's right-hand side for [X+,X-]: three ladder
-    products, and the same matrix as the six-product sum used otherwise."""
+    ``commutators`` is ``check_commutators(gs)`` of this same set.  When all
+    28 of its rows hold and so does the weight certificate, the line is an
+    exact PASS by Schur's lemma.  Otherwise, when it holds [T+,T-], [U+,U-]
+    and [V+,V-], each half sum is X-X+ + [X+,X-]/2 with the row's right-hand
+    side for [X+,X-]: three ladder products, not the six-product sum."""
+    eigen = casimir_eigenvalue(gs.p, gs.q)
+    full = (commutators is not None and (commutators.p, commutators.q) == (gs.p, gs.q)
+            and tuple(r.name for r in commutators.relations) == _TABLE_NAMES)
+    if full and commutators.passed and _weight_certificate(gs):
+        return RelationCheck(f"casimir = {eigen}", True, 0.0, "casimir")  # Schur
     mats = gs.matrices()
     y = _combine([(2, mats["U3"]), (1, mats["T3"])])
-    eigen = casimir_eigenvalue(gs.p, gs.q)
     rows = [COMMUTATOR_TABLE[k] for k in _CASIMIR_ROWS]
-    if commutators and all(commutators.relations[k].exact for k in _CASIMIR_ROWS):
+    if full and all(commutators.relations[k].exact for k in _CASIMIR_ROWS):
         terms = [(1, mats[b], mats[a]) for a, b, _ in rows]
         terms += [(_HALF * c, mats[key]) for _, _, rhs in rows for c, key in rhs]
     else:
@@ -342,6 +370,20 @@ def _rref_solve(
     return solution, free
 
 
+def _diagonal_terms(p: int, q: int) -> tuple[list[tuple[int, int]], dict]:
+    """The block keys, and (relation, state) -> [(block index, a, b), ...]:
+    x_k * a/b on the diagonal of [U+,U-] (relation 0) or [V+,V-] (relation 1);
+    a block has at most one entry in a row or column, never both for a state."""
+    units = unit_raising_blocks(p, q)
+    terms: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    for k, (_, u_entries, v_entries) in enumerate(units):
+        for relation, entries in enumerate((u_entries, v_entries)):
+            for r, c, _, a, b in entries:
+                terms.setdefault((relation, r), []).append((k, a, b))
+                terms.setdefault((relation, c), []).append((k, -a, b))
+    return [key for key, _, _ in units], terms
+
+
 def oracle_solve(p: int, q: int, max_dim: int = ORACLE_MAX_DIM) -> dict[tuple[int, int], Fraction]:
     """Solve the commutation relations directly for the squared block unknowns.
 
@@ -365,17 +407,7 @@ def oracle_solve(p: int, q: int, max_dim: int = ORACLE_MAX_DIM) -> dict[tuple[in
     if d > max_dim:
         raise ValueError(f"oracle_solve is desk-scale only (d = {d} > {max_dim})")
 
-    units = unit_raising_blocks(p, q)
-    blocks = [key for key, _, _ in units]
-    # (relation, state) -> [(block index, a, b), ...]: x_k * a/b on the
-    # diagonal of [U+,U-] (relation 0) or [V+,V-] (relation 1); a block has
-    # at most one entry in a row or column, and never both for one state
-    terms: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    for k, (_, u_entries, v_entries) in enumerate(units):
-        for relation, entries in enumerate((u_entries, v_entries)):
-            for r, c, _, a, b in entries:
-                terms.setdefault((relation, r), []).append((k, a, b))
-                terms.setdefault((relation, c), []).append((k, -a, b))
+    blocks, terms = _diagonal_terms(p, q)  # the unit entry lists are freed here
     equations = []
     for s, lbl in enumerate(state_labels(p, q)):
         for relation, rhs in enumerate((lbl.two_u3, lbl.two_u3 + lbl.two_sigma)):

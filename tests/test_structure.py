@@ -167,3 +167,15 @@ class TestWeightMultiplicities:
         bottom = [t3 for (t3, y) in counts if y == min(ys)]
         assert len(top) == p + 1
         assert len(bottom) == q + 1
+
+    def test_closed_form_matches_state_labels_below_1000(self):
+        # the closed form reads no branching table; state_labels reads it
+        labels = [(p, q) for p in range(45) for q in range(45) if dimension(p, q) < 1000]
+        assert len(labels) == 291
+        for p, q in labels:
+            counts = weight_multiplicities(p, q)
+            from_labels = Counter(
+                (lbl.two_sigma, 2 * lbl.two_u3 + lbl.two_sigma) for lbl in state_labels(p, q)
+            )
+            assert counts == dict(from_labels), (p, q)
+            assert sum(counts.values()) == dimension(p, q)

@@ -855,9 +855,11 @@ class TestCasimirGramForm:
         assert gram == six and not gram.exact and gram.residual == 4.0
 
     @pytest.mark.parametrize("p,q", [(5, 3), (3, 5)])
-    def test_verify_path_makes_three_ladder_products(self, p, q):
+    def test_verify_path_makes_no_ladder_product(self, p, q):
         gs = build_generator_set(p, q)
-        ladders = {id(m) for name, m in gs.matrices().items() if name in _LADDERS}
+        relabelled = dataclasses.replace(build_generator_set(4, 0), p=2, q=1)
+        ladders = {id(m) for s in (gs, relabelled)
+                   for name, m in s.matrices().items() if name in _LADDERS}
         calls = []
 
         def recording(terms):
@@ -871,11 +873,17 @@ class TestCasimirGramForm:
 
         with mock.patch.object(verify_module, "build_generator_set", return_value=gs), \
                 mock.patch.object(verify_module, "_combine", recording):
-            assert verify_irrep(p, q).passed
-            assert len(ladder_products()) == 3
+            assert verify_irrep(p, q).passed  # Schur's lemma: no product
+            assert len(ladder_products()) == 0
             calls.clear()
             assert check_casimir(gs).exact  # no report: the six-product sum
             assert len(ladder_products()) == 6
+            report = check_commutators(relabelled)
+            assert report.passed
+            calls.clear()
+            # the weights are not those of (2,1): the Gram form, and it fails
+            assert not check_casimir(relabelled, report).exact
+            assert len(ladder_products()) == 3
 
 
 @settings(max_examples=100, deadline=None)
@@ -884,3 +892,89 @@ def test_casimir_gram_form_matches_six_products(drawn):
     gs, kind = drawn
     gram, six = _casimir_forms(gs)
     assert gram == six
+
+
+# ---------------------------------------------------------------------------
+# The Casimir by Schur's lemma: no product once all 28 rows and the weight
+# certificate hold, the computed Casimir whenever a hypothesis fails
+
+
+def _casimir_with_report(gs, report):
+    """check_casimir(gs, report), and whether it handed _combine any work."""
+    calls = []
+
+    def recording(terms):
+        calls.append(terms)
+        return _combine(terms)
+
+    with mock.patch.object(verify_module, "_combine", recording):
+        check = check_casimir(gs, report)
+    return check, bool(calls)
+
+
+def _swapped_u3(gs):
+    """gs with the U3 diagonal entries of the first and last state swapped;
+    the two differ in T3 and in U3, so the (2 T3, 3Y) multiset changes."""
+    first, last = 0, gs.dim - 1
+    assert gs.t_three.get(first, first) != gs.t_three.get(last, last)
+    assert gs.u_three.get(first, first) != gs.u_three.get(last, last)
+    swap = {first: last, last: first}
+    u3 = RadMatrix(gs.dim)
+    for r, c, v in gs.u_three.items():
+        u3.put(swap.get(r, r), swap.get(c, c), v)
+    return dataclasses.replace(gs, u_three=u3)
+
+
+_CERTIFICATE_CONTROLS = {
+    "off-diagonal T3 entry": lambda gs: dataclasses.replace(
+        gs, t_three=_added(gs.t_three, 0, 1, 1)),
+    "two U3 diagonal entries swapped": _swapped_u3,
+    "2 T3 not an integer": lambda gs: dataclasses.replace(
+        gs, t_three=_added(gs.t_three, 0, 0, Fraction(1, 4))),
+}
+
+
+class TestSchurCasimir:
+    @pytest.mark.parametrize("label", [(3, 2), (2, 3)])
+    def test_clean_set_passes_with_no_product(self, label):
+        gs = _generator_set(*label)
+        assert verify_module._weight_certificate(gs)
+        check, computed = _casimir_with_report(gs, check_commutators(gs))
+        assert not computed
+        assert check == check_casimir(gs) and check.exact
+
+    @pytest.mark.parametrize("label", [(3, 2), (2, 3)])
+    @pytest.mark.parametrize("kind", sorted(_CERTIFICATE_CONTROLS))
+    def test_broken_certificate_computes_the_casimir(self, label, kind):
+        bad = _CERTIFICATE_CONTROLS[kind](_generator_set(*label))
+        assert not verify_module._weight_certificate(bad)
+        check, computed = _casimir_with_report(bad, check_commutators(bad))
+        assert computed
+        assert check == check_casimir(bad)
+
+    @pytest.mark.parametrize("label", [(3, 2), (2, 3)])
+    @pytest.mark.parametrize("kind", ["another label", "27 rows"])
+    def test_report_that_proves_less_computes_the_casimir(self, label, kind):
+        gs = _generator_set(*label)
+        assert verify_module._weight_certificate(gs)
+        if kind == "another label":
+            report = check_commutators(_generator_set(*label[::-1]))
+        else:
+            report = CheckReport(gs.p, gs.q, check_commutators(gs).relations[:27])
+        assert report.passed
+        check, computed = _casimir_with_report(gs, report)
+        assert computed
+        assert check == check_casimir(gs) and check.exact
+
+    def test_relabelled_sets_of_equal_dimension(self):
+        labels = _both_orientations(sweep_labels(300))
+        pairs = [(a, b) for a in labels for b in labels
+                 if a != b and dimension(*a) == dimension(*b)]
+        assert len(pairs) == 174  # the 55 conjugate pairs among them, both ways
+        for built, label in pairs:
+            gs = dataclasses.replace(_generator_set(*built), p=label[0], q=label[1])
+            report = check_commutators(gs)
+            # every commutator holds: only the certificate tells the labels apart
+            assert report.passed, (built, label)
+            assert not verify_module._weight_certificate(gs), (built, label)
+            assert check_casimir(gs, report) == check_casimir(gs), (built, label)
