@@ -117,11 +117,14 @@ class RadMatrix:
 
     # -- entry access (0-based) ------------------------------------------
 
+    def _check_index(self, r: int, c: int) -> None:
+        if not (0 <= r < self.n and 0 <= c < self.n):
+            raise IndexError(f"({r}, {c}) outside {self.n}x{self.n}")
+
     def put(self, r: int, c: int, value: _Scalar) -> None:
         """Set the entry at (r, c), replacing every term it held before."""
+        self._check_index(r, c)
         n = self.n
-        if not (0 <= r < n and 0 <= c < n):
-            raise IndexError(f"({r}, {c}) outside {n}x{n}")
         val = value if isinstance(value, RadicalSum) else RadicalSum(value)
         row = self._rows.setdefault(r, {})
         for key in [key for key in row if key % n == c]:
@@ -139,6 +142,7 @@ class RadMatrix:
             del self._rows[r]
 
     def get(self, r: int, c: int) -> RadicalSum:
+        self._check_index(r, c)
         return next((v for _, col, v in self._decoded((r,)) if col == c), _ZERO)
 
     def items(self) -> Iterator[tuple[int, int, RadicalSum]]:
@@ -259,7 +263,7 @@ class RadMatrix:
             for key, v in row.items():
                 if key % n == r:
                     total[key - r] = total.get(key - r, 0) + v
-        return RadMatrix._raw(n, self.den, {0: total}).get(0, 0)
+        return next((v for *_, v in RadMatrix._raw(n, self.den, {0: total})._decoded((0,))), _ZERO)
 
     # -- diagnostics -------------------------------------------------------
 

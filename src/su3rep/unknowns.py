@@ -33,6 +33,19 @@ from .structure import ConsistencyError  # noqa: F401  (re-exported; raised else
 from .structure import _block_table, admissible_blocks
 
 
+# Numerators: degree <= 1 in p, q and <= 3 in a, b.  The oracle's diagonal
+# equations, times (a+b)(a+b+1)(a+b+2), have degree <= 1 in p, q and the state's
+# position, <= 5 in a, b: 288 exact points prove them (tests/test_unknowns.py).
+def shift_plus_square(p: int, q: int, a: int, b: int) -> Fraction:
+    """x of the block (a, b) -> (a, b + 1)."""
+    return Fraction((q - b) * (b + 1) * (p + b + 2), a + b + 2)
+
+
+def shift_minus_square(p: int, q: int, a: int, b: int) -> Fraction:
+    """x of the block (a, b) -> (a - 1, b)."""
+    return Fraction(a * (p + 1 - a) * (q + a + 1), (a + b) * (a + b + 1))
+
+
 def block_unknown_squares(p: int, q: int) -> dict[tuple[int, int], Fraction]:
     """Sparse map (block-row, block-col) -> squared unknown, for p >= q.
 
@@ -44,10 +57,8 @@ def block_unknown_squares(p: int, q: int) -> dict[tuple[int, int], Fraction]:
     values: dict[tuple[int, int], Fraction] = {}
     for i, j, shift in admissible_blocks(p, q):
         a, b = pairs[i - 1]
-        if shift == 1:
-            values[(i, j)] = Fraction((q - b) * (b + 1) * (p + b + 2), a + b + 2)
-        else:
-            values[(i, j)] = Fraction(a * (p + 1 - a) * (q + a + 1), (a + b) * (a + b + 1))
+        square = shift_plus_square if shift == 1 else shift_minus_square
+        values[(i, j)] = square(p, q, a, b)
     runs: dict[int, list[int]] = {}
     for k, two_s in enumerate(spins, 1):
         runs.setdefault(two_s, []).append(k)

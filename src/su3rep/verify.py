@@ -51,18 +51,15 @@ T3 or U3 that is not rational and diagonal, a weight read, an adjoint test or
 one of the four products), the rows it would have settled are computed as
 products instead, so every reported residual is that row's own.
 
-When ``verify_irrep``'s report holds all 28 rows exactly, the matrices carry
-a representation of sl(3).  If T3 and U3 store only rational diagonal terms
-whose (2 T3, 3Y) multiset, 3Y = 2 (2 U3) + 2 T3, is ``weight_multiplicities``
-of (p, q), it is completely reducible (Weyl) with the character of (p, q), so
-it is the irrep (p, q), on which the Casimir is a scalar (Schur).  On the
-highest weight, T3 = p/2, U3 = q/2 and each (X+X- + X-X+)/2 is [X+,X-]/2, so
-the scalar is ``casimir_eigenvalue(p, q)``: an exact PASS with no product.
-
-Otherwise the Casimir is computed.  Its half sums equal X-X+ + [X+,X-]/2 for
-any matrices.  When the report holds [T+,T-], [U+,U-] and [V+,V-] exactly,
-[X+,X-]/2 is half that row's right-hand side: three ladder products, not six,
-and the same matrix, so the same verdict and residual.
+``verify_irrep`` takes the Schur step on the set it has just built.  When
+that set's 28 rows all hold exactly, the matrices carry a representation of
+sl(3).  If T3 and U3 store only rational diagonal terms whose (2 T3, 3Y)
+multiset, 3Y = 2 (2 U3) + 2 T3, is ``weight_multiplicities`` of (p, q), it is
+completely reducible (Weyl) with the character of (p, q), so it is the irrep
+(p, q), on which the Casimir is a scalar (Schur).  On the highest weight,
+T3 = p/2, U3 = q/2 and each (X+X- + X-X+)/2 is [X+,X-]/2, so the scalar is
+``casimir_eigenvalue(p, q)``: an exact PASS with no product.  Otherwise it
+calls ``check_casimir``, which always computes the six-product sum.
 """
 
 from __future__ import annotations
@@ -227,12 +224,6 @@ def casimir_eigenvalue(p: int, q: int) -> Fraction:
     return Fraction(p * p + p * q + q * q, 3) + p + q
 
 
-# The ladder pairs of the Casimir; [X+,X-] of each is a table row, by index.
-_CASIMIR_ROWS = tuple(k for k, (a, b, _) in enumerate(COMMUTATOR_TABLE)
-                      if (a, b) in (("Tp", "Tm"), ("Up", "Um"), ("Vp", "Vm")))
-_TABLE_NAMES = tuple(_relation_name(*row) for row in COMMUTATOR_TABLE)
-
-
 def _weight_certificate(gs: GeneratorSet) -> bool:
     """Whether T3 and U3 store only rational diagonal terms, 2 T3 and 2 U3
     integers, whose (2 T3, 3Y) multiset is ``weight_multiplicities``; O(d)."""
@@ -247,28 +238,15 @@ def _weight_certificate(gs: GeneratorSet) -> bool:
     return weights == Counter(weight_multiplicities(gs.p, gs.q))
 
 
-def check_casimir(gs: GeneratorSet, commutators: CheckReport | None = None) -> RelationCheck:
+def check_casimir(gs: GeneratorSet) -> RelationCheck:
     """The quadratic invariant must equal its eigenvalue times the identity:
-    (T+T- + T-T+ + V+V- + V-V+ + U+U- + U-U+)/2 + T3^2 + Y^2/3, Y = 2 U3 + T3.
-
-    ``commutators`` is ``check_commutators(gs)`` of this same set.  When all
-    28 of its rows hold and so does the weight certificate, the line is an
-    exact PASS by Schur's lemma.  Otherwise, when it holds [T+,T-], [U+,U-]
-    and [V+,V-], each half sum is X-X+ + [X+,X-]/2 with the row's right-hand
-    side for [X+,X-]: three ladder products, not the six-product sum."""
+    (T+T- + T-T+ + V+V- + V-V+ + U+U- + U-U+)/2 + T3^2 + Y^2/3, Y = 2 U3 + T3,
+    computed as one sum of six ladder products and two Cartan squares."""
     eigen = casimir_eigenvalue(gs.p, gs.q)
-    full = (commutators is not None and (commutators.p, commutators.q) == (gs.p, gs.q)
-            and tuple(r.name for r in commutators.relations) == _TABLE_NAMES)
-    if full and commutators.passed and _weight_certificate(gs):
-        return RelationCheck(f"casimir = {eigen}", True, 0.0, "casimir")  # Schur
     mats = gs.matrices()
     y = _combine([(2, mats["U3"]), (1, mats["T3"])])
-    rows = [COMMUTATOR_TABLE[k] for k in _CASIMIR_ROWS]
-    if full and all(commutators.relations[k].exact for k in _CASIMIR_ROWS):
-        terms = [(1, mats[b], mats[a]) for a, b, _ in rows]
-        terms += [(_HALF * c, mats[key]) for _, _, rhs in rows for c, key in rhs]
-    else:
-        terms = [(_HALF, mats[x], mats[y]) for a, b, _ in rows for x, y in ((a, b), (b, a))]
+    terms = [(_HALF, mats[a], mats[b])
+             for x, xm in _ADJOINT.items() for a, b in ((x, xm), (xm, x))]
     terms += [
         (1, mats["T3"], mats["T3"]),
         (Fraction(1, 3), y, y),
@@ -455,11 +433,17 @@ def compare_with_oracle(p: int, q: int) -> list[str]:
 
 
 def verify_irrep(p: int, q: int, with_oracle: bool = False) -> CheckReport:
-    """Commutators, Casimir and structure for one irrep, as one report."""
+    """Commutators, Casimir and structure for one irrep, as one report.  The
+    Casimir line is an exact PASS by Schur's lemma when all 28 rows and the
+    weight certificate hold on the set built here, and computed otherwise."""
     gs = build_generator_set(p, q)
     commutators = check_commutators(gs)
     entries = list(commutators.relations)
-    entries.append(check_casimir(gs, commutators))
+    if commutators.passed and _weight_certificate(gs):
+        eigen = casimir_eigenvalue(p, q)
+        entries.append(RelationCheck(f"casimir = {eigen}", True, 0.0, "casimir"))
+    else:
+        entries.append(check_casimir(gs))
     entries.extend(check_structure(to_gell_mann(gs)))
     if with_oracle:
         mismatches = compare_with_oracle(max(p, q), min(p, q))

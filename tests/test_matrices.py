@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from su3rep import RadicalSum, sqrt_of_rational
+from su3rep import RadicalSum, build_generator_set, sqrt_of_rational
 from su3rep.matrices import RadMatrix, _combine, _combine_all, commutator
 
 # Small coefficients and radicands that are not all square-free (8 = 4*2,
@@ -411,6 +411,14 @@ class TestFromEntries:
             RadMatrix.from_entries(2, [(r, c, 1, 1, 1)])
         with pytest.raises(IndexError, match="outside 2x2"):
             RadMatrix(2).put(r, c, 1)
+
+    @pytest.mark.parametrize("r,c", [(5, 7), (-1, 0)])
+    def test_get_out_of_range_raises_like_put(self, r, c):
+        # a read at a wrong position must not pass for a zero entry
+        t_plus = build_generator_set(1, 0).t_plus
+        with pytest.raises(IndexError, match=rf"\({r}, {c}\) outside 3x3"):
+            t_plus.get(r, c)
+        assert t_plus.get(1, 2) == 1 and t_plus.get(2, 2) == 0
 
     @pytest.mark.parametrize("second", [(0, 1, 1, 2, 1), (0, 1, 1, 3, 1), (0, 1, -1, 0, 1)])
     def test_repeated_position_raises(self, second):

@@ -326,10 +326,11 @@ class TestRelationKinds:
         assert [len(report.of_kind(k).relations) for k in counts] == list(counts.values())
 
     def test_sweep_reads_each_kind(self, monkeypatch):
-        def failing_casimir(gs, commutators=None):
+        def failing_casimir(gs):
             return RelationCheck("casimir = ?", False, 1.0, kind="casimir")
 
         monkeypatch.setattr("su3rep.verify.check_casimir", failing_casimir)
+        monkeypatch.setattr("su3rep.verify._weight_certificate", lambda gs: False)
         summary = sweep(9)
         assert summary.rows
         assert all(
@@ -815,51 +816,59 @@ def test_mirrored_report_matches_full_evaluation(drawn):
 
 
 # ---------------------------------------------------------------------------
-# The Casimir's Gram form: X-X+ + [X+,X-]/2 once the commutator report holds
-# [X+,X-] exactly, the six-product sum otherwise
+# The Casimir line of verify_irrep against the six-product sum of check_casimir
 
 
 def _both_orientations(labels):
     return sorted(set(labels) | {(q, p) for p, q in labels})
 
 
+def _verify_casimir_line(gs):
+    """verify_irrep's Casimir line on gs, and whether it called check_casimir."""
+    with mock.patch.object(verify_module, "build_generator_set", return_value=gs), \
+            mock.patch.object(verify_module, "check_casimir", side_effect=check_casimir) as spy:
+        (line,) = verify_irrep(gs.p, gs.q).of_kind("casimir").relations
+    return line, spy.called
+
+
 def _casimir_forms(gs):
-    """The Casimir line with the set's commutator report, and without it."""
-    return check_casimir(gs, check_commutators(gs)), check_casimir(gs)
+    """verify's Casimir line on gs, and check_casimir(gs)."""
+    return _verify_casimir_line(gs)[0], check_casimir(gs)
 
 
 class TestCasimirGramForm:
+    """verify_irrep's Casimir line, by Schur's lemma or by check_casimir, is
+    check_casimir's six-product sum on every set."""
+
     def test_sweep_range_in_both_orientations(self):
         for label in _both_orientations(sweep_labels(300)):
-            gram, six = _casimir_forms(_generator_set(*label))
-            assert gram == six and gram.exact, label
+            line, six = _casimir_forms(_generator_set(*label))
+            assert line == six and line.exact, label
 
     @pytest.mark.parametrize("label,field", sorted(_GOLDEN_FAILURES))
     def test_golden_failures(self, label, field):
-        gram, six = _casimir_forms(_plus_sqrt7_at_first_entry(_generator_set(*label), field))
-        assert gram == six and not gram.exact
+        line, six = _casimir_forms(_plus_sqrt7_at_first_entry(_generator_set(*label), field))
+        assert line == six and not line.exact
 
     @pytest.mark.parametrize("label", [(3, 2), (2, 3)])
     @pytest.mark.parametrize("kind", sorted(_HYPOTHESIS_CONTROLS))
     def test_hypothesis_controls(self, label, kind):
-        gram, six = _casimir_forms(_HYPOTHESIS_CONTROLS[kind][0](_generator_set(*label)))
-        assert gram == six
+        line, six = _casimir_forms(_HYPOTHESIS_CONTROLS[kind][0](_generator_set(*label)))
+        assert line == six
 
     @pytest.mark.parametrize("built,label", [((4, 0), (2, 1)), ((0, 4), (1, 2))])
     def test_failing_casimir_through_the_gram_form(self, built, label):
         # (4,0) and (2,1) both have d = 15: relabelled, every commutator holds,
-        # so the Gram form is taken, and the Casimir eigenvalue differs
+        # the weight certificate fails, and the Casimir eigenvalue differs
         gs = dataclasses.replace(_generator_set(*built), p=label[0], q=label[1])
         assert check_commutators(gs).passed
-        gram, six = _casimir_forms(gs)
-        assert gram == six and not gram.exact and gram.residual == 4.0
+        line, six = _casimir_forms(gs)
+        assert line == six and not line.exact and line.residual == 4.0
 
     @pytest.mark.parametrize("p,q", [(5, 3), (3, 5)])
     def test_verify_path_makes_no_ladder_product(self, p, q):
         gs = build_generator_set(p, q)
-        relabelled = dataclasses.replace(build_generator_set(4, 0), p=2, q=1)
-        ladders = {id(m) for s in (gs, relabelled)
-                   for name, m in s.matrices().items() if name in _LADDERS}
+        ladders = {id(m) for name, m in gs.matrices().items() if name in _LADDERS}
         calls = []
 
         def recording(terms):
@@ -876,40 +885,21 @@ class TestCasimirGramForm:
             assert verify_irrep(p, q).passed  # Schur's lemma: no product
             assert len(ladder_products()) == 0
             calls.clear()
-            assert check_casimir(gs).exact  # no report: the six-product sum
+            assert check_casimir(gs).exact  # the six-product sum
             assert len(ladder_products()) == 6
-            report = check_commutators(relabelled)
-            assert report.passed
-            calls.clear()
-            # the weights are not those of (2,1): the Gram form, and it fails
-            assert not check_casimir(relabelled, report).exact
-            assert len(ladder_products()) == 3
 
 
 @settings(max_examples=100, deadline=None)
 @given(_corrupted_sets())
-def test_casimir_gram_form_matches_six_products(drawn):
+def test_verify_casimir_line_matches_six_products(drawn):
     gs, kind = drawn
-    gram, six = _casimir_forms(gs)
-    assert gram == six
+    line, six = _casimir_forms(gs)
+    assert line == six
 
 
 # ---------------------------------------------------------------------------
 # The Casimir by Schur's lemma: no product once all 28 rows and the weight
 # certificate hold, the computed Casimir whenever a hypothesis fails
-
-
-def _casimir_with_report(gs, report):
-    """check_casimir(gs, report), and whether it handed _combine any work."""
-    calls = []
-
-    def recording(terms):
-        calls.append(terms)
-        return _combine(terms)
-
-    with mock.patch.object(verify_module, "_combine", recording):
-        check = check_casimir(gs, report)
-    return check, bool(calls)
 
 
 def _swapped_u3(gs):
@@ -939,7 +929,7 @@ class TestSchurCasimir:
     def test_clean_set_passes_with_no_product(self, label):
         gs = _generator_set(*label)
         assert verify_module._weight_certificate(gs)
-        check, computed = _casimir_with_report(gs, check_commutators(gs))
+        check, computed = _verify_casimir_line(gs)
         assert not computed
         assert check == check_casimir(gs) and check.exact
 
@@ -948,23 +938,9 @@ class TestSchurCasimir:
     def test_broken_certificate_computes_the_casimir(self, label, kind):
         bad = _CERTIFICATE_CONTROLS[kind](_generator_set(*label))
         assert not verify_module._weight_certificate(bad)
-        check, computed = _casimir_with_report(bad, check_commutators(bad))
+        check, computed = _verify_casimir_line(bad)
         assert computed
         assert check == check_casimir(bad)
-
-    @pytest.mark.parametrize("label", [(3, 2), (2, 3)])
-    @pytest.mark.parametrize("kind", ["another label", "27 rows"])
-    def test_report_that_proves_less_computes_the_casimir(self, label, kind):
-        gs = _generator_set(*label)
-        assert verify_module._weight_certificate(gs)
-        if kind == "another label":
-            report = check_commutators(_generator_set(*label[::-1]))
-        else:
-            report = CheckReport(gs.p, gs.q, check_commutators(gs).relations[:27])
-        assert report.passed
-        check, computed = _casimir_with_report(gs, report)
-        assert computed
-        assert check == check_casimir(gs) and check.exact
 
     def test_relabelled_sets_of_equal_dimension(self):
         labels = _both_orientations(sweep_labels(300))
@@ -977,4 +953,4 @@ class TestSchurCasimir:
             # every commutator holds: only the certificate tells the labels apart
             assert report.passed, (built, label)
             assert not verify_module._weight_certificate(gs), (built, label)
-            assert check_casimir(gs, report) == check_casimir(gs), (built, label)
+            assert _verify_casimir_line(gs)[0] == check_casimir(gs), (built, label)
