@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Subcommands: generate, verify, sweep, weights, unknowns, oracle.  Data goes
-to standard output (or --output), diagnostics to standard error.  Exit codes:
+Subcommands: generate, verify, sweep, weights, unknowns.  Data goes to
+standard output (or --output), diagnostics to standard error.  Exit codes:
 0 success / all checks pass, 1 verification failure, 2 usage error (an irrep
 above the --max-d size budget of generate, verify, weights and unknowns, and
 a sweep bound above that default budget, included).
@@ -18,7 +18,6 @@ import functools
 import math
 import sys
 from collections.abc import Iterator
-from fractions import Fraction
 
 from .generators import (
     GELL_MANN_INPUTS,
@@ -29,14 +28,7 @@ from .generators import (
 )
 from .structure import dimension, weight_multiplicities
 from .unknowns import block_unknown_squares
-from .verify import (
-    ORACLE_MAX_DIM,
-    CheckReport,
-    casimir_eigenvalue,
-    oracle_solve,
-    sweep,
-    verify_irrep,
-)
+from .verify import CheckReport, casimir_eigenvalue, sweep, verify_irrep
 
 
 def _nonnegative(text: str) -> int:
@@ -104,11 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run the exact checks for one irrep")
     add_label(ver)
     add_budget(ver)
-    ver.add_argument(
-        "--oracle",
-        action="store_true",
-        help="also solve the commutation relations directly and compare",
-    )
 
     swp = sub.add_parser("sweep", help="verify every irrep below a dimension bound")
     swp.add_argument("--max-d", type=_positive, required=True,
@@ -124,12 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_label(unk)
     add_budget(unk)
     add_output(unk)
-
-    orc = sub.add_parser(
-        "oracle", help="emit brute-force-solved squared block unknowns as CSV"
-    )
-    add_label(orc)
-    add_output(orc)
 
     return parser
 
@@ -205,7 +186,7 @@ def _generate_csv(p: int, q: int, name: str, approx: bool) -> str:
             for num, den, sf in triples:
                 line = f"{cell}{num},{den},{sf}"
                 if approx:
-                    line += f",{num / den * sf ** 0.5!r}"
+                    line += f",{_approx([(num, den, sf)])!r}"
                 lines.append(line)
     return "\n".join(lines) + "\n"
 
@@ -232,7 +213,6 @@ def render_report(report: CheckReport) -> str:
         f"eigenvalue {casimir_eigenvalue(report.p, report.q)}",
         f"structure: {exact_count('structure')}",
     ]
-    lines.extend(f"oracle: {r.name}" for r in report.of_kind("oracle").relations)
     for failure in report.failures():
         lines.append(f"FAILED: {failure.name} (|residual| ~ {failure.residual:g})")
     lines.append("PASS" if report.passed else "FAIL")
@@ -240,9 +220,7 @@ def render_report(report: CheckReport) -> str:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.oracle and dimension(args.p, args.q) > ORACLE_MAX_DIM:
-        return _usage_error(f"--oracle is desk-scale only (d <= {ORACLE_MAX_DIM})")
-    report = verify_irrep(args.p, args.q, with_oracle=args.oracle)
+    report = verify_irrep(args.p, args.q)
     sys.stdout.write(render_report(report))
     return 0 if report.passed else 1
 
@@ -276,7 +254,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# weights / unknowns / oracle
+# weights / unknowns
 
 
 def _cmd_weights(args: argparse.Namespace) -> int:
@@ -287,25 +265,13 @@ def _cmd_weights(args: argparse.Namespace) -> int:
     return _write("\n".join(lines) + "\n", args.output)
 
 
-def _squares_csv(squares: dict[tuple[int, int], Fraction]) -> str:
-    lines = ["i,j,num,den"]
-    for (i, j), value in sorted(squares.items()):
-        lines.append(f"{i},{j},{value.numerator},{value.denominator}")
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_unknowns(args: argparse.Namespace) -> int:
     if args.p < args.q:
         return _usage_error("unknowns requires p >= q (use the (q, p) irrep)")
-    return _write(_squares_csv(block_unknown_squares(args.p, args.q)), args.output)
-
-
-def _cmd_oracle(args: argparse.Namespace) -> int:
-    if args.p < args.q:
-        return _usage_error("oracle requires p >= q (use the (q, p) irrep)")
-    if dimension(args.p, args.q) > ORACLE_MAX_DIM:
-        return _usage_error(f"oracle is desk-scale only (d <= {ORACLE_MAX_DIM})")
-    return _write(_squares_csv(oracle_solve(args.p, args.q)), args.output)
+    lines = ["i,j,num,den"]
+    for (i, j), value in sorted(block_unknown_squares(args.p, args.q).items()):
+        lines.append(f"{i},{j},{value.numerator},{value.denominator}")
+    return _write("\n".join(lines) + "\n", args.output)
 
 
 _COMMANDS = {
@@ -314,7 +280,6 @@ _COMMANDS = {
     "sweep": _cmd_sweep,
     "weights": _cmd_weights,
     "unknowns": _cmd_unknowns,
-    "oracle": _cmd_oracle,
 }
 
 

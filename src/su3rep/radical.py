@@ -108,6 +108,9 @@ class RadicalSum:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # a rational value equals its int or Fraction, so it hashes like one
+        if self._terms.keys() <= {1}:
+            return hash(self._terms.get(1, 0))
         return hash(frozenset(self._terms.items()))
 
     def __neg__(self) -> "RadicalSum":

@@ -88,7 +88,7 @@ class RelationCheck:
     name: str
     exact: bool
     residual: float  # float magnitude of the worst entry; 0.0 when exact
-    kind: str  # "commutator", "casimir", "structure" or "oracle"
+    kind: str  # "commutator", "casimir" or "structure"
 
 
 @dataclass(frozen=True)
@@ -432,7 +432,7 @@ def compare_with_oracle(p: int, q: int) -> list[str]:
 # Whole-irrep reports and the sweep
 
 
-def verify_irrep(p: int, q: int, with_oracle: bool = False) -> CheckReport:
+def verify_irrep(p: int, q: int) -> CheckReport:
     """Commutators, Casimir and structure for one irrep, as one report.  The
     Casimir line is an exact PASS by Schur's lemma when all 28 rows and the
     weight certificate hold on the set built here, and computed otherwise."""
@@ -445,18 +445,6 @@ def verify_irrep(p: int, q: int, with_oracle: bool = False) -> CheckReport:
     else:
         entries.append(check_casimir(gs))
     entries.extend(check_structure(to_gell_mann(gs)))
-    if with_oracle:
-        mismatches = compare_with_oracle(max(p, q), min(p, q))
-        entries.append(
-            RelationCheck(
-                "block unknowns match brute-force solve"
-                if not mismatches
-                else f"oracle mismatch: {'; '.join(mismatches)}",
-                not mismatches,
-                0.0 if not mismatches else 1.0,
-                kind="oracle",
-            )
-        )
     return CheckReport(p, q, tuple(entries))
 
 

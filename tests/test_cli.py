@@ -2,7 +2,6 @@ import argparse
 import contextlib
 import json
 from collections import Counter
-from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -187,6 +186,16 @@ class TestGenerate:
         assert lines[0] == "row,col,num,den,sf,approx"
         assert lines[1].endswith(",0.5")
 
+    def test_csv_and_json_approx_agree(self, capsys):
+        # -sqrt(249690)/435: 249690 ** 0.5 is 1 ulp off math.sqrt(249690)
+        argv = ["generate", "--p", "1", "--q", "39", "--matrix", "Up", "--approx"]
+        _, out, _ = run(capsys, *argv, "--format", "csv")
+        (line,) = [row for row in out.splitlines() if row.startswith("871,842,")]
+        _, out, _ = run(capsys, *argv)
+        (entry,) = [e for e in json.loads(out)["entries"] if (e["row"], e["col"]) == (871, 842)]
+        assert line == "871,842,-1,435,249690,-1.1487124226215442"
+        assert entry["approx"] == -1.1487124226215442
+
     def test_main_builds_no_parser_per_call(self, capsys):
         # after a cold cache, three calls build one parser: its __init__ and
         # one per subcommand, and no more
@@ -265,15 +274,12 @@ class TestVerify:
         assert "eigenvalue 34/3" in out
         assert out.endswith("PASS\n")
 
-    def test_oracle_flag(self, capsys):
-        code, out, _ = run(capsys, "verify", "--p", "2", "--q", "1", "--oracle")
-        assert code == 0
-        assert "block unknowns match brute-force solve" in out
-
-    def test_oracle_guard(self, capsys):
-        code, _, err = run(capsys, "verify", "--p", "25", "--q", "12", "--oracle")
-        assert code == 2
-        assert "desk-scale" in err
+    @pytest.mark.parametrize("argv", [["oracle", "--p", "2", "--q", "1"],
+                                      ["verify", "--p", "2", "--q", "1", "--oracle"]])
+    def test_retired_oracle_front_ends_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
 
 
 class TestSweep:
@@ -408,32 +414,6 @@ class TestUnknownsAndOracle:
             "i,j,num,den\n1,2,3,2\n2,3,0,1\n3,1,3,2\n3,4,1,1\n4,2,1,2\n"
         )
 
-    def test_oracle_csv_matches_nonzero_unknowns(self, capsys):
-        _, unknowns_out, _ = run(capsys, "unknowns", "--p", "2", "--q", "1")
-        _, oracle_out, _ = run(capsys, "oracle", "--p", "2", "--q", "1")
-
-        def parse(text):
-            rows = text.splitlines()[1:]
-            return {
-                (int(i), int(j)): Fraction(int(num), int(den))
-                for i, j, num, den in (row.split(",") for row in rows)
-            }
-
-        formula, solved = parse(unknowns_out), parse(oracle_out)
-        keys = set(formula) | set(solved)
-        assert all(
-            formula.get(k, Fraction(0)) == solved.get(k, Fraction(0)) for k in keys
-        )
-
-    def test_oracle_size_guard(self, capsys):
-        code, out, err = run(capsys, "oracle", "--p", "25", "--q", "12")
-        assert (code, out) == (2, "")
-        assert err == "su3rep: error: oracle is desk-scale only (d <= 4000)\n"
-
     def test_orientation_guard(self, capsys):
         code, _, err = run(capsys, "unknowns", "--p", "1", "--q", "2")
         assert code == 2 and "p >= q" in err
-        code, out, err = run(capsys, "oracle", "--p", "2", "--q", "4")
-        assert (code, out) == (2, "") and "p >= q" in err
-        code, _, err = run(capsys, "oracle", "--p", "25", "--q", "12")
-        assert code == 2 and "desk-scale" in err

@@ -20,7 +20,6 @@ import io
 import json
 import sys
 from pathlib import Path
-from unittest import mock
 
 import pytest
 
@@ -46,11 +45,10 @@ GENERATE_CASES = [
     for fmt in ("json", "csv")
     for approx in (False, True)
 ]
-VERIFY_CASES = [
-    (p, q, oracle)
-    for p, q in ((0, 0), (1, 0), (2, 1), (3, 2), (2, 3))
-    for oracle in (False, True)
-] + [(5, 3, True), (25, 12, True)]  # inside and past the oracle's size bound
+# Each record is keyed "p,q oracle=False", and each case carries that False:
+# the suffix names the retired `verify --oracle` flag, kept so that the
+# records and the test ids stay as they were.
+VERIFY_CASES = [(p, q, False) for p, q in ((0, 0), (1, 0), (2, 1), (3, 2), (2, 3))]
 CORRUPTED_CASES = [
     (p, q, field)
     for p, q in ((3, 2), (2, 3))
@@ -87,15 +85,8 @@ def generate_digests(p, q, fmt, approx) -> dict[str, str]:
     }
 
 
-def verify_output(p, q, oracle) -> dict:
-    return _run("verify", "--p", str(p), "--q", str(q), *(["--oracle"] if oracle else []))
-
-
-def oracle_mismatch_output() -> dict:
-    """`verify --oracle` on (2,1) when the oracle disagrees with the closed forms."""
-    mismatch = ["block (2, 1): closed form 1 != solved 2"]
-    with mock.patch("su3rep.verify.compare_with_oracle", return_value=mismatch):
-        return verify_output(2, 1, True)
+def verify_output(p, q) -> dict:
+    return _run("verify", "--p", str(p), "--q", str(q))
 
 
 def corrupted_report_text(p, q, field) -> str:
@@ -149,9 +140,8 @@ def diagonal_csv_digests() -> dict[str, dict[str, str]]:
 def record() -> dict:
     return {
         "generate": {_generate_key(*case): generate_digests(*case) for case in GENERATE_CASES},
-        "verify": {f"{p},{q} oracle={oracle}": verify_output(p, q, oracle)
+        "verify": {f"{p},{q} oracle={oracle}": verify_output(p, q)
                    for p, q, oracle in VERIFY_CASES},
-        "verify oracle mismatch": oracle_mismatch_output(),
         "render_report corrupted": {f"{p},{q} {field}": corrupted_report_text(p, q, field)
                                     for p, q, field in CORRUPTED_CASES},
         "sweep": sweep_output(),
@@ -174,11 +164,7 @@ def test_generate(golden, p, q, fmt, approx):
 
 @pytest.mark.parametrize("p,q,oracle", VERIFY_CASES)
 def test_verify(golden, p, q, oracle):
-    assert verify_output(p, q, oracle) == golden["verify"][f"{p},{q} oracle={oracle}"]
-
-
-def test_verify_oracle_mismatch(golden):
-    assert oracle_mismatch_output() == golden["verify oracle mismatch"]
+    assert verify_output(p, q) == golden["verify"][f"{p},{q} oracle={oracle}"]
 
 
 @pytest.mark.parametrize("p,q,field", CORRUPTED_CASES)

@@ -87,6 +87,10 @@ class TestQueries:
         a = sqrt_of_rational(2) + 1
         b = RadicalSum(1) + sqrt_of_rational(2)
         assert hash(a) == hash(b) and a == b
+        # a rational RadicalSum equals its int or Fraction, so it hashes alike
+        for value in (0, 1, -3, Fraction(1, 2)):
+            assert RadicalSum(value) == value and hash(RadicalSum(value)) == hash(value)
+            assert value in {RadicalSum(value)} and RadicalSum(value) in {value}
 
 
 class TestSerialization:

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from su3rep import (
     CheckReport,
@@ -307,22 +307,12 @@ class TestNegativeControls:
             assert not check_commutators(corrupt).passed
 
 
-class TestVerifyIrrep:
-    def test_with_oracle(self):
-        report = verify_irrep(3, 2, with_oracle=True)
-        assert report.passed
-        assert len(report.relations) == 28 + 1 + 3 + 1
-
-    def test_swapped_orientation_oracle_uses_sorted_label(self):
-        assert verify_irrep(1, 2, with_oracle=True).passed
-
-
 class TestRelationKinds:
     @pytest.mark.parametrize("p,q", [(3, 2), (2, 3)])
     def test_kind_counts(self, p, q):
-        report = verify_irrep(p, q, with_oracle=True)
+        report = verify_irrep(p, q)
         counts = Counter(r.kind for r in report.relations)
-        assert counts == {"commutator": 28, "casimir": 1, "structure": 3, "oracle": 1}
+        assert counts == {"commutator": 28, "casimir": 1, "structure": 3}
         assert [len(report.of_kind(k).relations) for k in counts] == list(counts.values())
 
     def test_sweep_reads_each_kind(self, monkeypatch):
@@ -954,3 +944,27 @@ class TestSchurCasimir:
             assert report.passed, (built, label)
             assert not verify_module._weight_certificate(gs), (built, label)
             assert _verify_casimir_line(gs)[0] == check_casimir(gs), (built, label)
+
+
+# ---------------------------------------------------------------------------
+# One corrupted entry fails verify_irrep: no derived line (Serre, the sl(2)
+# module, Schur) may pass a set that differs from a clean one in one entry
+
+_SWEEP_LABELS = _both_orientations(sweep_labels(300))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_one_corrupted_entry_fails_verify(data):
+    label = data.draw(st.sampled_from(_SWEEP_LABELS))
+    gs = _generator_set(*label)
+    name = data.draw(st.sampled_from(sorted(_FIELDS)))
+    mat = gs.matrices()[name]
+    entries = list(mat.items())
+    assume(entries)
+    r, c, _ = data.draw(st.sampled_from(entries))
+    bad = dataclasses.replace(gs, **{_FIELDS[name]: _added(mat, r, c, 1)})
+    with mock.patch.object(verify_module, "build_generator_set", return_value=bad):
+        report = verify_irrep(*label)
+    assert not report.passed
+    assert report.failures(), (label, name, r, c)
