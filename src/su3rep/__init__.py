@@ -23,7 +23,6 @@ from .su2 import ladder_coefficient, spin_block
 from .unknowns import block_unknown_squares
 from .generators import (
     ComplexMatrix,
-    GellMannSet,
     GeneratorSet,
     build_generator_set,
     build_matrices,
@@ -52,7 +51,6 @@ __all__ = [
     "CheckReport",
     "ComplexMatrix",
     "ConsistencyError",
-    "GellMannSet",
     "GeneratorSet",
     "RadMatrix",
     "RadicalSum",

@@ -20,8 +20,8 @@ import sys
 from collections.abc import Iterator
 
 from .generators import (
-    GELL_MANN_INPUTS,
     GELL_MANN_NAMES,
+    GELL_MANN_TABLE,
     MATRIX_NAMES,
     build_matrices,
     gell_mann_matrix,
@@ -148,7 +148,7 @@ def _cells(p: int, q: int, name: str) -> Iterator[tuple]:
             yield r + 1, c + 1, (("value", triples),)
         return
     k = GELL_MANN_NAMES.index(name) + 1
-    fmat = gell_mann_matrix(build_matrices(p, q, GELL_MANN_INPUTS[k]), k)
+    fmat = gell_mann_matrix(build_matrices(p, q, [x for _, x in GELL_MANN_TABLE[k][2]]), k)
     re = {(r, c): triples for r, c, triples in fmat.re.triple_items()}
     im = {(r, c): triples for r, c, triples in fmat.im.triple_items()}
     for r, c in sorted(re.keys() | im.keys()):

@@ -17,7 +17,6 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .matrices import Entry, RadMatrix, _combine
-from .radical import RadicalSum
 from .structure import (
     ConsistencyError,
     _check_label,
@@ -31,12 +30,22 @@ from .su2 import spin_entries
 from .unknowns import block_unknown_squares
 
 MATRIX_NAMES = ("Tp", "Tm", "T3", "Up", "Um", "U3", "Vp", "Vm")
-GELL_MANN_NAMES = tuple(f"F{i}" for i in range(1, 9))
-# The ladder matrices each Fk is made of (see gell_mann_matrix).
-GELL_MANN_INPUTS = {
-    1: ("Tp", "Tm"), 2: ("Tp", "Tm"), 3: ("T3",), 4: ("Vp", "Vm"),
-    5: ("Vp", "Vm"), 6: ("Up", "Um"), 7: ("Up", "Um"), 8: ("U3", "T3"),
+# The hermitian basis, k -> (part, radicand, terms): Fk's part ("re" or "im")
+# is sqrt(radicand) times the sum of c * X over its terms (c, X), and its
+# other part is zero.  F1 = (T+ + T-)/2, F2 = -i(T+ - T-)/2, F3 = T3, F4/F5
+# likewise from V, F6/F7 from U, and F8 = (2 U3 + T3)/sqrt(3).
+_HALF = Fraction(1, 2)
+GELL_MANN_TABLE: dict[int, tuple[str, int, tuple[tuple[Fraction, str], ...]]] = {
+    1: ("re", 1, ((_HALF, "Tp"), (_HALF, "Tm"))),
+    2: ("im", 1, ((-_HALF, "Tp"), (_HALF, "Tm"))),
+    3: ("re", 1, ((Fraction(1), "T3"),)),
+    4: ("re", 1, ((_HALF, "Vp"), (_HALF, "Vm"))),
+    5: ("im", 1, ((-_HALF, "Vp"), (_HALF, "Vm"))),
+    6: ("re", 1, ((_HALF, "Up"), (_HALF, "Um"))),
+    7: ("im", 1, ((-_HALF, "Up"), (_HALF, "Um"))),
+    8: ("re", 3, ((Fraction(2, 3), "U3"), (Fraction(1, 3), "T3"))),
 }
+GELL_MANN_NAMES = tuple(f"F{k}" for k in GELL_MANN_TABLE)
 
 
 @dataclass(frozen=True)
@@ -75,21 +84,6 @@ class ComplexMatrix:
 
     def is_traceless(self) -> bool:
         return self.re.trace().is_zero and self.im.trace().is_zero
-
-
-@dataclass(frozen=True)
-class GellMannSet:
-    """The eight hermitian basis matrices F1..F8 of one irrep."""
-
-    p: int
-    q: int
-    matrices: tuple[ComplexMatrix, ...]
-
-    def __getitem__(self, index: int) -> ComplexMatrix:
-        """1-based access: fs[3] is F3."""
-        if not 1 <= index <= 8:
-            raise IndexError("F index must be 1..8")
-        return self.matrices[index - 1]
 
 
 _SPIN_KINDS = {"Tp": "plus", "Tm": "minus", "T3": "three"}
@@ -200,34 +194,21 @@ def build_generator_set(p: int, q: int) -> GeneratorSet:
     return GeneratorSet(p, q, *(matrices[name] for name in MATRIX_NAMES))
 
 
-_SQRT3_THIRD = RadicalSum.from_terms([(Fraction(1, 3), 3)])  # 1/sqrt(3)
-
-
 def gell_mann_matrix(matrices: Mapping[str, RadMatrix], k: int) -> ComplexMatrix:
-    """The hermitian basis matrix Fk, 1 <= k <= 8, from the ladder matrices
-    by name (``GeneratorSet.matrices()``, or any mapping that holds
-    ``GELL_MANN_INPUTS[k]``).
-
-    F1 = (T+ + T-)/2, F2 = -i(T+ - T-)/2, F3 = T3, F4/F5 likewise from V,
-    F6/F7 from U, and F8 = (2 U3 + T3)/sqrt(3).
-    """
+    """The hermitian basis matrix Fk, 1 <= k <= 8, as ``GELL_MANN_TABLE``
+    states it, from the ladder matrices by name (``GeneratorSet.matrices()``,
+    or any mapping that holds the names of Fk's terms)."""
     if not 1 <= k <= 8:
         raise IndexError("F index must be 1..8")
-    if k == 3:
-        t_three = matrices["T3"]
-        return ComplexMatrix(t_three, RadMatrix(t_three.n))
-    a, b = (matrices[name] for name in GELL_MANN_INPUTS[k])
-    half = Fraction(1, 2)
-    zero = RadMatrix(a.n)
-    if k == 8:  # a = U3, b = T3
-        return ComplexMatrix(_combine(((2, a), (1, b))).scaled(_SQRT3_THIRD), zero)
-    if k in (1, 4, 6):  # a, b = X+, X-
-        return ComplexMatrix(_combine(((half, a), (half, b))), zero)
-    # F2, F5, F7: the imaginary partner
-    return ComplexMatrix(zero, _combine(((half, b), (-half, a))))
+    part, radicand, terms = GELL_MANN_TABLE[k]
+    n = matrices[terms[0][1]].n
+    root = () if radicand == 1 else (
+        RadMatrix.from_entries(n, ((i, i, 1, radicand, 1) for i in range(n))),)
+    value, zero = _combine((c, matrices[name], *root) for c, name in terms), RadMatrix(n)
+    return ComplexMatrix(value, zero) if part == "re" else ComplexMatrix(zero, value)
 
 
-def to_gell_mann(gs: GeneratorSet) -> GellMannSet:
-    """Convert to the hermitian basis F1..F8; see gell_mann_matrix."""
+def to_gell_mann(gs: GeneratorSet) -> dict[int, ComplexMatrix]:
+    """The hermitian basis {k: Fk} for k = 1..8; see gell_mann_matrix."""
     matrices = gs.matrices()
-    return GellMannSet(gs.p, gs.q, tuple(gell_mann_matrix(matrices, k) for k in range(1, 9)))
+    return {k: gell_mann_matrix(matrices, k) for k in GELL_MANN_TABLE}

@@ -93,7 +93,8 @@ class RadicalSum:
             yield self._terms[m], m
 
     def to_float(self) -> float:
-        return sum(float(c) * math.sqrt(m) for m, c in self._terms.items())
+        """The float value, summed in ascending radicand, so equal sums agree."""
+        return sum((float(c) * math.sqrt(m) for c, m in self.terms()), 0.0)
 
     # -- arithmetic ------------------------------------------------------
 

@@ -68,11 +68,13 @@ import math
 import os
 import time
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .generators import (
-    GellMannSet,
+    GELL_MANN_TABLE,
+    ComplexMatrix,
     GeneratorSet,
     build_generator_set,
     to_gell_mann,
@@ -255,13 +257,16 @@ def check_casimir(gs: GeneratorSet) -> RelationCheck:
     return _relation_check("casimir", f"casimir = {eigen}", _combine(terms))
 
 
-def check_structure(fs: GellMannSet) -> list[RelationCheck]:
-    """Hermiticity, tracelessness and the real/imaginary split of F1..F8."""
-    herm_bad = [i + 1 for i, f in enumerate(fs.matrices) if not f.is_hermitian()]
-    trace_bad = [i + 1 for i, f in enumerate(fs.matrices) if not f.is_traceless()]
-    real_bad = [i for i in (1, 3, 4, 6, 8) if not fs[i].im.is_zero()]
-    imag_bad = [i for i in (2, 5, 7) if not fs[i].re.is_zero()]
-    reality_bad = real_bad + imag_bad
+def check_structure(fs: Mapping[int, ComplexMatrix]) -> list[RelationCheck]:
+    """Hermiticity, tracelessness and the real/imaginary split of F1..F8,
+    fs as ``to_gell_mann`` returns it; each offender list ascends in k."""
+    herm_bad = [k for k in GELL_MANN_TABLE if not fs[k].is_hermitian()]
+    trace_bad = [k for k in GELL_MANN_TABLE if not fs[k].is_traceless()]
+    # the part that GELL_MANN_TABLE leaves zero must be zero
+    reality_bad = [k for k, (part, _, _) in GELL_MANN_TABLE.items()
+                   if not (fs[k].im if part == "re" else fs[k].re).is_zero()]
+    real, imag = (",".join(f"F{k}" for k, row in GELL_MANN_TABLE.items() if row[0] == part)
+                  for part in ("re", "im"))
 
     def entry(name: str, bad: list[int]) -> RelationCheck:
         return RelationCheck(
@@ -274,7 +279,7 @@ def check_structure(fs: GellMannSet) -> list[RelationCheck]:
     return [
         entry("F1..F8 hermitian", herm_bad),
         entry("F1..F8 traceless", trace_bad),
-        entry("F1,F3,F4,F6,F8 real; F2,F5,F7 imaginary", reality_bad),
+        entry(f"{real} real; {imag} imaginary", reality_bad),
     ]
 
 

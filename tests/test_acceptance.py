@@ -38,7 +38,7 @@ def test_criterion_1_fundamental_golden(textbook_fundamental):
     fs = to_gell_mann(build_generator_set(1, 0))
 
     def matches(perm):
-        for ours, ref in zip(fs.matrices, textbook_fundamental):
+        for ours, ref in zip(fs.values(), textbook_fundamental):
             for r in range(3):
                 for c in range(3):
                     if ours.re.get(r, c) != ref.re.get(perm[r], perm[c]):

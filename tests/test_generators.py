@@ -24,7 +24,7 @@ from su3rep import (
     tspin_list,
     u3_leads,
 )
-from su3rep.generators import unit_raising_blocks
+from su3rep.generators import GELL_MANN_TABLE, MATRIX_NAMES, unit_raising_blocks
 from su3rep.matrices import commutator
 from su3rep.unknowns import ConsistencyError
 
@@ -308,6 +308,25 @@ class TestGellMann:
         assert all(r == c for r, c, _ in f8.re.items())
         assert f8.re.trace().is_zero
 
+    def test_computes_the_table_for_every_input(self):
+        # gell_mann_matrix is linear with constant coefficients, so eight
+        # generic inputs, each a distinct prime at a position no other input
+        # uses, read back every coefficient: Fk's part holds exactly
+        # c * prime * sqrt(radicand) at the position of each term's input and
+        # nothing else, and its other part holds nothing
+        n = len(MATRIX_NAMES)
+        primes = dict(zip(MATRIX_NAMES, (2, 3, 5, 7, 11, 13, 17, 19)))
+        position = {name: (j, (j + 1) % n) for j, name in enumerate(MATRIX_NAMES)}
+        inputs = {name: RadMatrix.from_entries(n, [(*position[name], 1, primes[name] ** 2, 1)])
+                  for name in MATRIX_NAMES}
+        for k, (part, radicand, terms) in GELL_MANN_TABLE.items():
+            f = gell_mann_matrix(inputs, k)
+            value, other = (f.re, f.im) if part == "re" else (f.im, f.re)
+            assert other.is_zero(), k
+            assert {(r, c): list(v.terms()) for r, c, v in value.items()} == {
+                position[name]: [(coeff * primes[name], radicand)] for coeff, name in terms
+            }, k
+
     @pytest.mark.parametrize("k", [0, 9])
     def test_index_out_of_range(self, k):
         with pytest.raises(IndexError, match="1..8"):
@@ -315,7 +334,7 @@ class TestGellMann:
 
     def test_all_hermitian_adjoint(self):
         fs = to_gell_mann(build_generator_set(1, 1))
-        assert all(f.is_hermitian() for f in fs.matrices)
+        assert all(f.is_hermitian() for f in fs.values())
 
     def test_fundamental_matches_textbook_up_to_permutation(
         self, textbook_fundamental
@@ -323,7 +342,7 @@ class TestGellMann:
         fs = to_gell_mann(build_generator_set(1, 0))
 
         def matches(perm):
-            for ours, ref in zip(fs.matrices, textbook_fundamental):
+            for ours, ref in zip(fs.values(), textbook_fundamental):
                 for r in range(3):
                     for c in range(3):
                         if ours.re.get(r, c) != ref.re.get(perm[r], perm[c]):

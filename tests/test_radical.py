@@ -82,6 +82,10 @@ class TestQueries:
     def test_to_float(self):
         v = sqrt_of_rational(Fraction(3, 2))
         assert math.isclose(v.to_float(), math.sqrt(1.5), rel_tol=1e-12)
+        # equal sums built in different orders give the same float
+        terms = [(Fraction(-69, 8), 3), (Fraction(95, 8), 2), (3, 7)]
+        a, b = RadicalSum.from_terms(terms), RadicalSum.from_terms(terms[::-1])
+        assert a == b and a.to_float() == b.to_float()
 
     def test_hashable(self):
         a = sqrt_of_rational(2) + 1

@@ -14,7 +14,6 @@ from su3rep import (
     CheckReport,
     ComplexMatrix,
     ConsistencyError,
-    GellMannSet,
     RadicalSum,
     RelationCheck,
     block_unknown_squares,
@@ -89,7 +88,11 @@ class TestStructure:
     @pytest.mark.parametrize("p,q", [(1, 0), (2, 1), (1, 2)])
     def test_passes(self, p, q):
         checks = check_structure(to_gell_mann(build_generator_set(p, q)))
-        assert len(checks) == 3
+        assert [c.name for c in checks] == [
+            "F1..F8 hermitian",
+            "F1..F8 traceless",
+            "F1,F3,F4,F6,F8 real; F2,F5,F7 imaginary",
+        ]
         assert all(c.exact for c in checks)
 
     def test_corrupted_f3_fails(self):
@@ -98,27 +101,27 @@ class TestStructure:
         for r, c, v in fs[3].re.items():
             bad_re.put(r, c, v)
         bad_re.put(0, 0, bad_re.get(0, 0) + 1)
-        bad = dataclasses.replace(
-            fs, matrices=fs.matrices[:2] + (dataclasses.replace(fs[3], re=bad_re),) + fs.matrices[3:]
-        )
-        checks = check_structure(bad)
+        checks = check_structure({**fs, 3: dataclasses.replace(fs[3], re=bad_re)})
         assert not all(c.exact for c in checks)
 
     def test_reality_split_names_the_offenders(self):
         # gell_mann_matrix leaves the unused part zero, so only a hand-built
-        # set can break the split: an antisymmetric imaginary part on F1 and
-        # a symmetric real part on F2 keep both hermitian and traceless
+        # set can break the split: an antisymmetric imaginary part and a
+        # symmetric real part keep a matrix hermitian and traceless.  Each
+        # input puts them on F1 or F3 and on F2; offenders list in ascending k
         fs = to_gell_mann(build_generator_set(1, 0))
         antisym, sym = RadMatrix(3), RadMatrix(3)
         for r, c, sign in ((0, 1, 1), (1, 0, -1)):
             antisym.put(r, c, RadicalSum(sign))
             sym.put(r, c, RadicalSum(1))
-        bad = GellMannSet(1, 0, (ComplexMatrix(fs[1].re, antisym), ComplexMatrix(sym, fs[2].im))
-                          + fs.matrices[2:])
-        herm, trace, reality = check_structure(bad)
-        assert herm.exact and trace.exact
-        assert not reality.exact
-        assert reality.name == "F1,F3,F4,F6,F8 real; F2,F5,F7 imaginary (violated by F[1, 2])"
+        for real_k, offenders in ((1, "F[1, 2]"), (3, "F[2, 3]")):
+            bad = {**fs, real_k: ComplexMatrix(fs[real_k].re, antisym),
+                   2: ComplexMatrix(sym, fs[2].im)}
+            herm, trace, reality = check_structure(bad)
+            assert herm.exact and trace.exact
+            assert not reality.exact
+            assert reality.name == (
+                f"F1,F3,F4,F6,F8 real; F2,F5,F7 imaginary (violated by {offenders})")
 
 
 class TestOracle:
