@@ -7,7 +7,7 @@ multiples of square roots, and verifies the su(3) algebra on them.
 """
 
 from .radical import RadicalSum, sqrt_of_rational
-from .matrices import RadMatrix, commutator
+from .matrices import RadMatrix
 from .structure import (
     ConsistencyError,
     StateLabel,
@@ -19,7 +19,7 @@ from .structure import (
     u3_leads,
     weight_multiplicities,
 )
-from .su2 import ladder_coefficient, spin_block
+from .su2 import ladder_coefficient
 from .unknowns import block_unknown_squares
 from .generators import (
     ComplexMatrix,
@@ -70,13 +70,11 @@ __all__ = [
     "check_casimir",
     "check_commutators",
     "check_structure",
-    "commutator",
     "compare_with_oracle",
     "dimension",
     "gell_mann_matrix",
     "ladder_coefficient",
     "oracle_solve",
-    "spin_block",
     "sqrt_of_rational",
     "state_labels",
     "sweep",

@@ -29,9 +29,9 @@ stored.
 One kernel, ``_combine``, does every sum and product: it adds terms
 coeff * A and coeff * A @ B, each rescaled to the lcm of the terms'
 denominators, into one integer accumulator per row (Gustavson's row-wise
-sparse product with the linear combination folded in).  ``A @ B``, a
-commutator, each relation's residual and the Casimir operator are one pass
-each, with no product matrix in between.
+sparse product with the linear combination folded in).  Each relation's
+residual and the Casimir operator are one pass each, with no product matrix
+in between.
 
 ``den`` is not canonical: products and sums keep the common denominator
 their operands give them, with no gcd pass to reduce it, so one matrix has
@@ -72,7 +72,7 @@ class RadMatrix:
         """The matrix (den, rows) less its zero numerators and empty rows.
 
         Rows are kept, not copied, and only a row holding a zero is rebuilt:
-        every caller (``_combine_all``, ``transpose``, ``trace``, ``identity``,
+        every caller (``_combine_all``, ``transpose``, ``trace`` and
         ``shift_residual``) passes dicts it has just built and drops them."""
         out = cls(n)
         out.den = den
@@ -109,11 +109,8 @@ class RadMatrix:
         return out
 
     @classmethod
-    def identity(cls, n: int, scale: _Scalar = 1) -> "RadMatrix":
-        cell = cls(1)
-        cell.put(0, 0, scale)  # scale's numerators by radicand, over cell.den
-        nums = cell._rows.get(0, {}).items()
-        return cls._raw(n, cell.den, {i: {sf * n + i: v for sf, v in nums} for i in range(n)})
+    def identity(cls, n: int) -> "RadMatrix":
+        return cls.from_entries(n, ((i, i, 1, 1, 1) for i in range(n)))
 
     # -- entry access (0-based) ------------------------------------------
 
@@ -192,21 +189,6 @@ class RadMatrix:
 
     # -- algebra ----------------------------------------------------------
 
-    def __add__(self, other: "RadMatrix") -> "RadMatrix":
-        return _combine(((1, self), (1, other)))
-
-    def __sub__(self, other: "RadMatrix") -> "RadMatrix":
-        return _combine(((1, self), (-1, other)))
-
-    def __neg__(self) -> "RadMatrix":
-        return _combine(((-1, self),))
-
-    def scaled(self, factor: _Scalar) -> "RadMatrix":
-        return self @ RadMatrix.identity(self.n, factor)
-
-    def __matmul__(self, other: "RadMatrix") -> "RadMatrix":
-        return _combine(((1, self, other),))
-
     def transpose(self, sign: int = 1) -> "RadMatrix":
         """sign * self^T in one pass: sign -1 gives the (q, p) irrep's matrix."""
         n = self.n
@@ -271,12 +253,6 @@ class RadMatrix:
         """Largest |entry| in floating point; 0.0 for the zero matrix."""
         return max((abs(v.to_float()) for _, _, v in self.items()), default=0.0)
 
-    def to_float(self) -> list[list[float]]:
-        dense = [[0.0] * self.n for _ in range(self.n)]
-        for r, c, v in self.items():
-            dense[r][c] = v.to_float()
-        return dense
-
     def __repr__(self) -> str:
         return f"RadMatrix(n={self.n}, nnz={self.nnz})"
 
@@ -334,7 +310,3 @@ def _combine_all(groups: Iterable[Iterable[tuple]]) -> Iterator[RadMatrix]:
                         out = (sfa // g) * (sfb // g) * n + c
                         acc[out] = acc.get(out, 0) + fa * b * g
         yield RadMatrix._raw(n, den, rows)
-
-
-def commutator(a: RadMatrix, b: RadMatrix) -> RadMatrix:
-    return _combine(((1, a, b), (-1, b, a)))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .matrices import Entry, RadMatrix
+from .matrices import Entry
 from .radical import RadicalSum, sqrt_of_rational
 
 
@@ -50,11 +50,6 @@ def spin_entries(kind: str, two_s: int) -> list[Entry]:
     if kind == "minus":
         return [(a + 1, a, 1, (a + 1) * (two_s - a), 1) for a in range(two_s)]
     raise ValueError(f"kind must be 'plus', 'minus' or 'three', got {kind!r}")
-
-
-def spin_block(kind: str, two_s: int) -> RadMatrix:
-    """The (2s+1)-dimensional spin matrix of the given kind; see spin_entries."""
-    return RadMatrix.from_entries(two_s + 1, spin_entries(kind, two_s))
 
 
 def _check_component(two_s: int, two_sigma: int) -> None:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .structure import ConsistencyError  # noqa: F401  (re-exported; raised elsewhere)
 from .structure import _block_table, admissible_blocks
 
 

@@ -406,7 +406,7 @@ class TestBudget:
         assert err.value.code == 2
 
 
-class TestUnknownsAndOracle:
+class TestUnknowns:
     def test_unknowns_csv(self, capsys):
         code, out, _ = run(capsys, "unknowns", "--p", "1", "--q", "1")
         assert code == 0

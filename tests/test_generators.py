@@ -25,8 +25,8 @@ from su3rep import (
     u3_leads,
 )
 from su3rep.generators import GELL_MANN_TABLE, MATRIX_NAMES, unit_raising_blocks
-from su3rep.matrices import commutator
-from su3rep.unknowns import ConsistencyError
+from su3rep.matrices import _combine
+from su3rep.structure import ConsistencyError
 
 
 def all_labels(max_d):
@@ -102,11 +102,15 @@ class TestAssemblyMatchesReference:
         units = unit_raising_blocks(p, q)
         assert [key for key, _, _ in units] == [(i, j) for i, j, _ in admissible_blocks(p, q)]
         up, vp = build_uplus_vplus(p, q, squares)
+        roots = {}  # sqrt(x) * I by x, entry by entry
+        for x in {squares[unit[0]] for unit in units}:
+            roots[x], root = RadMatrix(d), sqrt_of_rational(x)
+            for k in range(d):
+                roots[x].put(k, k, root)
         for built, part in ((up, 1), (vp, 2)):
-            total = RadMatrix(d)
-            for unit in units:
-                root = sqrt_of_rational(squares[unit[0]])
-                total = total + RadMatrix.from_entries(d, unit[part]).scaled(root)
+            total = _combine([(1, RadMatrix(d))] + [  # the zero term sizes a sum of no blocks
+                (1, RadMatrix.from_entries(d, unit[part]), roots[squares[unit[0]]])
+                for unit in units])
             assert total == built
             assert list(total.items()) == list(built.items())
 
@@ -247,7 +251,7 @@ class TestGeneratorSet:
 
     def test_diagonals_commute(self):
         gs = build_generator_set(3, 2)
-        assert commutator(gs.t_three, gs.u_three).is_zero()
+        assert _combine(((1, gs.t_three, gs.u_three), (-1, gs.u_three, gs.t_three))).is_zero()
 
     def test_trivial_irrep(self):
         gs = build_generator_set(0, 0)
@@ -264,10 +268,9 @@ class TestGeneratorSet:
 
     def test_consistency_error_is_one_class(self):
         import su3rep
-        from su3rep import generators, structure, unknowns
+        from su3rep import generators, structure
 
-        assert (su3rep.ConsistencyError is structure.ConsistencyError
-                is unknowns.ConsistencyError is generators.ConsistencyError)
+        assert su3rep.ConsistencyError is structure.ConsistencyError is generators.ConsistencyError
 
     def test_swapped_label_is_negative_transpose(self):
         direct = build_generator_set(1, 0)
@@ -294,7 +297,7 @@ class TestGeneratorSet:
         gs = build_generator_set(*label)
         for mat in gs.matrices().values():
             once = mat.transpose(-1)
-            assert (once + mat.transpose()).is_zero()
+            assert _combine(((1, once), (1, mat.transpose()))).is_zero()
             assert list(once.transpose(-1).items()) == list(mat.items())
         assert gs.u_minus == gs.u_plus.transpose()
         assert gs.v_minus == gs.v_plus.transpose()

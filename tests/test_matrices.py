@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from su3rep import RadicalSum, build_generator_set, sqrt_of_rational
-from su3rep.matrices import RadMatrix, _combine, _combine_all, commutator
+from su3rep.matrices import RadMatrix, _combine, _combine_all
 
 # Small coefficients and radicands that are not all square-free (8 = 4*2,
 # 12 = 4*3), so that entries and their products cancel often.
@@ -47,7 +47,7 @@ def _stores_no_zero(mat: RadMatrix) -> bool:
 @given(_matrix_pairs())
 def test_product_matches_dense_reference(pair):
     a, b = pair
-    product = a @ b
+    product = _combine(((1, a, b),))
     assert product == _dense_product(a, b)
     assert _stores_no_zero(product)
 
@@ -55,8 +55,8 @@ def test_product_matches_dense_reference(pair):
 @given(_matrix_pairs())
 def test_commutator_matches_dense_reference(pair):
     a, b = pair
-    result = commutator(a, b)
-    assert result == _dense_product(a, b) - _dense_product(b, a)
+    result = _combine(((1, a, b), (-1, b, a)))
+    assert result == _combine(((1, _dense_product(a, b)), (-1, _dense_product(b, a))))
     assert _stores_no_zero(result)
 
 
@@ -147,8 +147,9 @@ def _stores_no_zero_numerator(mat: RadMatrix) -> bool:
 @given(st.one_of(_stored_forms(), _matrix_pairs().map(lambda pair: pair[0])))
 def test_negative_transpose_is_minus_the_transpose(mat):
     once = mat.transpose(-1)
-    assert once == -mat.transpose()
-    assert list(once.items()) == list((-mat.transpose()).items())
+    minus = _combine(((-1, mat.transpose()),))
+    assert once == minus
+    assert list(once.items()) == list(minus.items())
     assert once.den == mat.den
     assert _stores_no_zero_numerator(once)
 
@@ -167,7 +168,7 @@ def _transpose_candidates(draw):
         b.put(r, c, v)
     b.put(*draw(positions), _rad((Fraction(1, 5), draw(st.sampled_from([1, 2, 6])))))
     if sign == -1 and draw(st.booleans()):
-        a = b - b.transpose()
+        a = _combine(((1, b), (-1, b.transpose())))
         if draw(st.booleans()):
             i = draw(st.integers(0, n - 1))
             a.put(i, i, draw(_entries))
@@ -186,7 +187,7 @@ def _transpose_candidates(draw):
 @given(_transpose_candidates())
 def test_is_transpose_of_matches_reference(drawn):
     a, b, sign = drawn
-    reference = b.transpose() if sign == 1 else -b.transpose()
+    reference = _combine(((sign, b.transpose()),))
     assert a.is_transpose_of(b, sign) == (a == reference)
 
 
@@ -232,7 +233,7 @@ def test_shift_residual_matches_commutator(drawn):
     numerators = diag.rational_diagonal()
     assert numerators is not None
     got = x.shift_residual(numerators, diag.den, alpha)
-    want = _combine(((1, commutator(diag, x)), (-alpha, x)))
+    want = _combine(((1, diag, x), (-1, x, diag), (-alpha, x)))
     assert got == want
     assert got.is_zero() == want.is_zero()
     assert got.max_abs_float() == want.max_abs_float()
@@ -282,16 +283,6 @@ def test_combination_matches_entrywise_reference(pair, x, y):
     assert combined.is_zero() == (not any(reference.values()))
 
 
-@given(_matrix_pairs(), _entries)
-def test_scaled_by_radical_matches_entrywise_product(pair, factor):
-    a, _ = pair
-    scaled = a.scaled(factor)
-    for i in range(a.n):
-        for j in range(a.n):
-            assert scaled.get(i, j) == a.get(i, j) * factor
-    assert _stores_no_zero(scaled)
-
-
 def test_put_replaces_every_radicand_of_a_cell():
     mat = RadMatrix(2)
     mat.put(0, 1, RadicalSum(4))
@@ -320,7 +311,8 @@ def test_equality_ignores_the_stored_denominator():
     overwritten.put(0, 0, RadicalSum(Fraction(1, 7)))
     overwritten.put(0, 0, RadicalSum(1))
     overwritten.put(1, 0, _rad((Fraction(1, 2), 2)))
-    through_product = plain.scaled(Fraction(1, 3)) @ RadMatrix.identity(2, 3)
+    ident = RadMatrix.identity(2)
+    through_product = _combine(((Fraction(1, 3), plain, ident), (Fraction(2, 3), ident, plain)))
     for same in (overwritten, through_product):
         assert same.den != plain.den
         assert same == plain and plain == same
@@ -351,29 +343,27 @@ def test_cancelling_product_stores_nothing():
     a.put(0, 1, _rad((1, 8)))
     b.put(0, 0, _rad((1, 2)))
     b.put(1, 0, _rad((Fraction(-1, 2), 2)))
-    product = a @ b
+    product = _combine(((1, a, b),))
     assert product.is_zero()
     assert list(product.items()) == [] and product.nnz == 0
 
 
 def test_identity():
     assert list(RadMatrix.identity(4).items()) == [(i, i, RadicalSum(1)) for i in range(4)]
-    third = _rad((Fraction(1, 3), 3))
-    assert list(RadMatrix.identity(3, third).items()) == [(i, i, third) for i in range(3)]
-    assert RadMatrix.identity(3, 0).is_zero()
     mat = RadMatrix(3)
     mat.put(0, 2, _rad((Fraction(2, 5), 6)))
     mat.put(2, 1, RadicalSum(-3))
     ident = RadMatrix.identity(3)
-    assert list((mat @ ident).items()) == list(mat.items())
-    assert list((ident @ mat).items()) == list(mat.items())
+    assert ident.den == 1 and ident._rows == {i: {3 + i: 1} for i in range(3)}
+    assert list(_combine(((1, mat, ident),)).items()) == list(mat.items())
+    assert list(_combine(((1, ident, mat),)).items()) == list(mat.items())
 
 
 def test_shape_mismatch_raises():
     a, b = RadMatrix(2), RadMatrix(3)
-    for op in (lambda: a + b, lambda: b - a, lambda: a @ b, lambda: commutator(b, a)):
+    for terms in (((1, a), (1, b)), ((1, a, b),), ((1, b, a), (-1, a, b))):
         with pytest.raises(ValueError, match="shape mismatch"):
-            op()
+            _combine(terms)
 
 
 class TestFromEntries:

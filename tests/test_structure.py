@@ -1,6 +1,7 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from su3rep import (
     block_offsets,
@@ -10,6 +11,8 @@ from su3rep import (
     u3_leads,
     weight_multiplicities,
 )
+from su3rep.cli import DEFAULT_MAX_D
+from su3rep.verify import sweep_labels
 
 # (5, 3) reference data: the three-region T-spin display and the three
 # doubled lead-component lists.
@@ -17,6 +20,24 @@ TSPINS_53 = (0, 1, 1, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 5, 5, 5, 5, 6, 6, 6, 7, 7
 LEADS_53_TOP = (-2, -4, -1, -6, -3, 0)
 LEADS_53_MIDDLE = (-8, -5, -2, 1, -7, -4, -1, 2, -6, -3, 0, 3)
 LEADS_53_BOTTOM = (-5, -2, 1, -4, -1, -3)
+
+
+# every label that the CLI's --max-d budget admits, in both orientations
+_BUDGET_LABELS = sorted({label for p, q in sweep_labels(DEFAULT_MAX_D + 1)
+                         for label in ((p, q), (q, p))})
+
+
+def _assert_weight_symmetries(p, q):
+    """The counts of (p, q), keyed by (x, y) = (2 T3, 3 Y), sum to d and are
+    invariant under the T3 and U-spin reflections (which generate the Weyl
+    group); (q, p) has them at (-x, -y), and the corner (p, p + 2q) has 1."""
+    counts = weight_multiplicities(p, q)
+    assert sum(counts.values()) == dimension(p, q)
+    assert {(-x, y): n for (x, y), n in counts.items()} == counts
+    assert all((x + y) % 2 == 0 for x, y in counts)
+    assert {((x + y) // 2, (3 * x - y) // 2): n for (x, y), n in counts.items()} == counts
+    assert weight_multiplicities(q, p) == {(-x, -y): n for (x, y), n in counts.items()}
+    assert counts[(p, p + 2 * q)] == 1
 
 
 def all_labels(max_d):
@@ -155,9 +176,12 @@ class TestWeightMultiplicities:
 
     @pytest.mark.parametrize("p,q", [(1, 0), (2, 1), (5, 3), (1, 2), (3, 3)])
     def test_total_and_t3_symmetry(self, p, q):
-        counts = weight_multiplicities(p, q)
-        assert sum(counts.values()) == dimension(p, q)
-        assert all(counts[(-t3, y)] == n for (t3, y), n in counts.items())
+        _assert_weight_symmetries(p, q)
+
+    @settings(deadline=None)
+    @given(st.sampled_from(_BUDGET_LABELS))
+    def test_weyl_and_conjugation_symmetry_up_to_max_d(self, label):
+        _assert_weight_symmetries(*label)
 
     @pytest.mark.parametrize("p,q", [(1, 0), (2, 1), (5, 3), (2, 3)])
     def test_top_and_bottom_row_sizes(self, p, q):
