@@ -60,6 +60,21 @@ completely reducible (Weyl) with the character of (p, q), so it is the irrep
 T3 = p/2, U3 = q/2 and each (X+X- + X-X+)/2 is [X+,X-]/2, so the scalar is
 ``casimir_eigenvalue(p, q)``: an exact PASS with no product.  Otherwise it
 calls ``check_casimir``, which always computes the six-product sum.
+
+It reads the three structure lines off the same set, with no Fk built, when
+T3 and U3 store only rational diagonal terms and each lowering matrix is the
+transpose of its raising partner.  Each row of ``GELL_MANN_TABLE`` is
+c X+ + conj(c) X- for a ladder pair (c = 1/2, or -i/2 for F2, F5 and F7), or
+a rational diagonal times sqrt(radicand) (F3, F8).  X- = X+^T makes the
+first kind hermitian, since its adjoint is conj(c) X+^T + c X-^T, and the
+second kind is real and diagonal: the hermitian line passes.  The trace of
+Fk is sqrt(radicand) times the sum of c tr(X) over its row's terms, so the
+traceless line's offenders come from the eight ladder traces, O(nnz).
+``gell_mann_matrix`` writes Fk into the part its row names and leaves the
+other part zero whatever its input, so the real/imaginary line is a property
+of the table and passes.  When either hypothesis fails, ``verify_irrep``
+calls ``check_structure(to_gell_mann(gs))``, so every offender list is that
+line's own.
 """
 
 from __future__ import annotations
@@ -174,6 +189,11 @@ _DERIVED_ROWS = tuple(k for k in range(len(COMMUTATOR_TABLE))
                       if k not in _CARTAN_ROWS and k not in _CHEVALLEY_ROWS)
 
 
+def _adjoint(mats: Mapping[str, RadMatrix]) -> bool:
+    """Whether each lowering matrix is the transpose of its raising partner."""
+    return all(mats[x].is_transpose_of(mats[y]) for x, y in _ADJOINT.items())
+
+
 def _weight_read(mats: dict[str, RadMatrix], diagonals: dict[str, list[int] | None],
                  a: str, b: str, rhs: tuple[tuple[Fraction, str], ...]) -> RadMatrix | None:
     """The residual of [a,b] = rhs read off a rational diagonal operand h in
@@ -201,8 +221,7 @@ def check_commutators(gs: GeneratorSet) -> CheckReport:
             for a, b, rhs in (COMMUTATOR_TABLE[k] for k in ks)
         )))
 
-    if (all(r is not None and r.is_zero() for r in residuals.values())
-            and all(mats[x].is_transpose_of(mats[y]) for x, y in _ADJOINT.items())):
+    if all(r is not None and r.is_zero() for r in residuals.values()) and _adjoint(mats):
         residuals.update(computed(_CHEVALLEY_ROWS))
         if all(residuals[k].is_zero() for k in _CHEVALLEY_ROWS):
             # the sl(2)-module argument, then Serre's theorem
@@ -257,30 +276,40 @@ def check_casimir(gs: GeneratorSet) -> RelationCheck:
     return _relation_check("casimir", f"casimir = {eigen}", _combine(terms))
 
 
+# The structure lines' names; the reality line names each Fk by its part.
+_STRUCTURE_NAMES = ("F1..F8 hermitian", "F1..F8 traceless", "{} real; {} imaginary".format(
+    *(",".join(f"F{k}" for k, row in GELL_MANN_TABLE.items() if row[0] == part)
+      for part in ("re", "im"))))
+
+
+def _structure_lines(herm_bad: list[int], trace_bad: list[int],
+                     reality_bad: list[int]) -> list[RelationCheck]:
+    """The hermitian, traceless and reality lines from their offender lists."""
+    return [
+        RelationCheck(name if not bad else f"{name} (violated by F{bad})",
+                      not bad, 0.0 if not bad else 1.0, kind="structure")
+        for name, bad in zip(_STRUCTURE_NAMES, (herm_bad, trace_bad, reality_bad))
+    ]
+
+
 def check_structure(fs: Mapping[int, ComplexMatrix]) -> list[RelationCheck]:
     """Hermiticity, tracelessness and the real/imaginary split of F1..F8,
     fs as ``to_gell_mann`` returns it; each offender list ascends in k."""
-    herm_bad = [k for k in GELL_MANN_TABLE if not fs[k].is_hermitian()]
-    trace_bad = [k for k in GELL_MANN_TABLE if not fs[k].is_traceless()]
-    # the part that GELL_MANN_TABLE leaves zero must be zero
-    reality_bad = [k for k, (part, _, _) in GELL_MANN_TABLE.items()
-                   if not (fs[k].im if part == "re" else fs[k].re).is_zero()]
-    real, imag = (",".join(f"F{k}" for k, row in GELL_MANN_TABLE.items() if row[0] == part)
-                  for part in ("re", "im"))
+    return _structure_lines(
+        [k for k in GELL_MANN_TABLE if not fs[k].is_hermitian()],
+        [k for k in GELL_MANN_TABLE if not fs[k].is_traceless()],
+        # the part that GELL_MANN_TABLE leaves zero must be zero
+        [k for k, (part, _, _) in GELL_MANN_TABLE.items()
+         if not (fs[k].im if part == "re" else fs[k].re).is_zero()],
+    )
 
-    def entry(name: str, bad: list[int]) -> RelationCheck:
-        return RelationCheck(
-            name if not bad else f"{name} (violated by F{bad})",
-            not bad,
-            0.0 if not bad else 1.0,
-            kind="structure",
-        )
 
-    return [
-        entry("F1..F8 hermitian", herm_bad),
-        entry("F1..F8 traceless", trace_bad),
-        entry(f"{real} real; {imag} imaginary", reality_bad),
-    ]
+def _trace_offenders(mats: Mapping[str, RadMatrix]) -> list[int]:
+    """The k whose Fk has a nonzero trace, sqrt(radicand) times the sum of
+    c * tr(X) over GELL_MANN_TABLE[k]'s terms; O(nnz), and no Fk is built."""
+    traces = {name: m.trace() for name, m in mats.items()}
+    return [k for k, (_, _, terms) in GELL_MANN_TABLE.items()
+            if sum(c * traces[name] for c, name in terms)]
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +469,10 @@ def compare_with_oracle(p: int, q: int) -> list[str]:
 def verify_irrep(p: int, q: int) -> CheckReport:
     """Commutators, Casimir and structure for one irrep, as one report.  The
     Casimir line is an exact PASS by Schur's lemma when all 28 rows and the
-    weight certificate hold on the set built here, and computed otherwise."""
+    weight certificate hold on the set built here, and computed otherwise.
+    The structure lines are read off the ladder matrices when T3 and U3 are
+    rational diagonals and adjointness holds, and computed from F1..F8
+    otherwise."""
     gs = build_generator_set(p, q)
     commutators = check_commutators(gs)
     entries = list(commutators.relations)
@@ -449,7 +481,13 @@ def verify_irrep(p: int, q: int) -> CheckReport:
         entries.append(RelationCheck(f"casimir = {eigen}", True, 0.0, "casimir"))
     else:
         entries.append(check_casimir(gs))
-    entries.extend(check_structure(to_gell_mann(gs)))
+    mats = gs.matrices()
+    if _adjoint(mats) and None not in (mats["T3"].rational_diagonal(),
+                                       mats["U3"].rational_diagonal()):
+        # hermitian by adjointness and the diagonals; real/imaginary by the table
+        entries.extend(_structure_lines([], _trace_offenders(mats), []))
+    else:
+        entries.extend(check_structure(to_gell_mann(gs)))
     return CheckReport(p, q, tuple(entries))
 
 

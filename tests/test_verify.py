@@ -727,7 +727,8 @@ _FACTORS = st.sampled_from([Fraction(2), Fraction(3), Fraction(1, 2), Fraction(-
 def _corrupted_sets(draw):
     """A small set in either orientation and one kind of corruption:
     "ladder pair" adds delta at (r, c) of a ladder and at (c, r) of its
-    partner (adjointness kept), "one ladder" at (r, c) of a ladder only,
+    partner (adjointness kept), "diagonal ladder pair" the same at (r, r),
+    "one ladder" at (r, c) of a ladder only,
     "off-diagonal" at r != c of T3 or U3, "cartan shift" a rational multiple
     of the identity to T3 or U3, "pair scaled" scales a ladder and its partner
     by one factor, "rescaled" the T and U ladders by l and V, T3 and U3 by
@@ -735,8 +736,8 @@ def _corrupted_sets(draw):
     p, q = draw(st.sampled_from([(1, 0), (0, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3),
                                  (3, 2), (2, 3)]))
     gs = _generator_set(p, q)
-    kind = draw(st.sampled_from(["none", "ladder pair", "one ladder", "off-diagonal",
-                                 "cartan shift", "pair scaled", "rescaled",
+    kind = draw(st.sampled_from(["none", "ladder pair", "diagonal ladder pair", "one ladder",
+                                 "off-diagonal", "cartan shift", "pair scaled", "rescaled",
                                  "irrational diagonal"]))
     if kind == "none":
         return gs, kind
@@ -764,9 +765,9 @@ def _corrupted_sets(draw):
         c += c >= r
     else:
         name = draw(st.sampled_from(["Tp", "Tm", "Up", "Um", "Vp", "Vm"]))
-        c = draw(st.integers(0, d - 1))
+        c = r if kind == "diagonal ladder pair" else draw(st.integers(0, d - 1))
     changed = {_FIELDS[name]: _added(mats[name], r, c, delta)}
-    if kind == "ladder pair":
+    if kind in ("ladder pair", "diagonal ladder pair"):
         partner = _PARTNER[name]
         changed[_FIELDS[partner]] = _added(mats[partner], c, r, delta)
     return dataclasses.replace(gs, **changed), kind
@@ -959,3 +960,90 @@ def test_one_corrupted_entry_fails_verify(data):
         report = verify_irrep(*label)
     assert not report.passed
     assert report.failures(), (label, name, r, c)
+
+
+# ---------------------------------------------------------------------------
+# The structure lines of verify_irrep: read off the ladder matrices while T3
+# and U3 are rational diagonals and adjointness holds, computed otherwise
+
+
+def _verify_structure_lines(gs):
+    """verify_irrep's structure lines on gs, and whether it called
+    to_gell_mann and check_structure."""
+    with mock.patch.object(verify_module, "build_generator_set", return_value=gs), \
+            mock.patch.object(verify_module, "to_gell_mann", side_effect=to_gell_mann) as fs, \
+            mock.patch.object(verify_module, "check_structure",
+                              side_effect=check_structure) as checked:
+        lines = verify_irrep(gs.p, gs.q).of_kind("structure").relations
+    return lines, (fs.called, checked.called)
+
+
+def _computed_structure(gs):
+    return tuple(check_structure(to_gell_mann(gs)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_corrupted_sets())
+def test_verify_structure_lines_match_computed(drawn):
+    gs, kind = drawn
+    lines, called = _verify_structure_lines(gs)
+    assert lines == _computed_structure(gs)
+    # only these kinds break adjointness or a rational diagonal T3, U3
+    computed = kind in ("one ladder", "off-diagonal", "irrational diagonal")
+    assert called == (computed, computed)
+
+
+def _u_plus_alone(gs):
+    bad = _plus_sqrt7_at_first_entry(gs, "u_plus")
+    assert not bad.u_plus.is_transpose_of(bad.u_minus)
+    return bad
+
+
+# Each breaks one hypothesis of the structure read
+_STRUCTURE_BREAKERS = {
+    "sqrt 7 on a T3 diagonal entry": lambda gs: _plus_sqrt7_at_first_entry(gs, "t_three"),
+    "off-diagonal U3 entry": lambda gs: dataclasses.replace(
+        gs, u_three=_added(gs.u_three, 0, 1, 1)),
+    "U+ corrupted alone": _u_plus_alone,
+}
+
+
+class TestStructureRead:
+    def test_sweep_range_in_both_orientations(self):
+        for label in _SWEEP_LABELS:
+            gs = _generator_set(*label)
+            lines, _ = _verify_structure_lines(gs)
+            assert lines == _computed_structure(gs) and all(r.exact for r in lines), label
+
+    @pytest.mark.parametrize("p,q", [(5, 3), (3, 5)])
+    def test_clean_set_builds_no_f(self, p, q):
+        lines, called = _verify_structure_lines(build_generator_set(p, q))
+        assert called == (False, False)
+        assert [r.name for r in lines] == [
+            "F1..F8 hermitian", "F1..F8 traceless", "F1,F3,F4,F6,F8 real; F2,F5,F7 imaginary",
+        ]
+        assert all(r.exact and r.residual == 0.0 for r in lines)
+
+    @pytest.mark.parametrize("label", [(5, 3), (3, 5)])
+    @pytest.mark.parametrize("kind", sorted(_STRUCTURE_BREAKERS))
+    def test_broken_hypothesis_computes_the_lines(self, label, kind):
+        bad = _STRUCTURE_BREAKERS[kind](build_generator_set(*label))
+        lines, called = _verify_structure_lines(bad)
+        assert called == (True, True)
+        assert lines == _computed_structure(bad)
+
+    @pytest.mark.parametrize("label", [(3, 2), (2, 3)])
+    @pytest.mark.parametrize("plus", ["Tp", "Up", "Vp"])
+    def test_diagonal_ladder_pair_fails_the_read_trace(self, label, plus):
+        # 1 at (0, 0) of X+ and X-: adjointness and the diagonals hold, the
+        # pair's real Fk has trace 1 and its imaginary one trace 0
+        gs = _generator_set(*label)
+        mats = gs.matrices()
+        bad = dataclasses.replace(gs, **{_FIELDS[x]: _added(mats[x], 0, 0, 1)
+                                         for x in (plus, _PARTNER[plus])})
+        lines, called = _verify_structure_lines(bad)
+        assert called == (False, False)
+        assert lines == _computed_structure(bad)
+        real_f = {"Tp": 1, "Vp": 4, "Up": 6}[plus]
+        assert [r.name for r in lines if not r.exact] == [
+            f"F1..F8 traceless (violated by F[{real_f}])"]
