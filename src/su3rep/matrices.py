@@ -1,13 +1,18 @@
 """Sparse square matrices of exact radical entries, stored as integers.
 
 The generator matrices have O(d) nonzero entries out of d*d, and the whole
-verification suite is products, sums and exact zero tests, so a dict-of-rows
-layout keeps everything near-linear in the number of nonzeros.
+verification suite is products, sums and exact zero tests, so a dictionary
+of keys, one flat dict of terms per matrix, keeps everything near-linear in
+the number of nonzeros.
 
 A ``RadMatrix`` stores one positive denominator ``den`` and integer
-numerators keyed by (column, square-free radicand); the entry at (r, c) is
+numerators keyed by the flat key (sf * n + col) * n + row of a position and
+a square-free radicand sf; the entry at (r, c) is
 
     sum over sf of (numerator / den) * sqrt(sf).
+
+The radicand is the key's top digit, so keys never collide however large a
+product's radicand grows, and key % (n * n) = col * n + row names the cell.
 
 Entries come out as ``RadicalSum``s.  They go in as integer roots
 sign * sqrt(a/b) through ``from_entries`` (or as ``RadicalSum``s through
@@ -28,7 +33,7 @@ stored.
 
 One kernel, ``_combine``, does every sum and product: it adds terms
 coeff * A and coeff * A @ B, each rescaled to the lcm of the terms'
-denominators, into one integer accumulator per row (Gustavson's row-wise
+denominators, into one flat integer accumulator (Gustavson's row-wise
 sparse product with the linear combination folded in).  Each relation's
 residual and the Casimir operator are one pass each, with no product matrix
 in between.
@@ -43,6 +48,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Iterator, Union
 
 from .radical import RadicalSum, split_square
@@ -54,33 +61,28 @@ Entry = tuple[int, int, int, int, int]  # (row, col, sign, a, b): sign * sqrt(a/
 class RadMatrix:
     """n x n matrix with exact radical entries; zeros are never stored.
 
-    ``_rows`` maps a row to ``{sf * n + col: numerator}``: the entry at
-    (row, col) is the sum of (numerator / den) * sqrt(sf) over its keys.
-    Instances come from ``from_entries`` or an operation below and are not
-    mutated afterwards, except by ``put`` in tests and corrupted controls.
+    ``_terms`` maps the flat key (sf * n + col) * n + row to a numerator:
+    the entry at (row, col) is the sum of (numerator / den) * sqrt(sf) over
+    the keys that name its cell.  Instances come from ``from_entries`` or an
+    operation below and are not mutated afterwards, except by ``put`` in
+    tests and corrupted controls.
     """
 
-    __slots__ = ("n", "den", "_rows")
+    __slots__ = ("n", "den", "_terms")
 
     def __init__(self, n: int):
         self.n = n
         self.den = 1
-        self._rows: dict[int, dict[int, int]] = {}
+        self._terms: dict[int, int] = {}
 
     @classmethod
-    def _raw(cls, n: int, den: int, rows: dict[int, dict[int, int]]) -> "RadMatrix":
-        """The matrix (den, rows) less its zero numerators and empty rows.
-
-        Rows are kept, not copied, and only a row holding a zero is rebuilt:
-        every caller (``_combine_all``, ``transpose``, ``trace`` and
-        ``shift_residual``) passes dicts it has just built and drops them."""
+    def _raw(cls, n: int, den: int, terms: dict[int, int]) -> "RadMatrix":
+        """The matrix (den, terms) less its zero numerators.  The dict is kept,
+        not copied, unless it holds a zero: every caller passes one it has
+        just built and drops."""
         out = cls(n)
         out.den = den
-        for r, row in rows.items():
-            if 0 in row.values():
-                row = {key: v for key, v in row.items() if v}
-            if row:
-                out._rows[r] = row
+        out._terms = {key: v for key, v in terms.items() if v} if 0 in terms.values() else terms
         return out
 
     @classmethod
@@ -96,16 +98,15 @@ class RadMatrix:
         for r, c, sign, a, b in entries:
             if not (0 <= r < n and 0 <= c < n):
                 raise IndexError(f"({r}, {c}) outside {n}x{n}")
-            if r * n + c in seen:
+            if c * n + r in seen:
                 raise ValueError(f"entry ({r}, {c}) given twice")
-            seen.add(r * n + c)
+            seen.add(c * n + r)
             if a:
                 k, m = split_square(a * b)
-                terms.append((r, m * n + c, sign * k, b))
+                terms.append(((m * n + c) * n + r, sign * k, b))
         out = cls(n)
-        out.den = den = math.lcm(*(b for _, _, _, b in terms))
-        for r, key, num, b in terms:
-            out._rows.setdefault(r, {})[key] = num * (den // b)
+        out.den = den = math.lcm(*(b for _, _, b in terms))
+        out._terms = {key: num * (den // b) for key, num, b in terms}
         return out
 
     @classmethod
@@ -119,32 +120,34 @@ class RadMatrix:
             raise IndexError(f"({r}, {c}) outside {self.n}x{self.n}")
 
     def put(self, r: int, c: int, value: _Scalar) -> None:
-        """Set the entry at (r, c), replacing every term it held before."""
+        """Set the entry at (r, c), replacing every term it held before.  One
+        scan of the terms finds the cell's; nothing is decoded or sorted."""
         self._check_index(r, c)
-        n = self.n
+        n2, cell, terms = self.n * self.n, c * self.n + r, self._terms
+        for key in [key for key in terms if key % n2 == cell]:
+            del terms[key]
         val = value if isinstance(value, RadicalSum) else RadicalSum(value)
-        row = self._rows.setdefault(r, {})
-        for key in [key for key in row if key % n == c]:
-            del row[key]
         for sf, coeff in val._terms.items():
             num, d = coeff.as_integer_ratio()
             if self.den % d:  # grow den to a multiple of d, rescaling every numerator
                 factor = d // math.gcd(self.den, d)
-                for numerators in self._rows.values():
-                    for key in numerators:
-                        numerators[key] *= factor
+                for key in terms:
+                    terms[key] *= factor
                 self.den *= factor
-            row[sf * n + c] = num * (self.den // d)
-        if not row:
-            del self._rows[r]
+            terms[sf * n2 + cell] = num * (self.den // d)
 
     def get(self, r: int, c: int) -> RadicalSum:
+        """The entry at (r, c), read by one scan of the terms, like ``put``."""
         self._check_index(r, c)
-        return next((v for _, col, v in self._decoded((r,)) if col == c), _ZERO)
+        n2, cell, den = self.n * self.n, c * self.n + r, self.den
+        return RadicalSum._raw({key // n2: Fraction(v, den)
+                                for key, v in self._terms.items() if key % n2 == cell})
 
     def items(self) -> Iterator[tuple[int, int, RadicalSum]]:
         """Nonzero entries sorted by (row, col)."""
-        return self._decoded(sorted(self._rows))
+        den = self.den
+        for r, c, terms in self._entries():
+            yield r, c, RadicalSum._raw({sf: Fraction(v, den) for sf, v in terms})
 
     def triple_items(self) -> Iterator[tuple[int, int, list[tuple[int, int, int]]]]:
         """Nonzero entries sorted by (row, col), each as its ``to_triples``:
@@ -152,35 +155,29 @@ class RadMatrix:
         stored numerator v over ``den`` divided by g = gcd(v, den), with no
         ``Fraction`` or ``RadicalSum`` in between."""
         den, gcd = self.den, math.gcd
-        for r, c, terms in self._entries(sorted(self._rows)):
+        for r, c, terms in self._entries():
             yield r, c, [(v // g, den // g, sf) for sf, v in terms for g in (gcd(v, den),)]
 
-    def _entries(self, rows: Iterable[int]) -> Iterator[tuple[int, int, list[tuple[int, int]]]]:
-        """(row, col, [(sf, numerator), ...]) of each nonzero entry in the
-        given rows, by column within a row and by sf within an entry: the one
-        row walk that ``items``, ``get`` and ``triple_items`` decode."""
-        n, stored = self.n, self._rows
-        for r in rows:
-            cells: dict[int, list[tuple[int, int]]] = {}
-            for key, v in sorted(stored.get(r, {}).items()):
-                sf, c = divmod(key, n)
-                cells.setdefault(c, []).append((sf, v))
-            for c in sorted(cells):
-                yield r, c, cells[c]
+    def _decoded(self) -> list[tuple[int, int, int, int]]:
+        """(row, col, sf, numerator) of every stored term, in storage order."""
+        n = self.n
+        return [(r, c, sf, v) for key, v in self._terms.items()
+                for rest, r in (divmod(key, n),) for sf, c in (divmod(rest, n),)]
 
-    def _decoded(self, rows: Iterable[int]) -> Iterator[tuple[int, int, RadicalSum]]:
-        """``_entries`` with each entry as a RadicalSum."""
-        den = self.den
-        for r, c, terms in self._entries(rows):
-            yield r, c, RadicalSum._raw({sf: Fraction(v, den) for sf, v in terms})
+    def _entries(self) -> Iterator[tuple[int, int, list[tuple[int, int]]]]:
+        """(row, col, [(sf, numerator), ...]) of each nonzero entry, sorted by
+        (row, col) and by sf within an entry: the terms decoded and sorted
+        once, for ``items`` and ``triple_items``."""
+        for (r, c), cell in groupby(sorted(self._decoded()), itemgetter(0, 1)):
+            yield r, c, [(sf, v) for _, _, sf, v in cell]
 
     @property
     def nnz(self) -> int:
-        n = self.n
-        return sum(len({key % n for key in row}) for row in self._rows.values())
+        n2 = self.n * self.n
+        return len({key % n2 for key in self._terms})
 
     def is_zero(self) -> bool:
-        return not self._rows
+        return not self._terms
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RadMatrix):
@@ -190,36 +187,40 @@ class RadMatrix:
     # -- algebra ----------------------------------------------------------
 
     def transpose(self, sign: int = 1) -> "RadMatrix":
-        """sign * self^T in one pass: sign -1 gives the (q, p) irrep's matrix."""
+        """sign * self^T in one pass: sign -1 gives the (q, p) irrep's matrix.
+        The term at (r, c) moves from key k to k + (r - c)(n - 1)."""
         n = self.n
-        rows: dict[int, dict[int, int]] = {}
-        for r, row in self._rows.items():
-            for key, v in row.items():
-                sf, c = divmod(key, n)
-                rows.setdefault(c, {})[sf * n + r] = sign * v
-        return RadMatrix._raw(n, self.den, rows)
+        n2, step = n * n, n - 1
+        terms = {}
+        for key, v in self._terms.items():
+            c, r = divmod(key % n2, n)
+            terms[key + (r - c) * step] = sign * v
+        return RadMatrix._raw(n, self.den, terms)
 
     def is_transpose_of(self, other: "RadMatrix", sign: int = 1) -> bool:
         """self == sign * other^T in O(nnz), building nothing: each stored term,
         cross-multiplied by the dens, matches its transpose, and none is left."""
-        n, scale, rows = self.n, sign * self.den, other._rows
-        for r, row in self._rows.items():
-            for key, v in row.items():
-                sf, c = divmod(key, n)
-                if v * other.den != scale * rows.get(c, {}).get(sf * n + r, 0):
-                    return False
-        return n == other.n and sum(map(len, self._rows.values())) == sum(map(len, rows.values()))
+        n = self.n
+        if n != other.n or len(self._terms) != len(other._terms):
+            return False
+        n2, step = n * n, n - 1
+        scale, den, partners = sign * self.den, other.den, other._terms
+        for key, v in self._terms.items():
+            c, r = divmod(key % n2, n)
+            if v * den != scale * partners.get(key + (r - c) * step, 0):
+                return False
+        return True
 
     def rational_diagonal(self) -> list[int] | None:
         """The diagonal's numerators over den when self stores only rational
-        diagonal terms (key n + r at row r), else None."""
+        diagonal terms (key (n + r) * n + r, sf = 1), else None."""
         n = self.n
         diag = [0] * n
-        for r, row in self._rows.items():
-            for key, v in row.items():
-                if key != n + r:
-                    return None
-                diag[r] = v
+        for key, v in self._terms.items():
+            rest, r = divmod(key, n)
+            if rest != n + r:
+                return None
+            diag[r] = v
         return diag
 
     def shift_residual(self, diag: list[int], den: int, alpha: Fraction) -> "RadMatrix":
@@ -228,24 +229,22 @@ class RadMatrix:
         Entry (r, c) is (D_r - D_c - alpha) * self[r, c], so each stored term
         is one integer comparison, and the residual is built only when some
         term joins two states whose D differs by anything but alpha."""
-        n, a_num, a_den = self.n, alpha.numerator * den, alpha.denominator
-        if all((diag[r] - diag[key % n]) * a_den == a_num
-               for r, row in self._rows.items() for key in row):
+        n, a_num, a_den, terms = self.n, alpha.numerator * den, alpha.denominator, self._terms
+        if all((diag[key % n] - diag[key // n % n]) * a_den == a_num for key in terms):
             return RadMatrix(n)
         return RadMatrix._raw(n, self.den * den * a_den, {
-            r: {key: v * ((diag[r] - diag[key % n]) * a_den - a_num) for key, v in row.items()}
-            for r, row in self._rows.items()
+            key: v * ((diag[key % n] - diag[key // n % n]) * a_den - a_num)
+            for key, v in terms.items()
         })
 
     def trace(self) -> RadicalSum:
-        # fold the diagonal into cell (0, 0): key sf * n + r adds to key sf * n
-        n = self.n
+        # a diagonal term's cell c * n + r, c = r, is r * (n + 1)
+        n2, diagonal_step = self.n * self.n, self.n + 1
         total: dict[int, int] = {}
-        for r, row in self._rows.items():
-            for key, v in row.items():
-                if key % n == r:
-                    total[key - r] = total.get(key - r, 0) + v
-        return next((v for *_, v in RadMatrix._raw(n, self.den, {0: total})._decoded((0,))), _ZERO)
+        for key, v in self._terms.items():
+            if key % n2 % diagonal_step == 0:
+                total[key // n2] = total.get(key // n2, 0) + v
+        return RadicalSum._raw({sf: Fraction(v, self.den) for sf, v in total.items() if v})
 
     # -- diagnostics -------------------------------------------------------
 
@@ -257,9 +256,6 @@ class RadMatrix:
         return f"RadMatrix(n={self.n}, nnz={self.nnz})"
 
 
-_ZERO = RadicalSum(0)
-
-
 def _combine(terms: Iterable[tuple]) -> RadMatrix:
     """The sum of terms (coeff, A) = coeff * A and (coeff, A, B) = coeff * A @ B."""
     return next(_combine_all((terms,)))
@@ -268,14 +264,16 @@ def _combine(terms: Iterable[tuple]) -> RadMatrix:
 def _combine_all(groups: Iterable[Iterable[tuple]]) -> Iterator[RadMatrix]:
     """``_combine`` of each group in turn.
 
-    Each right operand's rows are decoded into (col, sf, numerator) triples
-    once for all the groups.  The memo is keyed by id and ends with the call;
-    ``groups`` is read whole before the first sum, so every operand
-    outlives the memo.  The checks hand over every row they compute in one
-    call, so a matrix that several rows multiply is decoded once."""
+    Each left operand is decoded into (row, col, sf, numerator) and each
+    right operand into rows of (col * n, sf, numerator) once for all the
+    groups.  The memos are keyed by id and end with the call; ``groups`` is
+    read whole before the first sum, so every operand outlives them.  The
+    checks hand over every row they compute in one call, so a matrix that
+    several rows multiply is decoded once."""
     gcd = math.gcd
     groups = [[(Fraction(coeff), mats) for coeff, *mats in group] for group in groups]
-    decoded: dict[int, dict[int, list[tuple[int, int, int]]]] = {}
+    lefts: dict[int, list[tuple[int, int, int, int]]] = {}
+    rights: dict[int, dict[int, list[tuple[int, int, int]]]] = {}
     for terms in groups:
         sizes = sorted({mat.n for _, mats in terms for mat in mats})
         if not sizes:
@@ -283,30 +281,35 @@ def _combine_all(groups: Iterable[Iterable[tuple]]) -> Iterator[RadMatrix]:
         if len(sizes) > 1:
             raise ValueError("shape mismatch: " + " vs ".join(map(str, sizes)))
         n = sizes[0]
+        n2 = n * n
         scales = [coeff.denominator * math.prod(m.den for m in mats) for coeff, mats in terms]
         den = math.lcm(*scales)
-        rows: dict[int, dict[int, int]] = {}
+        acc: dict[int, int] = {}
         for (coeff, mats), scale in zip(terms, scales):
             f = coeff.numerator * (den // scale)
             if len(mats) == 1:
-                for r, row in mats[0]._rows.items():
-                    acc = rows.setdefault(r, {})
-                    for key, v in row.items():
-                        acc[key] = acc.get(key, 0) + f * v
+                for key, v in mats[0]._terms.items():
+                    acc[key] = acc.get(key, 0) + f * v
                 continue
             left, right = mats
-            if id(right) not in decoded:
-                decoded[id(right)] = {k: [(key % n, key // n, v) for key, v in row.items()]
-                                      for k, row in right._rows.items()}
-            right_rows = decoded[id(right)]
-            for r, row in left._rows.items():
-                acc = rows.setdefault(r, {})
-                for key, a in row.items():
-                    sfa, k = divmod(key, n)
-                    fa = f * a
-                    for c, sfb, b in right_rows.get(k, ()):
-                        # sqrt(sfa)*sqrt(sfb) = g*sqrt((sfa/g)*(sfb/g)), g = gcd
-                        g = gcd(sfa, sfb)
-                        out = (sfa // g) * (sfb // g) * n + c
-                        acc[out] = acc.get(out, 0) + fa * b * g
-        yield RadMatrix._raw(n, den, rows)
+            if id(left) not in lefts:
+                lefts[id(left)] = left._decoded()
+            if id(right) not in rights:
+                rows: dict[int, list[tuple[int, int, int]]] = {}
+                for key, v in right._terms.items():
+                    sf, cell = divmod(key, n2)
+                    c, k = divmod(cell, n)
+                    rows.setdefault(k, []).append((c * n, sf, v))
+                rights[id(right)] = rows
+            right_rows = rights[id(right)]
+            for r, k, sfa, a in lefts[id(left)]:
+                row = right_rows.get(k)
+                if row is None:
+                    continue
+                fa = f * a
+                for cn, sfb, b in row:
+                    # sqrt(sfa)*sqrt(sfb) = g*sqrt((sfa/g)*(sfb/g)), g = gcd
+                    g = gcd(sfa, sfb)
+                    out = (sfa // g) * (sfb // g) * n2 + cn + r
+                    acc[out] = acc.get(out, 0) + fa * b * g
+        yield RadMatrix._raw(n, den, acc)

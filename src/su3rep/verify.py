@@ -61,20 +61,30 @@ T3 = p/2, U3 = q/2 and each (X+X- + X-X+)/2 is [X+,X-]/2, so the scalar is
 ``casimir_eigenvalue(p, q)``: an exact PASS with no product.  Otherwise it
 calls ``check_casimir``, which always computes the six-product sum.
 
-It reads the three structure lines off the same set, with no Fk built, when
-T3 and U3 store only rational diagonal terms and each lowering matrix is the
-transpose of its raising partner.  Each row of ``GELL_MANN_TABLE`` is
-c X+ + conj(c) X- for a ladder pair (c = 1/2, or -i/2 for F2, F5 and F7), or
+It reads the hermitian and traceless lines off the same set, with no Fk
+built, when T3 and U3 store only rational diagonal terms and each lowering
+matrix is the transpose of its raising partner.  Each row of
+``GELL_MANN_TABLE`` is c X+ + conj(c) X- for a ladder pair (c = 1/2, or -i/2 for F2, F5 and F7), or
 a rational diagonal times sqrt(radicand) (F3, F8).  X- = X+^T makes the
 first kind hermitian, since its adjoint is conj(c) X+^T + c X-^T, and the
 second kind is real and diagonal: the hermitian line passes.  The trace of
 Fk is sqrt(radicand) times the sum of c tr(X) over its row's terms, so the
 traceless line's offenders come from the eight ladder traces, O(nnz).
-``gell_mann_matrix`` writes Fk into the part its row names and leaves the
-other part zero whatever its input, so the real/imaginary line is a property
-of the table and passes.  When either hypothesis fails, ``verify_irrep``
-calls ``check_structure(to_gell_mann(gs))``, so every offender list is that
-line's own.
+When either hypothesis fails, ``verify_irrep`` calls
+``check_structure(to_gell_mann(gs))``, so every offender list is that line's
+own.  (That each Fk lies in the real or imaginary part its row names needs
+no line: ``gell_mann_matrix`` leaves the other part zero whatever its input.)
+
+The third structure line is the weight certificate, "weights of (p, q)".
+The Casimir eigenvalue and every commutator are blind to a (p, q) set
+relabelled (q, p), or to any relabelling of equal dimension and eigenvalue;
+the weights are not, so a PASS names its irrep.  On failure the line names
+the first (2 T3, 3Y), in ascending order, whose count differs, or the
+Cartan matrix that is not a rational diagonal.
+
+The diagonals, adjointness and the certificate are each read once per
+``verify_irrep`` and handed to the commutator rows, the Schur step and the
+structure lines.
 """
 
 from __future__ import annotations
@@ -189,9 +199,20 @@ _DERIVED_ROWS = tuple(k for k in range(len(COMMUTATOR_TABLE))
                       if k not in _CARTAN_ROWS and k not in _CHEVALLEY_ROWS)
 
 
-def _adjoint(mats: Mapping[str, RadMatrix]) -> bool:
-    """Whether each lowering matrix is the transpose of its raising partner."""
-    return all(mats[x].is_transpose_of(mats[y]) for x, y in _ADJOINT.items())
+@dataclass(frozen=True)
+class _Hypotheses:
+    """What the checks read off a set before any product, each read once:
+    T3's and U3's numerators when each stores only rational diagonal terms
+    (None otherwise), and whether each lowering matrix is the transpose of
+    its raising partner."""
+
+    diagonals: dict[str, list[int] | None]
+    adjoint: bool
+
+    @classmethod
+    def read(cls, mats: Mapping[str, RadMatrix]) -> "_Hypotheses":
+        return cls({h: mats[h].rational_diagonal() for h in ("T3", "U3")},
+                   all(mats[x].is_transpose_of(mats[y]) for x, y in _ADJOINT.items()))
 
 
 def _weight_read(mats: dict[str, RadMatrix], diagonals: dict[str, list[int] | None],
@@ -211,9 +232,14 @@ def check_commutators(gs: GeneratorSet) -> CheckReport:
     """Evaluate all 28 commutation relations exactly: the Cartan rows by
     weight reads where T3 or U3 allows, the ladder rows by Chevalley's four
     relations when every hypothesis holds, and every other row by its product."""
+    return _commutator_report(gs, _Hypotheses.read(gs.matrices()))
+
+
+def _commutator_report(gs: GeneratorSet, hypotheses: _Hypotheses) -> CheckReport:
+    """``check_commutators`` on hypotheses already read off gs."""
     mats = gs.matrices()
-    diagonals = {h: mats[h].rational_diagonal() for h in ("T3", "U3")}
-    residuals = {k: _weight_read(mats, diagonals, *COMMUTATOR_TABLE[k]) for k in _CARTAN_ROWS}
+    residuals = {k: _weight_read(mats, hypotheses.diagonals, *COMMUTATOR_TABLE[k])
+                 for k in _CARTAN_ROWS}
 
     def computed(ks: tuple[int, ...]) -> dict[int, RadMatrix]:
         return dict(zip(ks, _combine_all(
@@ -221,7 +247,7 @@ def check_commutators(gs: GeneratorSet) -> CheckReport:
             for a, b, rhs in (COMMUTATOR_TABLE[k] for k in ks)
         )))
 
-    if all(r is not None and r.is_zero() for r in residuals.values()) and _adjoint(mats):
+    if all(r is not None and r.is_zero() for r in residuals.values()) and hypotheses.adjoint:
         residuals.update(computed(_CHEVALLEY_ROWS))
         if all(residuals[k].is_zero() for k in _CHEVALLEY_ROWS):
             # the sl(2)-module argument, then Serre's theorem
@@ -245,18 +271,31 @@ def casimir_eigenvalue(p: int, q: int) -> Fraction:
     return Fraction(p * p + p * q + q * q, 3) + p + q
 
 
-def _weight_certificate(gs: GeneratorSet) -> bool:
-    """Whether T3 and U3 store only rational diagonal terms, 2 T3 and 2 U3
-    integers, whose (2 T3, 3Y) multiset is ``weight_multiplicities``; O(d)."""
-    t3, u3 = gs.t_three, gs.u_three
-    diagonals = t3.rational_diagonal(), u3.rational_diagonal()
-    if None in diagonals:
-        return False
-    halves = [divmod(2 * t, t3.den) + divmod(2 * u, u3.den) for t, u in zip(*diagonals)]
-    if any(t_rest or u_rest for _, t_rest, _, u_rest in halves):
-        return False
-    weights = Counter((two_t3, 2 * two_u3 + two_t3) for two_t3, _, two_u3, _ in halves)
-    return weights == Counter(weight_multiplicities(gs.p, gs.q))
+def _weights_line(gs: GeneratorSet, diagonals: Mapping[str, list[int] | None]) -> RelationCheck:
+    """The weight certificate as verify's third structure line, "weights of
+    (p, q)".  It passes when T3 and U3 store only rational diagonal terms
+    whose (2 T3, 3Y) multiset, 3Y = 2 (2 U3) + 2 T3, is
+    ``weight_multiplicities`` of (p, q); otherwise it names the least weight
+    whose count differs, or the Cartan matrix that is not a rational
+    diagonal.  O(d)."""
+    name = f"weights of ({gs.p}, {gs.q})"
+    missing = [h for h, diag in diagonals.items() if diag is None]
+    if missing:
+        offender = f"by {' and '.join(missing)}: not a rational diagonal"
+    else:
+        # every weight as integers over den, so a fractional 2 T3 or 3Y shows too
+        den = math.lcm(gs.t_three.den, gs.u_three.den)
+        two_t, four_u = 2 * den // gs.t_three.den, 4 * den // gs.u_three.den
+        got = Counter((two_t * t, four_u * u + two_t * t)
+                      for t, u in zip(diagonals["T3"], diagonals["U3"]))
+        want = Counter({(x * den, y * den): m
+                        for (x, y), m in weight_multiplicities(gs.p, gs.q).items()})
+        if got == want:
+            return RelationCheck(name, True, 0.0, kind="structure")
+        x, y = min(w for w in got.keys() | want.keys() if got[w] != want[w])
+        offender = (f"at (2 T3, 3Y) = ({Fraction(x, den)}, {Fraction(y, den)}): "
+                    f"{got[x, y]} states, not {want[x, y]}")
+    return RelationCheck(f"{name} (violated {offender})", False, 1.0, kind="structure")
 
 
 def check_casimir(gs: GeneratorSet) -> RelationCheck:
@@ -276,31 +315,24 @@ def check_casimir(gs: GeneratorSet) -> RelationCheck:
     return _relation_check("casimir", f"casimir = {eigen}", _combine(terms))
 
 
-# The structure lines' names; the reality line names each Fk by its part.
-_STRUCTURE_NAMES = ("F1..F8 hermitian", "F1..F8 traceless", "{} real; {} imaginary".format(
-    *(",".join(f"F{k}" for k, row in GELL_MANN_TABLE.items() if row[0] == part)
-      for part in ("re", "im"))))
+_STRUCTURE_NAMES = ("F1..F8 hermitian", "F1..F8 traceless")
 
 
-def _structure_lines(herm_bad: list[int], trace_bad: list[int],
-                     reality_bad: list[int]) -> list[RelationCheck]:
-    """The hermitian, traceless and reality lines from their offender lists."""
+def _structure_lines(herm_bad: list[int], trace_bad: list[int]) -> list[RelationCheck]:
+    """The hermitian and traceless lines from their offender lists."""
     return [
         RelationCheck(name if not bad else f"{name} (violated by F{bad})",
                       not bad, 0.0 if not bad else 1.0, kind="structure")
-        for name, bad in zip(_STRUCTURE_NAMES, (herm_bad, trace_bad, reality_bad))
+        for name, bad in zip(_STRUCTURE_NAMES, (herm_bad, trace_bad))
     ]
 
 
 def check_structure(fs: Mapping[int, ComplexMatrix]) -> list[RelationCheck]:
-    """Hermiticity, tracelessness and the real/imaginary split of F1..F8,
-    fs as ``to_gell_mann`` returns it; each offender list ascends in k."""
+    """Hermiticity and tracelessness of F1..F8, fs as ``to_gell_mann``
+    returns it; each offender list ascends in k."""
     return _structure_lines(
         [k for k in GELL_MANN_TABLE if not fs[k].is_hermitian()],
         [k for k in GELL_MANN_TABLE if not fs[k].is_traceless()],
-        # the part that GELL_MANN_TABLE leaves zero must be zero
-        [k for k, (part, _, _) in GELL_MANN_TABLE.items()
-         if not (fs[k].im if part == "re" else fs[k].re).is_zero()],
     )
 
 
@@ -467,27 +499,31 @@ def compare_with_oracle(p: int, q: int) -> list[str]:
 
 
 def verify_irrep(p: int, q: int) -> CheckReport:
-    """Commutators, Casimir and structure for one irrep, as one report.  The
-    Casimir line is an exact PASS by Schur's lemma when all 28 rows and the
-    weight certificate hold on the set built here, and computed otherwise.
-    The structure lines are read off the ladder matrices when T3 and U3 are
-    rational diagonals and adjointness holds, and computed from F1..F8
-    otherwise."""
+    """Commutators, Casimir and structure for one irrep, as one report.  Each
+    hypothesis (T3's and U3's rational diagonals, adjointness and the weight
+    certificate) is read once, on the set built here.  The Casimir line is an
+    exact PASS by Schur's lemma when all 28 rows and the weight certificate
+    hold, and computed otherwise.  The hermitian and traceless lines are read
+    off the ladder matrices when T3 and U3 are rational diagonals and
+    adjointness holds, and computed from F1..F8 otherwise.  The third
+    structure line is the weight certificate, which names the irrep."""
     gs = build_generator_set(p, q)
-    commutators = check_commutators(gs)
+    mats = gs.matrices()
+    hypotheses = _Hypotheses.read(mats)
+    commutators = _commutator_report(gs, hypotheses)
+    weights = _weights_line(gs, hypotheses.diagonals)
     entries = list(commutators.relations)
-    if commutators.passed and _weight_certificate(gs):
+    if commutators.passed and weights.exact:
         eigen = casimir_eigenvalue(p, q)
         entries.append(RelationCheck(f"casimir = {eigen}", True, 0.0, "casimir"))
     else:
         entries.append(check_casimir(gs))
-    mats = gs.matrices()
-    if _adjoint(mats) and None not in (mats["T3"].rational_diagonal(),
-                                       mats["U3"].rational_diagonal()):
-        # hermitian by adjointness and the diagonals; real/imaginary by the table
-        entries.extend(_structure_lines([], _trace_offenders(mats), []))
+    if hypotheses.adjoint and None not in hypotheses.diagonals.values():
+        # hermitian by adjointness and the diagonals
+        entries.extend(_structure_lines([], _trace_offenders(mats)))
     else:
         entries.extend(check_structure(to_gell_mann(gs)))
+    entries.append(weights)
     return CheckReport(p, q, tuple(entries))
 
 

@@ -129,10 +129,9 @@ def _stored_forms(draw):
                         min_size=1, max_size=3),
         max_size=2 * n,
     )
-    rows: dict[int, dict[int, int]] = {}
-    for (r, c), terms in draw(cells).items():
-        rows.setdefault(r, {}).update({sf * n + c: v for sf, v in terms.items()})
-    return RadMatrix._raw(n, den, rows)
+    return RadMatrix._raw(n, den, {(sf * n + c) * n + r: v
+                                   for (r, c), terms in draw(cells).items()
+                                   for sf, v in terms.items()})
 
 
 @given(st.one_of(_stored_forms(), _matrix_pairs().map(lambda pair: pair[0])))
@@ -141,7 +140,7 @@ def test_triple_items_are_the_items_to_triples(mat):
 
 
 def _stores_no_zero_numerator(mat: RadMatrix) -> bool:
-    return all(row and all(row.values()) for row in mat._rows.values())
+    return all(mat._terms.values())
 
 
 @given(st.one_of(_stored_forms(), _matrix_pairs().map(lambda pair: pair[0])))
@@ -272,6 +271,66 @@ def test_put_items_round_trip(entries):
     assert all(mat.get(r, c) == v for (r, c), v in entries.items())
 
 
+# Radicands far above n * n, up to the 4.2e8 that stored radicands reach at
+# (40, 20); a product of two of them reaches about 1.8e17.  Each matrix comes
+# with its entries as a plain dict, the reference every result is read against.
+_big_entries = st.lists(
+    st.tuples(_coeffs, st.one_of(st.sampled_from([1, 2, 3]), st.integers(10**6, 42 * 10**7))),
+    min_size=1, max_size=3,
+).map(RadicalSum.from_terms)
+
+
+@st.composite
+def _big_radicand_pairs(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    positions = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+
+    def matrix() -> tuple[RadMatrix, dict]:
+        mat, cells = RadMatrix(n), {}
+        for (r, c), v in draw(st.dictionaries(positions, _big_entries, max_size=2 * n)).items():
+            mat.put(r, c, v)
+            cells[r, c] = v
+        return mat, cells
+
+    return matrix(), matrix()
+
+
+def _sorted_cells(cells: dict) -> list:
+    return sorted((r, c, v) for (r, c), v in cells.items() if v)
+
+
+@given(_big_radicand_pairs())
+def test_large_radicands_match_dense_reference(pairs):
+    (a, cells_a), (b, cells_b) = pairs
+    n = a.n
+    assert list(a.items()) == _sorted_cells(cells_a)
+    assert a.nnz == len(_sorted_cells(cells_a))
+    for sign in (1, -1):
+        flipped = {(c, r): v * sign for (r, c), v in cells_a.items()}
+        assert list(a.transpose(sign).items()) == _sorted_cells(flipped)
+        assert a.transpose(sign).is_transpose_of(a, sign)
+        assert b.is_transpose_of(a, sign) == (_sorted_cells(cells_b) == _sorted_cells(flipped))
+    assert a.trace() == sum((cells_a.get((i, i), RadicalSum(0)) for i in range(n)), RadicalSum(0))
+    product = {(i, j): sum((cells_a.get((i, k), RadicalSum(0)) * cells_b.get((k, j), RadicalSum(0))
+                            for k in range(n)), RadicalSum(0))
+               for i in range(n) for j in range(n)}
+    assert list(_combine(((1, a, b),)).items()) == _sorted_cells(product)
+    both = {(i, j): product[i, j] - cells_a.get((i, j), RadicalSum(0)) * 2
+            for i in range(n) for j in range(n)}
+    assert list(_combine(((1, a, b), (-2, a))).items()) == _sorted_cells(both)
+
+
+def test_put_get_round_trips_a_multi_radicand_entry():
+    mat = RadMatrix(3)
+    mat.put(2, 0, _rad((Fraction(1, 6), 5)))
+    value = _rad((Fraction(-2, 7), 2), (Fraction(5, 9), 419_999_993), (3, 1))
+    mat.put(1, 2, value)  # den grows to a multiple of 126, rescaling (2, 0)
+    assert mat.get(1, 2) == value and mat.get(1, 2).to_triples() == value.to_triples()
+    assert mat.get(2, 0) == _rad((Fraction(1, 6), 5))
+    assert mat.get(2, 1) == 0 and mat.get(1, 1) == 0
+    assert mat.nnz == 2 and mat.den % 126 == 0
+
+
 @given(_matrix_pairs(), _coeffs, _coeffs)
 def test_combination_matches_entrywise_reference(pair, x, y):
     a, b = pair
@@ -354,7 +413,7 @@ def test_identity():
     mat.put(0, 2, _rad((Fraction(2, 5), 6)))
     mat.put(2, 1, RadicalSum(-3))
     ident = RadMatrix.identity(3)
-    assert ident.den == 1 and ident._rows == {i: {3 + i: 1} for i in range(3)}
+    assert ident.den == 1 and ident._terms == {(3 + i) * 3 + i: 1 for i in range(3)}
     assert list(_combine(((1, mat, ident),)).items()) == list(mat.items())
     assert list(_combine(((1, ident, mat),)).items()) == list(mat.items())
 
@@ -393,7 +452,7 @@ class TestFromEntries:
         mat = RadMatrix.from_entries(2, [(0, 0, 1, 0, 4), (1, 1, -1, 0, 1)])
         assert mat.is_zero() and mat.nnz == 0 and mat.den == 1
         mat = RadMatrix.from_entries(2, [(0, 0, 1, 0, 4), (0, 1, 1, 3, 1)])
-        assert mat._rows == {0: {3 * 2 + 1: 1}}
+        assert mat._terms == {(3 * 2 + 1) * 2 + 0: 1}
 
     @pytest.mark.parametrize("r,c", [(2, 0), (0, 2), (-1, 0), (0, -1)])
     def test_out_of_range_raises_like_put(self, r, c):

@@ -12,7 +12,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from su3rep import (
     CheckReport,
-    ComplexMatrix,
     ConsistencyError,
     RadicalSum,
     RelationCheck,
@@ -25,9 +24,11 @@ from su3rep import (
     compare_with_oracle,
     dimension,
     oracle_solve,
+    state_labels,
     sweep,
     to_gell_mann,
     verify_irrep,
+    weight_multiplicities,
 )
 from su3rep import generators
 from su3rep import verify as verify_module
@@ -87,11 +88,7 @@ class TestStructure:
     @pytest.mark.parametrize("p,q", [(1, 0), (2, 1), (1, 2)])
     def test_passes(self, p, q):
         checks = check_structure(to_gell_mann(build_generator_set(p, q)))
-        assert [c.name for c in checks] == [
-            "F1..F8 hermitian",
-            "F1..F8 traceless",
-            "F1,F3,F4,F6,F8 real; F2,F5,F7 imaginary",
-        ]
+        assert [c.name for c in checks] == ["F1..F8 hermitian", "F1..F8 traceless"]
         assert all(c.exact for c in checks)
 
     def test_corrupted_f3_fails(self):
@@ -102,25 +99,6 @@ class TestStructure:
         bad_re.put(0, 0, bad_re.get(0, 0) + 1)
         checks = check_structure({**fs, 3: dataclasses.replace(fs[3], re=bad_re)})
         assert not all(c.exact for c in checks)
-
-    def test_reality_split_names_the_offenders(self):
-        # gell_mann_matrix leaves the unused part zero, so only a hand-built
-        # set can break the split: an antisymmetric imaginary part and a
-        # symmetric real part keep a matrix hermitian and traceless.  Each
-        # input puts them on F1 or F3 and on F2; offenders list in ascending k
-        fs = to_gell_mann(build_generator_set(1, 0))
-        antisym, sym = RadMatrix(3), RadMatrix(3)
-        for r, c, sign in ((0, 1, 1), (1, 0, -1)):
-            antisym.put(r, c, RadicalSum(sign))
-            sym.put(r, c, RadicalSum(1))
-        for real_k, offenders in ((1, "F[1, 2]"), (3, "F[2, 3]")):
-            bad = {**fs, real_k: ComplexMatrix(fs[real_k].re, antisym),
-                   2: ComplexMatrix(sym, fs[2].im)}
-            herm, trace, reality = check_structure(bad)
-            assert herm.exact and trace.exact
-            assert not reality.exact
-            assert reality.name == (
-                f"F1,F3,F4,F6,F8 real; F2,F5,F7 imaginary (violated by {offenders})")
 
 
 class TestOracle:
@@ -321,15 +299,19 @@ class TestRelationKinds:
         def failing_casimir(gs):
             return RelationCheck("casimir = ?", False, 1.0, kind="casimir")
 
-        monkeypatch.setattr("su3rep.verify.check_casimir", failing_casimir)
-        monkeypatch.setattr("su3rep.verify._weight_certificate", lambda gs: False)
-        summary = sweep(9)
-        assert summary.rows
-        assert all(
-            (r.commutators_ok, r.casimir_ok, r.structure_ok) == (True, False, True)
-            for r in summary.rows
-        )
-        assert not summary.passed
+        # a failed certificate fails the weights line and takes no Schur step
+        failing_weights = RelationCheck("weights of ?", False, 1.0, kind="structure")
+        monkeypatch.setattr("su3rep.verify._weights_line", lambda gs, diagonals: failing_weights)
+        for casimir_ok in (True, False):
+            if not casimir_ok:
+                monkeypatch.setattr("su3rep.verify.check_casimir", failing_casimir)
+            summary = sweep(9)
+            assert summary.rows
+            assert all(
+                (r.commutators_ok, r.casimir_ok, r.structure_ok) == (True, casimir_ok, False)
+                for r in summary.rows
+            )
+            assert not summary.passed
 
     def test_missing_kind_is_not_a_pass(self):
         assert not verify_irrep(1, 0).of_kind("oracle").passed
@@ -813,6 +795,11 @@ def _verify_casimir_line(gs):
     return line, spy.called
 
 
+def _weights(gs):
+    """verify's weights line on gs, read off gs's own T3 and U3 diagonals."""
+    return verify_module._weights_line(gs, verify_module._Hypotheses.read(gs.matrices()).diagonals)
+
+
 def _casimir_forms(gs):
     """verify's Casimir line on gs, and check_casimir(gs)."""
     return _verify_casimir_line(gs)[0], check_casimir(gs)
@@ -910,7 +897,7 @@ class TestSchurCasimir:
     @pytest.mark.parametrize("label", [(3, 2), (2, 3)])
     def test_clean_set_passes_with_no_product(self, label):
         gs = _generator_set(*label)
-        assert verify_module._weight_certificate(gs)
+        assert _weights(gs).exact
         check, computed = _verify_casimir_line(gs)
         assert not computed
         assert check == check_casimir(gs) and check.exact
@@ -919,7 +906,7 @@ class TestSchurCasimir:
     @pytest.mark.parametrize("kind", sorted(_CERTIFICATE_CONTROLS))
     def test_broken_certificate_computes_the_casimir(self, label, kind):
         bad = _CERTIFICATE_CONTROLS[kind](_generator_set(*label))
-        assert not verify_module._weight_certificate(bad)
+        assert not _weights(bad).exact
         check, computed = _verify_casimir_line(bad)
         assert computed
         assert check == check_casimir(bad)
@@ -934,7 +921,7 @@ class TestSchurCasimir:
             report = check_commutators(gs)
             # every commutator holds: only the certificate tells the labels apart
             assert report.passed, (built, label)
-            assert not verify_module._weight_certificate(gs), (built, label)
+            assert not _weights(gs).exact, (built, label)
             assert _verify_casimir_line(gs)[0] == check_casimir(gs), (built, label)
 
 
@@ -979,7 +966,7 @@ def _verify_structure_lines(gs):
 
 
 def _computed_structure(gs):
-    return tuple(check_structure(to_gell_mann(gs)))
+    return (*check_structure(to_gell_mann(gs)), _weights(gs))
 
 
 @settings(max_examples=100, deadline=None)
@@ -1020,7 +1007,7 @@ class TestStructureRead:
         lines, called = _verify_structure_lines(build_generator_set(p, q))
         assert called == (False, False)
         assert [r.name for r in lines] == [
-            "F1..F8 hermitian", "F1..F8 traceless", "F1,F3,F4,F6,F8 real; F2,F5,F7 imaginary",
+            "F1..F8 hermitian", "F1..F8 traceless", f"weights of ({p}, {q})",
         ]
         assert all(r.exact and r.residual == 0.0 for r in lines)
 
@@ -1047,3 +1034,75 @@ class TestStructureRead:
         real_f = {"Tp": 1, "Vp": 4, "Up": 6}[plus]
         assert [r.name for r in lines if not r.exact] == [
             f"F1..F8 traceless (violated by F[{real_f}])"]
+
+
+# ---------------------------------------------------------------------------
+# The weights line: verify's third structure line is the weight certificate,
+# so a set relabelled as another irrep of the same dimension fails it
+
+
+class TestWeightsLine:
+    def test_relabelled_pairs_fail_the_weights_line(self):
+        labels = _both_orientations(sweep_labels(300))
+        pairs = [(a, b) for a in labels for b in labels
+                 if a != b and dimension(*a) == dimension(*b)]
+        assert len(pairs) == 174
+        conjugates = 0
+        for built, label in pairs:
+            gs = dataclasses.replace(_generator_set(*built), p=label[0], q=label[1])
+            with mock.patch.object(verify_module, "build_generator_set", return_value=gs):
+                report = verify_irrep(*label)
+            weights = report.relations[-1]
+            assert weights.name.startswith(f"weights of {label} (violated at (2 T3, 3Y) = ")
+            # the Casimir line fails too exactly when the eigenvalues differ
+            failed = [weights] if casimir_eigenvalue(*built) == casimir_eigenvalue(*label) else [
+                report.of_kind("casimir").relations[0], weights]
+            assert report.failures() == failed, (built, label)
+            conjugates += built == label[::-1]
+        assert conjugates == 110  # the 55 conjugate pairs, both ways
+
+    def test_failure_names_the_first_differing_weight(self):
+        # (3,2) labelled (2,3): the weights are negated, and the least weight
+        # of (2,3), (-5, -1), is not one of (3,2)'s
+        gs = dataclasses.replace(_generator_set(3, 2), p=2, q=3)
+        assert Counter(weight_multiplicities(2, 3))[-5, -1] == 1
+        assert Counter(weight_multiplicities(3, 2))[-5, -1] == 0
+        assert _weights(gs).name == (
+            "weights of (2, 3) (violated at (2 T3, 3Y) = (-5, -1): 0 states, not 1)")
+
+    @pytest.mark.parametrize("kind,offender", [
+        ("off-diagonal T3 entry", "by T3: not a rational diagonal"),
+        # state 0 of (3,2) has (2 T3, 3Y) = (0, -2), three states share it,
+        # and the last state has (-5, 1).  T3 + 1/4 at state 0 moves it to
+        # (1/2, -3/2); swapping the two U3 entries moves them to (0, 6) and
+        # (-5, -7).  The least weight whose count changed is named
+        ("2 T3 not an integer", "at (2 T3, 3Y) = (0, -2): 2 states, not 3"),
+        ("two U3 diagonal entries swapped", "at (2 T3, 3Y) = (-5, -7): 1 states, not 0"),
+    ])
+    def test_broken_certificate_names_its_offender(self, kind, offender):
+        assert weight_multiplicities(3, 2)[0, -2] == 3
+        bad = _CERTIFICATE_CONTROLS[kind](_generator_set(3, 2))
+        line = _weights(bad)
+        assert (line.name, line.exact, line.residual) == (
+            f"weights of (3, 2) (violated {offender})", False, 1.0)
+        lines, _ = _verify_structure_lines(bad)
+        assert lines[-1] == line
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 9), st.integers(0, 9))
+def test_dimension_and_casimir_in_both_orientations(a, b):
+    """Each drawn label is checked as (p, q) with p >= q and as its conjugate:
+    d against the state labels and the weight diagram, and the computed
+    Casimir line against casimir_eigenvalue."""
+    p, q = max(a, b), min(a, b)
+    assume(dimension(p, q) <= 400)
+    for label in ((p, q), (q, p)):
+        d = dimension(*label)
+        assert d == (p + 1) * (q + 1) * (p + q + 2) // 2
+        assert d == len(state_labels(*label)) == sum(weight_multiplicities(*label).values())
+        gs = _generator_set(*label)
+        assert gs.dim == d
+        line = check_casimir(gs)
+        assert (line.name, line.exact, line.kind) == (
+            f"casimir = {casimir_eigenvalue(p, q)}", True, "casimir")
