@@ -26,9 +26,9 @@ from .generators import (
     GeneratorSet,
     build_generator_set,
     build_matrices,
+    build_raising,
     build_t_matrix,
     build_u3,
-    build_uplus_vplus,
     gell_mann_matrix,
     to_gell_mann,
 )
@@ -63,9 +63,9 @@ __all__ = [
     "block_unknown_squares",
     "build_generator_set",
     "build_matrices",
+    "build_raising",
     "build_t_matrix",
     "build_u3",
-    "build_uplus_vplus",
     "casimir_eigenvalue",
     "check_casimir",
     "check_commutators",

@@ -142,17 +142,19 @@ def _cells(p: int, q: int, name: str) -> Iterator[tuple]:
     """The nonzero cells of one basis matrix in (row, col) order, 1-based:
     (row, col, ((part, triples), ...)), part "value" for the eight ladder
     matrices and "re", "im" for F1..F8, and triples as in
-    ``RadicalSum.to_triples``.  Only the matrices the name reads are built."""
+    ``RadicalSum.to_triples``.  Only the matrices the name reads are built.
+    Fk's other part is always zero (``GELL_MANN_TABLE``), so the cells are
+    its one part's, with the other part's terms [] in each."""
     if name in MATRIX_NAMES:
         for r, c, triples in build_matrices(p, q, (name,))[name].triple_items():
             yield r + 1, c + 1, (("value", triples),)
         return
     k = GELL_MANN_NAMES.index(name) + 1
-    fmat = gell_mann_matrix(build_matrices(p, q, [x for _, x in GELL_MANN_TABLE[k][2]]), k)
-    re = {(r, c): triples for r, c, triples in fmat.re.triple_items()}
-    im = {(r, c): triples for r, c, triples in fmat.im.triple_items()}
-    for r, c in sorted(re.keys() | im.keys()):
-        yield r + 1, c + 1, (("re", re.get((r, c), [])), ("im", im.get((r, c), [])))
+    part, _, terms = GELL_MANN_TABLE[k]
+    fmat = gell_mann_matrix(build_matrices(p, q, [x for _, x in terms]), k)
+    for r, c, triples in getattr(fmat, part).triple_items():
+        yield r + 1, c + 1, ((("re", triples), ("im", [])) if part == "re"
+                             else (("re", []), ("im", triples)))
 
 
 def _approx(triples: list[tuple[int, int, int]]) -> float:

@@ -87,6 +87,7 @@ class ComplexMatrix:
 
 
 _SPIN_KINDS = {"Tp": "plus", "Tm": "minus", "T3": "three"}
+_RAISING = (("Up", "Um"), ("Vp", "Vm"))  # each raising matrix and its transpose
 
 
 def build_t_matrix(p: int, q: int, name: str) -> RadMatrix:
@@ -140,13 +141,15 @@ def unit_raising_blocks(p: int, q: int) -> list[tuple[tuple[int, int], list[Entr
     return out
 
 
-def build_uplus_vplus(
-    p: int, q: int, unknowns: dict[tuple[int, int], Fraction]
-) -> tuple[RadMatrix, RadMatrix]:
-    """Assemble U+ and V+ from the squared block unknowns (positive roots):
-    each entry is one root sqrt(u^2 * x), u the unit entry, x the square."""
-    u_entries: list[Entry] = []
-    v_entries: list[Entry] = []
+def build_raising(
+    p: int, q: int, unknowns: dict[tuple[int, int], Fraction], names: Iterable[str]
+) -> dict[str, RadMatrix]:
+    """U+ ("Up") and V+ ("Vp"), those of the two that ``names`` holds, from
+    the squared block unknowns (positive roots): each entry is one root
+    sqrt(u^2 * x), u the unit entry, x the square.  One walk of
+    ``unit_raising_blocks`` and one ``from_entries`` per matrix built."""
+    wanted = set(names)
+    entries: dict[str, list[Entry]] = {name: [] for name in ("Up", "Vp") if name in wanted}
     for (i, j), unit_u, unit_v in unit_raising_blocks(p, q):
         square = unknowns.get((i, j))
         if square is None:
@@ -158,10 +161,11 @@ def build_uplus_vplus(
                 f"negative squared unknown {square} at ({i},{j}) of ({p},{q})"
             )
         x, y = square.numerator, square.denominator
-        for unit, entries in ((unit_u, u_entries), (unit_v, v_entries)):
-            entries.extend((r, c, sign, a * x, b * y) for r, c, sign, a, b in unit)
+        for name, unit in (("Up", unit_u), ("Vp", unit_v)):
+            if name in entries:
+                entries[name].extend((r, c, sign, a * x, b * y) for r, c, sign, a, b in unit)
     d = dimension(p, q)
-    return RadMatrix.from_entries(d, u_entries), RadMatrix.from_entries(d, v_entries)
+    return {name: RadMatrix.from_entries(d, part) for name, part in entries.items()}
 
 
 def build_matrices(p: int, q: int, names: Iterable[str]) -> dict[str, RadMatrix]:
@@ -169,9 +173,10 @@ def build_matrices(p: int, q: int, names: Iterable[str]) -> dict[str, RadMatrix]
     ``MATRIX_NAMES`` order.
 
     Only what the names need is built: T+, T- and T3 each on its own, U3
-    alone, and U+ and V+ together (U- and V- are their transposes).
-    For q > p each named matrix is the negative transpose of its (q, p)
-    namesake, and only the named ones are transposed.
+    alone, U+ only for Up or Um and V+ only for Vp or Vm (U- and V- are
+    their transposes), both from one walk of the unit blocks when both are
+    needed.  For q > p each named matrix is the negative transpose of its
+    (q, p) namesake, and only the named ones are transposed.
     """
     _check_label(p, q)
     wanted = set(names)
@@ -180,9 +185,10 @@ def build_matrices(p: int, q: int, names: Iterable[str]) -> dict[str, RadMatrix]
     built = {name: build_t_matrix(p, q, name) for name in _SPIN_KINDS if name in wanted}
     if "U3" in wanted:
         built["U3"] = build_u3(p, q)
-    if wanted & {"Up", "Um", "Vp", "Vm"}:
-        built["Up"], built["Vp"] = build_uplus_vplus(p, q, block_unknown_squares(p, q))
-        for plus, minus in (("Up", "Um"), ("Vp", "Vm")):
+    pluses = {plus for plus, minus in _RAISING if wanted & {plus, minus}}
+    if pluses:
+        built.update(build_raising(p, q, block_unknown_squares(p, q), pluses))
+        for plus, minus in _RAISING:
             if minus in wanted:
                 built[minus] = built[plus].transpose()
     return {name: built[name] for name in sorted(wanted, key=MATRIX_NAMES.index)}

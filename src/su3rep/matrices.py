@@ -48,8 +48,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import groupby
-from operator import itemgetter
 from typing import Iterable, Iterator, Union
 
 from .radical import RadicalSum, split_square
@@ -65,7 +63,9 @@ class RadMatrix:
     the entry at (row, col) is the sum of (numerator / den) * sqrt(sf) over
     the keys that name its cell.  Instances come from ``from_entries`` or an
     operation below and are not mutated afterwards, except by ``put`` in
-    tests and corrupted controls.
+    tests and corrupted controls.  Cells are read in (row, col) order by one
+    sorted walk of the terms, ``_entries``, which ``items`` and
+    ``triple_items`` share.
     """
 
     __slots__ = ("n", "den", "_terms")
@@ -90,22 +90,25 @@ class RadMatrix:
         """The n x n matrix with sign * sqrt(a/b) at each (row, col, sign, a, b),
         where sign is +1 or -1, a >= 0 and b > 0; a rational r/s enters as
         sign(r) * sqrt(r*r / s*s).  sqrt(a/b) = k * sqrt(m) / b with
-        a * b = k * k * m, m square-free, and ``den`` is the lcm of the b's.
+        a * b = k * k * m, m square-free, and ``den`` is the lcm of the
+        distinct b's.  Each entry's cell c * n + r is computed once.
         Entries with a = 0 are not stored.  A position outside n x n raises
         IndexError, one given twice ValueError."""
         seen: set[int] = set()
         terms = []
+        n2 = n * n
         for r, c, sign, a, b in entries:
             if not (0 <= r < n and 0 <= c < n):
                 raise IndexError(f"({r}, {c}) outside {n}x{n}")
-            if c * n + r in seen:
+            cell = c * n + r
+            if cell in seen:
                 raise ValueError(f"entry ({r}, {c}) given twice")
-            seen.add(c * n + r)
+            seen.add(cell)
             if a:
                 k, m = split_square(a * b)
-                terms.append(((m * n + c) * n + r, sign * k, b))
+                terms.append((m * n2 + cell, sign * k, b))
         out = cls(n)
-        out.den = den = math.lcm(*(b for _, _, b in terms))
+        out.den = den = math.lcm(*{b for _, _, b in terms})
         out._terms = {key: num * (den // b) for key, num, b in terms}
         return out
 
@@ -159,17 +162,30 @@ class RadMatrix:
             yield r, c, [(v // g, den // g, sf) for sf, v in terms for g in (gcd(v, den),)]
 
     def _decoded(self) -> list[tuple[int, int, int, int]]:
-        """(row, col, sf, numerator) of every stored term, in storage order."""
+        """(row, col, sf, numerator) of every stored term, in storage order:
+        the left operands of ``_combine_all``."""
         n = self.n
         return [(r, c, sf, v) for key, v in self._terms.items()
                 for rest, r in (divmod(key, n),) for sf, c in (divmod(rest, n),)]
 
     def _entries(self) -> Iterator[tuple[int, int, list[tuple[int, int]]]]:
         """(row, col, [(sf, numerator), ...]) of each nonzero entry, sorted by
-        (row, col) and by sf within an entry: the terms decoded and sorted
-        once, for ``items`` and ``triple_items``."""
-        for (r, c), cell in groupby(sorted(self._decoded()), itemgetter(0, 1)):
-            yield r, c, [(sf, v) for _, _, sf, v in cell]
+        (row, col) and by sf within an entry: one sort of the terms as
+        (row * n + col, sf, numerator), grouped by cell as they come, for
+        ``items`` and ``triple_items``."""
+        n = self.n
+        n2 = n * n
+        decoded = sorted((key % n * n + key // n % n, key // n2, v)
+                         for key, v in self._terms.items())
+        cell, terms = -1, []
+        for rc, sf, v in decoded:
+            if rc != cell:
+                if terms:
+                    yield cell // n, cell % n, terms
+                cell, terms = rc, []
+            terms.append((sf, v))
+        if terms:
+            yield cell // n, cell % n, terms
 
     @property
     def nnz(self) -> int:

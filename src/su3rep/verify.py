@@ -432,7 +432,7 @@ def oracle_solve(p: int, q: int, max_dim: int = ORACLE_MAX_DIM) -> dict[tuple[in
     """Solve the commutation relations directly for the squared block unknowns.
 
     One unknown x_k per admissible block k.  ``unit_raising_blocks``, the
-    walk ``build_uplus_vplus`` scales by sqrt(x_k), gives each block's unit
+    walk ``build_raising`` scales by sqrt(x_k), gives each block's unit
     entries (x_k = 1, every other square 0) as (r, c, sign, a, b), the root
     sign * sqrt(a/b).  Each matrix position lies in exactly one block, so
     entry (s, s) of X+ X+^T - X+^T X+ is the sum over k of x_k times the a/b

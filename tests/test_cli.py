@@ -28,13 +28,15 @@ _READS = {name: {name} for name in MATRIX_NAMES} | {
     "F5": {"Vp", "Vm"}, "F6": {"Up", "Um"}, "F7": {"Up", "Um"}, "F8": {"U3", "T3"},
 }
 # The builder of each family of ladder matrices: a builder is called exactly
-# when an export reads one of its family.
-_FAMILIES = {
+# when an export reads one of its family.  build_raising builds U+ ("U+")
+# and V+ ("V+") each only when asked for it, and is counted per matrix built.
+_BUILDERS = {
     "build_t_matrix": {"Tp", "Tm", "T3"},
     "build_u3": {"U3"},
-    "build_uplus_vplus": {"Up", "Um", "Vp", "Vm"},
     "block_unknown_squares": {"Up", "Um", "Vp", "Vm"},
 }
+_RAISED = {"Up": "U+", "Vp": "V+"}
+_FAMILIES = _BUILDERS | {"U+": {"Up", "Um"}, "V+": {"Vp", "Vm"}}
 # every irrep with d < 100 in both orientations, and (8, 4), (4, 8)
 _EXPORT_LABELS = [
     (p, q) for p in range(13) for q in range(13) if dimension(p, q) < 100
@@ -51,15 +53,26 @@ def _called(calls):
 
 @contextlib.contextmanager
 def _builder_counts():
-    """Call-counting wraps of each family builder in the generators module and
-    of RadMatrix.transpose, whose calls are counted by sign."""
+    """Call-counting wraps of each family builder in the generators module, a
+    count of each raising matrix that build_raising returns, and of
+    RadMatrix.transpose, whose calls are counted by sign."""
     with contextlib.ExitStack() as stack:
         calls = {
             name: stack.enter_context(
                 mock.patch.object(generators, name, wraps=getattr(generators, name))
             )
-            for name in _FAMILIES
+            for name in _BUILDERS
         }
+        calls |= {family: mock.Mock() for family in _RAISED.values()}
+        raising = generators.build_raising
+
+        def counted_raising(*args):
+            built = raising(*args)
+            for plus in built:
+                calls[_RAISED[plus]]()
+            return built
+
+        stack.enter_context(mock.patch.object(generators, "build_raising", counted_raising))
         calls["transpose"] = signs = Counter()
         transpose = RadMatrix.transpose
 
@@ -125,15 +138,17 @@ class TestGenerate:
         assert lines[0] == "row,col,part,num,den,sf"
         assert all(",re," in line or ",im," in line for line in lines[1:])
 
-    @pytest.mark.parametrize("name", ["F1", "F2", "F6", "F8"])
+    @pytest.mark.parametrize("name", ["F1", "F2", "F4", "F5", "F6", "F7", "F8"])
     def test_one_gell_mann_matrix_built(self, capsys, name):
         # only the requested F matrix is combined, not all eight, and only
-        # the families it reads are built
-        with mock.patch.object(generators, "_combine", wraps=generators._combine) as combine, \
-                _builder_counts() as calls:
-            code, _, _ = run(capsys, "generate", "--p", "2", "--q", "1", "--matrix", name)
-        assert code == 0 and combine.call_count == 1
-        assert _called(calls) == _families(_READS[name])
+        # the families it reads are built: F4..F7 read one raising family and
+        # build no matrix of the other, in both orientations
+        for p, q in ((2, 1), (1, 2)):
+            with mock.patch.object(generators, "_combine", wraps=generators._combine) as combine, \
+                    _builder_counts() as calls:
+                code, _, _ = run(capsys, "generate", "--p", str(p), "--q", str(q), "--matrix", name)
+            assert code == 0 and combine.call_count == 1
+            assert _called(calls) == _families(_READS[name])
 
     @pytest.mark.parametrize("p,q", [(2, 1), (1, 2)])
     @pytest.mark.parametrize("name", _ALL_NAMES)
@@ -146,6 +161,9 @@ class TestGenerate:
         # each of T+, T- and T3 is built on its own, once if read
         built = sorted(c.args[2] for c in calls["build_t_matrix"].call_args_list)
         assert built == sorted(reads & {"Tp", "Tm", "T3"})
+        # U+ and V+ each once if its family is read, and not at all otherwise
+        for family in ("U+", "V+"):
+            assert calls[family].call_count == bool(_FAMILIES[family] & reads), family
         # U- and V- are transposes of U+ and V+, built only when read
         assert calls["transpose"][1] == len(reads & {"Um", "Vm"})
         # for q > p, exactly the matrices read are negative-transposed

@@ -13,9 +13,9 @@ from su3rep import (
     block_unknown_squares,
     build_generator_set,
     build_matrices,
+    build_raising,
     build_t_matrix,
     build_u3,
-    build_uplus_vplus,
     dimension,
     ladder_coefficient,
     sqrt_of_rational,
@@ -101,7 +101,9 @@ class TestAssemblyMatchesReference:
         squares = block_unknown_squares(p, q)
         units = unit_raising_blocks(p, q)
         assert [key for key, _, _ in units] == [(i, j) for i, j, _ in admissible_blocks(p, q)]
-        up, vp = build_uplus_vplus(p, q, squares)
+        built = build_raising(p, q, squares, ("Up", "Vp"))
+        assert list(built) == ["Up", "Vp"]
+        up, vp = built["Up"], built["Vp"]
         roots = {}  # sqrt(x) * I by x, entry by entry
         for x in {squares[unit[0]] for unit in units}:
             roots[x], root = RadMatrix(d), sqrt_of_rational(x)
@@ -174,7 +176,8 @@ class TestAdmissibleBlocks:
 
 class TestRaisingMatrices:
     def test_fundamental_single_entries(self):
-        up, vp = build_uplus_vplus(1, 0, block_unknown_squares(1, 0))
+        built = build_raising(1, 0, block_unknown_squares(1, 0), ("Up", "Vp"))
+        up, vp = built["Up"], built["Vp"]
         assert [(r, c, v) for r, c, v in up.items()] == [(2, 0, RadicalSum(1))]
         assert [(r, c, v) for r, c, v in vp.items()] == [(1, 0, RadicalSum(1))]
 
@@ -182,13 +185,23 @@ class TestRaisingMatrices:
         squares = block_unknown_squares(1, 0)
         squares.pop((2, 1))
         with pytest.raises(ConsistencyError, match="no block unknown"):
-            build_uplus_vplus(1, 0, squares)
+            build_raising(1, 0, squares, ("Up",))
 
     def test_negative_unknown_raises(self):
         squares = block_unknown_squares(2, 1)
         squares[(3, 1)] = -squares[(3, 1)]
         with pytest.raises(ConsistencyError, match=r"negative squared unknown -3 at \(3,1\)"):
-            build_uplus_vplus(2, 1, squares)
+            build_raising(2, 1, squares, ("Vp",))
+
+    @pytest.mark.parametrize("p,q", [(1, 0), (3, 2), (8, 4)])
+    def test_each_matrix_alone_equals_the_pair(self, p, q):
+        squares = block_unknown_squares(p, q)
+        both = build_raising(p, q, squares, ("Up", "Vp"))
+        for name in ("Up", "Vp"):
+            (alone,) = build_raising(p, q, squares, {name}).items()
+            assert alone[0] == name
+            assert list(alone[1].items()) == list(both[name].items())
+        assert build_raising(p, q, squares, ()) == {}
 
     def test_vplus_negative_in_spin_raising_blocks(self):
         gs = build_generator_set(1, 1)

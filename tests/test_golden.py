@@ -38,6 +38,10 @@ from su3rep.generators import GELL_MANN_NAMES, GELL_MANN_TABLE, MATRIX_NAMES
 from test_verify import _plus_sqrt7_at_first_entry
 
 RECORD = Path(__file__).with_name("golden_outputs.json")
+# The 64 digests of `generate` for all 16 matrices of (8, 4) and (4, 8), d = 315,
+# as JSON and CSV, that the benchmark's export workload checks; read only.
+EXPORT_DIGESTS = Path(__file__).parents[1] / "perfbench" / "export16_sha256.json"
+EXPORT_IRREPS = ((8, 4), (4, 8))
 
 GENERATE_IRREPS = ((0, 0), (1, 0), (2, 1), (1, 2), (3, 2), (2, 3))
 GENERATE_CASES = [
@@ -175,6 +179,16 @@ def golden() -> dict:
 def test_generate(golden, p, q, fmt, approx):
     want = golden["generate"][_generate_key(p, q, fmt, approx)]
     assert generate_digests(p, q, fmt, approx) == want
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("p,q", EXPORT_IRREPS)
+def test_export_digests_at_d_315(p, q, fmt):
+    recorded = json.loads(EXPORT_DIGESTS.read_text())
+    assert len(recorded) == 64
+    want = {name: recorded[f"generate({p},{q}) {name} {fmt}"]
+            for name in MATRIX_NAMES + GELL_MANN_NAMES}
+    assert generate_digests(p, q, fmt, False) == want
 
 
 @pytest.mark.parametrize("p,q,oracle", VERIFY_CASES)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -318,6 +319,56 @@ def test_large_radicands_match_dense_reference(pairs):
     both = {(i, j): product[i, j] - cells_a.get((i, j), RadicalSum(0)) * 2
             for i in range(n) for j in range(n)}
     assert list(_combine(((1, a, b), (-2, a))).items()) == _sorted_cells(both)
+
+
+# Matrices for the sorted cell walk, each with its cells as a plain dict:
+# up to three radicands per cell, negative coefficients, radicands far above
+# n * n, and three stored forms: as put, as transpose(+1 or -1), and halved
+# by a sum that leaves den unreduced (numerators sharing factors with den).
+_walk_entries = st.lists(
+    st.tuples(_coeffs.filter(bool),
+              st.one_of(st.sampled_from([1, 2, 3, 5, 6, 7, 30]), st.integers(26, 42 * 10**7))),
+    min_size=1, max_size=3,
+).map(RadicalSum.from_terms)
+
+
+@st.composite
+def _walked_matrices(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    positions = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    mat, cells = RadMatrix(n), {}
+    for (r, c), v in draw(st.dictionaries(positions, _walk_entries, max_size=3 * n)).items():
+        mat.put(r, c, v)
+        cells[r, c] = v
+    form = draw(st.sampled_from(["put", "transpose", "transpose(-1)", "halved"]))
+    if form.startswith("transpose"):
+        sign = -1 if form.endswith("(-1)") else 1
+        mat, cells = mat.transpose(sign), {(c, r): v * sign for (r, c), v in cells.items()}
+    elif form == "halved":
+        mat = _combine(((Fraction(1, 3), mat), (Fraction(1, 6), mat)))
+        cells = {rc: v * Fraction(1, 2) for rc, v in cells.items()}
+    return mat, cells
+
+
+@given(_walked_matrices())
+def test_sorted_walk_matches_get_and_dense_reference(drawn):
+    # items() and triple_items() share one sorted walk; each is read against
+    # two references that do not use it: the plain dict over every position
+    # in row-major order (dense), and get's own scan of the terms (per cell)
+    mat, cells = drawn
+    n = mat.n
+    dense = [(r, c, cells.get((r, c), RadicalSum(0))) for r in range(n) for c in range(n)]
+    want = [(r, c, v) for r, c, v in dense if v]
+    by_get = [(r, c, v) for r in range(n) for c in range(n) for v in (mat.get(r, c),) if v]
+    assert by_get == want
+    got = list(mat.items())
+    assert [(r, c) for r, c, _ in got] == [(r, c) for r, c, _ in want]
+    assert got == want
+    triples = list(mat.triple_items())
+    assert triples == [(r, c, v.to_triples()) for r, c, v in want]
+    for _, _, cell in triples:  # each term in lowest terms, sf ascending
+        assert [sf for _, _, sf in cell] == sorted({sf for _, _, sf in cell})
+        assert all(den > 0 and math.gcd(num, den) == 1 for num, den, _ in cell)
 
 
 def test_put_get_round_trips_a_multi_radicand_entry():

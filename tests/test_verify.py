@@ -147,7 +147,7 @@ class TestOracle:
 
     def test_one_block_walk_per_solve(self, monkeypatch):
         calls = Counter()
-        for name in ("admissible_blocks", "build_uplus_vplus"):
+        for name in ("admissible_blocks", "build_raising"):
             original = getattr(generators, name)
 
             def counted(*args, _name=name, _original=original):
@@ -157,7 +157,7 @@ class TestOracle:
             monkeypatch.setattr(generators, name, counted)
         assert compare_with_oracle(4, 2) == []
         assert calls["admissible_blocks"] == 1
-        assert calls["build_uplus_vplus"] == 0
+        assert calls["build_raising"] == 0
 
     def test_corrupted_closed_form_is_reported(self, monkeypatch):
         def shifted(p, q):
@@ -278,11 +278,8 @@ class TestNegativeControls:
         base = build_generator_set(2, 1)
         entries = list(base.u_plus.items())
         assert entries
-        for r, c, v in entries:
-            bad = RadMatrix(base.dim)
-            for rr, cc, vv in base.u_plus.items():
-                bad.put(rr, cc, vv)
-            bad.put(r, c, v + 1)
+        for r, c, _ in entries:
+            bad = _added(base.u_plus, r, c, 1)
             corrupt = dataclasses.replace(base, u_plus=bad, u_minus=bad.transpose())
             assert not check_commutators(corrupt).passed
 
@@ -526,9 +523,7 @@ _GOLDEN_FAILURES = {
 def _plus_sqrt7_at_first_entry(gs, field):
     """gs with sqrt(7) added to the first stored entry of one matrix only."""
     mat = getattr(gs, field)
-    bad = RadMatrix(gs.dim)
-    for r, c, v in mat.items():
-        bad.put(r, c, v)
+    bad = _combine(((1, mat),))  # a copy in O(nnz)
     r, c, v = next(mat.items())
     bad.put(r, c, v + RadicalSum.from_terms([(1, 7)]))
     return dataclasses.replace(gs, **{field: bad})
@@ -689,10 +684,9 @@ def _generator_set(p, q):
 
 
 def _added(mat, r, c, delta):
-    """A copy of mat with delta added to the entry at (r, c)."""
-    out = RadMatrix(mat.n)
-    for rr, cc, v in mat.items():
-        out.put(rr, cc, v)
+    """A copy of mat with delta added to the entry at (r, c), in O(nnz): one
+    ``_combine`` copies the terms and one ``put`` sets the entry."""
+    out = _combine(((1, mat),))
     out.put(r, c, out.get(r, c) + delta)
     return out
 
