@@ -24,11 +24,11 @@ from .unknowns import block_unknown_squares
 from .generators import (
     ComplexMatrix,
     GeneratorSet,
+    build_cartan,
     build_generator_set,
     build_matrices,
     build_raising,
-    build_t_matrix,
-    build_u3,
+    build_t_plus,
     gell_mann_matrix,
     to_gell_mann,
 )
@@ -61,11 +61,11 @@ __all__ = [
     "admissible_blocks",
     "block_offsets",
     "block_unknown_squares",
+    "build_cartan",
     "build_generator_set",
     "build_matrices",
     "build_raising",
-    "build_t_matrix",
-    "build_u3",
+    "build_t_plus",
     "casimir_eigenvalue",
     "check_casimir",
     "check_commutators",

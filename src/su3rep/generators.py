@@ -1,10 +1,13 @@
 """Assembly of the eight basis matrices for any (p, q) irrep.
 
-For p >= q everything is built directly: the T-matrices are block-diagonal
-standard spin matrices, U3 is diagonal with each block stepping up by 1/2
-from its lead component, and U+/V+ have one nonzero diagonal per admissible
-block whose entries are fixed radical multiples of a single block constant.
-For q > p the matrices are the negative transposes of the (q, p) set.
+For p >= q three raising matrices are built directly: T+ is block-diagonal
+from the standard spin raising blocks, and U+/V+ have one nonzero diagonal
+per admissible block whose entries are fixed radical multiples of a single
+block constant.  Each lowering matrix is its raising partner's transpose
+(``LADDER_PAIRS``).  T3 and U3 are diagonal and come from one walk of the
+blocks: T3 steps down by 1 from the block's spin, U3 up by 1/2 from its lead
+component.  For q > p the matrices are the negative transposes of the (q, p)
+set.
 
 All eight matrices are real; complex values appear only in the hermitian
 basis F1..F8, stored as (real, imaginary) matrix pairs.
@@ -86,32 +89,32 @@ class ComplexMatrix:
         return self.re.trace().is_zero and self.im.trace().is_zero
 
 
-_SPIN_KINDS = {"Tp": "plus", "Tm": "minus", "T3": "three"}
-_RAISING = (("Up", "Um"), ("Vp", "Vm"))  # each raising matrix and its transpose
+# Each raising matrix and its lowering partner, which is its transpose.
+LADDER_PAIRS = {"Tp": "Tm", "Up": "Um", "Vp": "Vm"}
 
 
-def build_t_matrix(p: int, q: int, name: str) -> RadMatrix:
-    """One of T+, T-, T3 (name "Tp", "Tm" or "T3"), block-diagonal from the
-    standard spin matrices."""
-    kind = _SPIN_KINDS[name]
+def build_t_plus(p: int, q: int) -> RadMatrix:
+    """T+, block-diagonal from the standard spin raising blocks."""
     return RadMatrix.from_entries(dimension(p, q), [
         (off + r, off + c, sign, a, b)
         for off, two_s in zip(block_offsets(p, q), tspin_list(p, q))
-        for r, c, sign, a, b in spin_entries(kind, two_s)
+        for r, c, sign, a, b in spin_entries(two_s)
     ])
 
 
-def build_u3(p: int, q: int) -> RadMatrix:
-    """Diagonal U3: block i starts at its lead and increases by 1/2 per state."""
-    offsets = block_offsets(p, q)
-    spins = tspin_list(p, q)
-    leads = u3_leads(p, q)
-    # (2 lead + a) / 2, a rational entered as the root of its square
-    return RadMatrix.from_entries(dimension(p, q), [
-        (off + a, off + a, 1 if two_lead + a > 0 else -1, (two_lead + a) ** 2, 4)
-        for off, two_s, two_lead in zip(offsets, spins, leads)
-        for a in range(two_s + 1)
-    ])
+def build_cartan(p: int, q: int, names: Iterable[str]) -> dict[str, RadMatrix]:
+    """T3 ("T3") and U3 ("U3"), those of the two that ``names`` holds, from
+    one walk of the blocks: at position a of a block with doubled spin 2s
+    and doubled lead, 2 T3 = 2s - 2a and 2 U3 = 2 lead + a."""
+    doubled: dict[str, list[int]] = {"T3": [], "U3": []}
+    for two_s, two_lead in zip(tspin_list(p, q), u3_leads(p, q)):
+        doubled["T3"].extend(range(two_s, -two_s - 1, -2))
+        doubled["U3"].extend(range(two_lead, two_lead + two_s + 1))
+    wanted = set(names)
+    # v / 2, a rational entered as the root of its square
+    return {name: RadMatrix.from_entries(len(values), [
+        (k, k, 1 if v > 0 else -1, v * v, 4) for k, v in enumerate(values)
+    ]) for name, values in doubled.items() if name in wanted}
 
 
 def unit_raising_blocks(p: int, q: int) -> list[tuple[tuple[int, int], list[Entry], list[Entry]]]:
@@ -172,25 +175,25 @@ def build_matrices(p: int, q: int, names: Iterable[str]) -> dict[str, RadMatrix]
     """The named matrices of (p, q), either orientation, keyed by name in
     ``MATRIX_NAMES`` order.
 
-    Only what the names need is built: T+, T- and T3 each on its own, U3
-    alone, U+ only for Up or Um and V+ only for Vp or Vm (U- and V- are
-    their transposes), both from one walk of the unit blocks when both are
-    needed.  For q > p each named matrix is the negative transpose of its
-    (q, p) namesake, and only the named ones are transposed.
+    Only what the names need is built: T3, U3 or both from one walk of the
+    blocks; T+ only for Tp or Tm; U+ only for Up or Um and V+ only for Vp or
+    Vm, both from one walk of the unit blocks when both are needed.  Each
+    named lowering matrix is its raising partner's transpose.  For q > p
+    each named matrix is the negative transpose of its (q, p) namesake, and
+    only the named ones are transposed.
     """
     _check_label(p, q)
     wanted = set(names)
     if q > p:
         return {name: m.transpose(-1) for name, m in build_matrices(q, p, wanted).items()}
-    built = {name: build_t_matrix(p, q, name) for name in _SPIN_KINDS if name in wanted}
-    if "U3" in wanted:
-        built["U3"] = build_u3(p, q)
-    pluses = {plus for plus, minus in _RAISING if wanted & {plus, minus}}
-    if pluses:
+    pluses = {plus for plus, minus in LADDER_PAIRS.items() if wanted & {plus, minus}}
+    built = build_cartan(p, q, wanted) if wanted & {"T3", "U3"} else {}
+    if "Tp" in pluses:
+        built["Tp"] = build_t_plus(p, q)
+    if pluses & {"Up", "Vp"}:
         built.update(build_raising(p, q, block_unknown_squares(p, q), pluses))
-        for plus, minus in _RAISING:
-            if minus in wanted:
-                built[minus] = built[plus].transpose()
+    built.update((minus, built[plus].transpose())
+                 for plus, minus in LADDER_PAIRS.items() if minus in wanted)
     return {name: built[name] for name in sorted(wanted, key=MATRIX_NAMES.index)}
 
 

@@ -1,6 +1,7 @@
-"""Standard su(2) ladder coefficients and spin matrices.
+"""Standard su(2) ladder coefficients and the spin raising block.
 
-These are the diagonal blocks of the T-matrices.  Rows and columns are
+The raising blocks are the diagonal blocks of T+; T- is its transpose, and
+T3 is built with U3 in ``generators.build_cartan``.  Rows and columns are
 ordered by decreasing 3-component: position a (1-based) holds sigma = s-(a-1),
 so the raising matrix has its entries on the superdiagonal.
 """
@@ -31,25 +32,13 @@ def ladder_coefficient(kind: str, two_s: int, two_sigma: int) -> RadicalSum:
     return sqrt_of_rational(radicand)
 
 
-def spin_entries(kind: str, two_s: int) -> list[Entry]:
+def spin_entries(two_s: int) -> list[Entry]:
     """Entries (row, col, sign, a, b), value sign * sqrt(a/b), of the
-    (2s+1)-dimensional spin matrix of the given kind.
-
-    kind 'plus'/'minus' are the ladder matrices (super-/subdiagonal),
-    'three' is diag(s, s-1, ..., -s).
-    """
+    (2s+1)-dimensional spin raising matrix, on the superdiagonal."""
     if two_s < 0:
         raise ValueError("two_s must be nonnegative")
-    if kind == "three":
-        # s - a = (2s - 2a) / 2, a rational entered as the root of its square
-        return [(a, a, 1 if 2 * a < two_s else -1, (two_s - 2 * a) ** 2, 4)
-                for a in range(two_s + 1)]
     # entry (a, a+1) lifts sigma = s-a-1 to s-a: r+(s, s-a-1)^2 = (a+1)(two_s-a)
-    if kind == "plus":
-        return [(a, a + 1, 1, (a + 1) * (two_s - a), 1) for a in range(two_s)]
-    if kind == "minus":
-        return [(a + 1, a, 1, (a + 1) * (two_s - a), 1) for a in range(two_s)]
-    raise ValueError(f"kind must be 'plus', 'minus' or 'three', got {kind!r}")
+    return [(a, a + 1, 1, (a + 1) * (two_s - a), 1) for a in range(two_s)]
 
 
 def _check_component(two_s: int, two_sigma: int) -> None:

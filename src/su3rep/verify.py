@@ -99,6 +99,7 @@ from fractions import Fraction
 
 from .generators import (
     GELL_MANN_TABLE,
+    LADDER_PAIRS,
     ComplexMatrix,
     GeneratorSet,
     build_generator_set,
@@ -185,9 +186,6 @@ def _relation_name(a: str, b: str, rhs: tuple[tuple[Fraction, str], ...]) -> str
     return f"[{a},{b}] = " + " + ".join(parts)
 
 
-# Each lowering matrix is the transpose of its raising partner; a T3 or U3
-# that passes its weight reads is diagonal, so its own transpose.
-_ADJOINT = {"Tp": "Tm", "Up": "Um", "Vp": "Vm"}
 # Chevalley's [e_i, f_j] relations on e = (Tp, Up), f = (Tm, Um),
 # h = (2 T3, 2 U3), and Vp = [Tp,Up]: the rows that take a product when the
 # weight reads and adjoint tests hold; each names its table row by the operands.
@@ -204,7 +202,8 @@ class _Hypotheses:
     """What the checks read off a set before any product, each read once:
     T3's and U3's numerators when each stores only rational diagonal terms
     (None otherwise), and whether each lowering matrix is the transpose of
-    its raising partner."""
+    its raising partner in ``LADDER_PAIRS`` (a rational diagonal T3 or U3
+    is its own transpose)."""
 
     diagonals: dict[str, list[int] | None]
     adjoint: bool
@@ -212,7 +211,7 @@ class _Hypotheses:
     @classmethod
     def read(cls, mats: Mapping[str, RadMatrix]) -> "_Hypotheses":
         return cls({h: mats[h].rational_diagonal() for h in ("T3", "U3")},
-                   all(mats[x].is_transpose_of(mats[y]) for x, y in _ADJOINT.items()))
+                   all(mats[x].is_transpose_of(mats[y]) for x, y in LADDER_PAIRS.items()))
 
 
 def _weight_read(mats: dict[str, RadMatrix], diagonals: dict[str, list[int] | None],
@@ -306,7 +305,7 @@ def check_casimir(gs: GeneratorSet) -> RelationCheck:
     mats = gs.matrices()
     y = _combine([(2, mats["U3"]), (1, mats["T3"])])
     terms = [(_HALF, mats[a], mats[b])
-             for x, xm in _ADJOINT.items() for a, b in ((x, xm), (xm, x))]
+             for x, xm in LADDER_PAIRS.items() for a, b in ((x, xm), (xm, x))]
     terms += [
         (1, mats["T3"], mats["T3"]),
         (Fraction(1, 3), y, y),

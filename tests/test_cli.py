@@ -28,15 +28,16 @@ _READS = {name: {name} for name in MATRIX_NAMES} | {
     "F5": {"Vp", "Vm"}, "F6": {"Up", "Um"}, "F7": {"Up", "Um"}, "F8": {"U3", "T3"},
 }
 # The builder of each family of ladder matrices: a builder is called exactly
-# when an export reads one of its family.  build_raising builds U+ ("U+")
-# and V+ ("V+") each only when asked for it, and is counted per matrix built.
+# when an export reads one of its family.  build_cartan builds T3 and U3,
+# and build_raising U+ ("Up") and V+ ("Vp"), each only when asked for it;
+# both are counted per matrix built, under the name of the matrix.
 _BUILDERS = {
-    "build_t_matrix": {"Tp", "Tm", "T3"},
-    "build_u3": {"U3"},
+    "build_t_plus": {"Tp", "Tm"},
+    "build_cartan": {"T3", "U3"},
     "block_unknown_squares": {"Up", "Um", "Vp", "Vm"},
 }
-_RAISED = {"Up": "U+", "Vp": "V+"}
-_FAMILIES = _BUILDERS | {"U+": {"Up", "Um"}, "V+": {"Vp", "Vm"}}
+_COUNTED = ("build_cartan", "build_raising")
+_FAMILIES = _BUILDERS | {"T3": {"T3"}, "U3": {"U3"}, "Up": {"Up", "Um"}, "Vp": {"Vp", "Vm"}}
 # every irrep with d < 100 in both orientations, and (8, 4), (4, 8)
 _EXPORT_LABELS = [
     (p, q) for p in range(13) for q in range(13) if dimension(p, q) < 100
@@ -54,7 +55,7 @@ def _called(calls):
 @contextlib.contextmanager
 def _builder_counts():
     """Call-counting wraps of each family builder in the generators module, a
-    count of each raising matrix that build_raising returns, and of
+    count of each matrix that build_cartan and build_raising return, and of
     RadMatrix.transpose, whose calls are counted by sign."""
     with contextlib.ExitStack() as stack:
         calls = {
@@ -63,16 +64,16 @@ def _builder_counts():
             )
             for name in _BUILDERS
         }
-        calls |= {family: mock.Mock() for family in _RAISED.values()}
-        raising = generators.build_raising
+        calls |= {name: mock.Mock() for name in ("T3", "U3", "Up", "Vp")}
+        for builder in _COUNTED:
 
-        def counted_raising(*args):
-            built = raising(*args)
-            for plus in built:
-                calls[_RAISED[plus]]()
-            return built
+            def counted_build(*args, build=getattr(generators, builder)):
+                built = build(*args)
+                for name in built:
+                    calls[name]()
+                return built
 
-        stack.enter_context(mock.patch.object(generators, "build_raising", counted_raising))
+            stack.enter_context(mock.patch.object(generators, builder, counted_build))
         calls["transpose"] = signs = Counter()
         transpose = RadMatrix.transpose
 
@@ -158,14 +159,12 @@ class TestGenerate:
             code, _, _ = run(capsys, "generate", "--p", str(p), "--q", str(q), "--matrix", name)
         assert code == 0
         assert _called(calls) == _families(reads)
-        # each of T+, T- and T3 is built on its own, once if read
-        built = sorted(c.args[2] for c in calls["build_t_matrix"].call_args_list)
-        assert built == sorted(reads & {"Tp", "Tm", "T3"})
-        # U+ and V+ each once if its family is read, and not at all otherwise
-        for family in ("U+", "V+"):
+        # each builder is called at most once; T3, U3, U+ and V+ are each
+        # built once if their family is read, and not at all otherwise
+        for family in _FAMILIES:
             assert calls[family].call_count == bool(_FAMILIES[family] & reads), family
-        # U- and V- are transposes of U+ and V+, built only when read
-        assert calls["transpose"][1] == len(reads & {"Um", "Vm"})
+        # T-, U- and V- are transposes of T+, U+ and V+, built only when read
+        assert calls["transpose"][1] == len(reads & {"Tm", "Um", "Vm"})
         # for q > p, exactly the matrices read are negative-transposed
         assert calls["transpose"][-1] == (len(reads) if q > p else 0)
 

@@ -11,11 +11,11 @@ from su3rep import (
     admissible_blocks,
     block_offsets,
     block_unknown_squares,
+    build_cartan,
     build_generator_set,
     build_matrices,
     build_raising,
-    build_t_matrix,
-    build_u3,
+    build_t_plus,
     dimension,
     ladder_coefficient,
     sqrt_of_rational,
@@ -26,7 +26,8 @@ from su3rep import (
 )
 from su3rep.generators import GELL_MANN_TABLE, MATRIX_NAMES, unit_raising_blocks
 from su3rep.matrices import _combine
-from su3rep.structure import ConsistencyError
+from su3rep.structure import ConsistencyError, state_labels
+from su3rep.verify import sweep_labels
 
 
 def all_labels(max_d):
@@ -119,7 +120,7 @@ class TestAssemblyMatchesReference:
 
 class TestTMatrices:
     def test_fundamental_t3(self):
-        t3 = build_t_matrix(1, 0, "T3")
+        t3 = build_cartan(1, 0, ["T3"])["T3"]
         assert diagonal_values(t3) == [
             RadicalSum(0),
             RadicalSum(Fraction(1, 2)),
@@ -127,22 +128,22 @@ class TestTMatrices:
         ]
 
     def test_trivial_irrep(self):
-        tp, tm, t3 = (build_t_matrix(0, 0, name) for name in ("Tp", "Tm", "T3"))
+        tp, tm, t3 = build_matrices(0, 0, ["Tp", "Tm", "T3"]).values()
         assert tp.is_zero() and tm.is_zero() and t3.is_zero()
 
     def test_adjoint_plus_count(self):
         # blocks 2s = 0, 1, 1, 2 contribute 0 + 1 + 1 + 2 superdiagonal entries
-        tp = build_t_matrix(1, 1, "Tp")
+        tp = build_t_plus(1, 1)
         assert tp.nnz == 4
 
     def test_minus_is_transpose(self):
-        tp, tm = build_t_matrix(3, 2, "Tp"), build_t_matrix(3, 2, "Tm")
+        tp, tm = build_t_plus(3, 2), build_matrices(3, 2, ["Tm"])["Tm"]
         assert tm == tp.transpose()
 
 
 class TestU3:
     def test_fundamental(self):
-        u3 = build_u3(1, 0)
+        u3 = build_cartan(1, 0, ["U3"])["U3"]
         assert diagonal_values(u3) == [
             RadicalSum(Fraction(-1, 2)),
             RadicalSum(0),
@@ -151,8 +152,26 @@ class TestU3:
 
     @pytest.mark.parametrize("p,q", [(1, 0), (1, 1), (3, 2), (5, 3)])
     def test_traceless(self, p, q):
-        assert build_u3(p, q).trace().is_zero
-        assert build_t_matrix(p, q, "T3").trace().is_zero
+        both = build_cartan(p, q, ["T3", "U3"])
+        assert list(both) == ["T3", "U3"]
+        assert both["U3"].trace().is_zero
+        assert both["T3"].trace().is_zero
+
+    def test_diagonals_match_state_labels(self):
+        # state_labels walks the states on its own, with its own q > p
+        # branch: the built T3 and U3 hold two_sigma / 2 and two_u3 / 2 state
+        # by state on every label below d = 1000, in both orientations
+        labels = sorted({pair for p, q in sweep_labels(1000) for pair in ((p, q), (q, p))})
+        assert len(labels) == 291
+        for label in labels:
+            t3, u3 = build_matrices(*label, ["T3", "U3"]).values()
+            states = state_labels(*label)
+            for mat, doubled in ((t3, [s.two_sigma for s in states]),
+                                 (u3, [s.two_u3 for s in states])):
+                diag = mat.rational_diagonal()
+                assert diag is not None, label
+                want = [Fraction(v, 2) for v in doubled]
+                assert [Fraction(v, mat.den) for v in diag] == want, label
 
 
 class TestAdmissibleBlocks:
@@ -273,7 +292,7 @@ class TestGeneratorSet:
     @pytest.mark.parametrize("label", [(3, 2), (2, 3)])
     def test_named_subset_equals_the_full_set(self, label):
         full = build_generator_set(*label).matrices()
-        for names in (["Vm", "Tp"], ["U3"], ["Um", "Um"], list(full)):
+        for names in (["Vm", "Tp"], ["U3"], ["T3"], ["Um", "Um"], list(full)):
             built = build_matrices(*label, iter(names))
             assert list(built) == [name for name in full if name in names]
             for name, mat in built.items():

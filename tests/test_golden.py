@@ -25,7 +25,6 @@ import pytest
 
 from su3rep import (
     CheckReport,
-    RelationCheck,
     build_generator_set,
     check_casimir,
     check_commutators,
@@ -34,7 +33,8 @@ from su3rep import (
     to_gell_mann,
 )
 from su3rep.cli import main, render_report
-from su3rep.generators import GELL_MANN_NAMES, GELL_MANN_TABLE, MATRIX_NAMES
+from su3rep.generators import GELL_MANN_NAMES, MATRIX_NAMES
+from su3rep.verify import _Hypotheses, _weights_line
 from test_verify import _plus_sqrt7_at_first_entry
 
 RECORD = Path(__file__).with_name("golden_outputs.json")
@@ -94,26 +94,15 @@ def verify_output(p, q) -> dict:
     return _run("verify", "--p", str(p), "--q", str(q))
 
 
-def _split_line(fs) -> RelationCheck:
-    """The records' third structure line: each Fk lies in the part that
-    GELL_MANN_TABLE names.  ``check_structure`` no longer tests it, since
-    ``gell_mann_matrix`` keeps it for every input; it is computed here so
-    that the recorded reports keep their 28 + 1 + 3 lines."""
-    name = "F1,F3,F4,F6,F8 real; F2,F5,F7 imaginary"
-    bad = [k for k, (part, _, _) in GELL_MANN_TABLE.items()
-           if not (fs[k].im if part == "re" else fs[k].re).is_zero()]
-    return RelationCheck(f"{name} (violated by F{bad})" if bad else name,
-                         not bad, 1.0 if bad else 0.0, kind="structure")
-
-
 def corrupted_report_text(p, q, field) -> str:
-    """render_report of (p, q) with sqrt(7) added to the first entry of one matrix."""
+    """render_report of (p, q) with sqrt(7) added to the first entry of one
+    matrix: every line computed, the third structure line verify's weight
+    certificate."""
     bad_set = _plus_sqrt7_at_first_entry(build_generator_set(p, q), field)
     relations = list(check_commutators(bad_set).relations)
     relations.append(check_casimir(bad_set))
-    fs = to_gell_mann(bad_set)
-    relations.extend(check_structure(fs))
-    relations.append(_split_line(fs))
+    relations.extend(check_structure(to_gell_mann(bad_set)))
+    relations.append(_weights_line(bad_set, _Hypotheses.read(bad_set.matrices()).diagonals))
     return render_report(CheckReport(p, q, tuple(relations)))
 
 

@@ -8,7 +8,18 @@ from su3rep.su2 import spin_entries
 
 
 def spin_block(kind: str, two_s: int) -> RadMatrix:
-    return RadMatrix.from_entries(two_s + 1, spin_entries(kind, two_s))
+    """The spin matrix of the given kind: 'plus' from spin_entries, and the
+    references 'minus' from ladder_coefficient and 'three' = diag(s, ..., -s),
+    entered with ``put``."""
+    if kind == "plus":
+        return RadMatrix.from_entries(two_s + 1, spin_entries(two_s))
+    block = RadMatrix(two_s + 1)
+    for a in range(two_s + 1):
+        if kind == "three":
+            block.put(a, a, Fraction(two_s - 2 * a, 2))
+        elif a < two_s:
+            block.put(a + 1, a, ladder_coefficient("minus", two_s, two_s - 2 * a))
+    return block
 
 
 class TestLadderCoefficient:
