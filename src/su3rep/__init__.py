@@ -40,7 +40,6 @@ from .verify import (
     casimir_eigenvalue,
     check_casimir,
     check_commutators,
-    check_structure,
     compare_with_oracle,
     oracle_solve,
     sweep,
@@ -69,7 +68,6 @@ __all__ = [
     "casimir_eigenvalue",
     "check_casimir",
     "check_commutators",
-    "check_structure",
     "compare_with_oracle",
     "dimension",
     "gell_mann_matrix",

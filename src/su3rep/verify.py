@@ -62,18 +62,17 @@ T3 = p/2, U3 = q/2 and each (X+X- + X-X+)/2 is [X+,X-]/2, so the scalar is
 calls ``check_casimir``, which always computes the six-product sum.
 
 It reads the hermitian and traceless lines off the same set, with no Fk
-built, when T3 and U3 store only rational diagonal terms and each lowering
-matrix is the transpose of its raising partner.  Each row of
-``GELL_MANN_TABLE`` is c X+ + conj(c) X- for a ladder pair (c = 1/2, or -i/2 for F2, F5 and F7), or
-a rational diagonal times sqrt(radicand) (F3, F8).  X- = X+^T makes the
-first kind hermitian, since its adjoint is conj(c) X+^T + c X-^T, and the
-second kind is real and diagonal: the hermitian line passes.  The trace of
-Fk is sqrt(radicand) times the sum of c tr(X) over its row's terms, so the
-traceless line's offenders come from the eight ladder traces, O(nnz).
-When either hypothesis fails, ``verify_irrep`` calls
-``check_structure(to_gell_mann(gs))``, so every offender list is that line's
-own.  (That each Fk lies in the real or imaginary part its row names needs
-no line: ``gell_mann_matrix`` leaves the other part zero whatever its input.)
+built.  Fk is sqrt(radicand) S for S = sum of c X over its row of
+``GELL_MANN_TABLE``, so it is hermitian iff S is symmetric ("re" rows) or
+antisymmetric ("im" rows), and traceless iff S is.  A row that names only
+rational diagonal Cartan matrices, or one ladder pair c X+ + conj(c) X- whose
+lowering matrix is its raising partner's transpose (its adjoint is
+conj(c) X+^T + c X-^T, itself), is hermitian by the hypotheses; any other
+row's S is summed and tested with ``RadMatrix.is_transpose_of``, so every
+offender is that row's own.  The trace of S is the sum of c tr(X), so the
+traceless line reads the eight traces, O(nnz), whatever the hypotheses.
+(That each Fk lies in the part its row names needs no line:
+``gell_mann_matrix`` leaves the other part zero whatever its input.)
 
 The third structure line is the weight certificate, "weights of (p, q)".
 The Casimir eigenvalue and every commutator are blind to a (p, q) set
@@ -98,12 +97,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .generators import (
+    _HALF,
     GELL_MANN_TABLE,
     LADDER_PAIRS,
-    ComplexMatrix,
     GeneratorSet,
     build_generator_set,
-    to_gell_mann,
     unit_raising_blocks,
 )
 from .matrices import RadMatrix, _combine, _combine_all
@@ -139,7 +137,6 @@ class CheckReport:
 # The 28 pairwise relations: ([A, B], right-hand side as coefficient/matrix
 # pairs).  Signs follow the convention in which U+ raises u3 by one and
 # lowers sigma by one half.
-_HALF = Fraction(1, 2)
 COMMUTATOR_TABLE: tuple[tuple[str, str, tuple[tuple[Fraction, str], ...]], ...] = (
     ("T3", "Tp", ((Fraction(1), "Tp"),)),
     ("T3", "Tm", ((Fraction(-1), "Tm"),)),
@@ -201,17 +198,18 @@ _DERIVED_ROWS = tuple(k for k in range(len(COMMUTATOR_TABLE))
 class _Hypotheses:
     """What the checks read off a set before any product, each read once:
     T3's and U3's numerators when each stores only rational diagonal terms
-    (None otherwise), and whether each lowering matrix is the transpose of
-    its raising partner in ``LADDER_PAIRS`` (a rational diagonal T3 or U3
-    is its own transpose)."""
+    (None otherwise), and the raising names in ``LADDER_PAIRS`` whose
+    lowering partner is their transpose (a rational diagonal T3 or U3 is its
+    own transpose)."""
 
     diagonals: dict[str, list[int] | None]
-    adjoint: bool
+    adjoint: frozenset[str]
 
     @classmethod
     def read(cls, mats: Mapping[str, RadMatrix]) -> "_Hypotheses":
         return cls({h: mats[h].rational_diagonal() for h in ("T3", "U3")},
-                   all(mats[x].is_transpose_of(mats[y]) for x, y in LADDER_PAIRS.items()))
+                   frozenset(x for x, y in LADDER_PAIRS.items()
+                             if mats[x].is_transpose_of(mats[y])))
 
 
 def _weight_read(mats: dict[str, RadMatrix], diagonals: dict[str, list[int] | None],
@@ -246,7 +244,8 @@ def _commutator_report(gs: GeneratorSet, hypotheses: _Hypotheses) -> CheckReport
             for a, b, rhs in (COMMUTATOR_TABLE[k] for k in ks)
         )))
 
-    if all(r is not None and r.is_zero() for r in residuals.values()) and hypotheses.adjoint:
+    if (all(r is not None and r.is_zero() for r in residuals.values())
+            and hypotheses.adjoint == set(LADDER_PAIRS)):
         residuals.update(computed(_CHEVALLEY_ROWS))
         if all(residuals[k].is_zero() for k in _CHEVALLEY_ROWS):
             # the sl(2)-module argument, then Serre's theorem
@@ -314,33 +313,30 @@ def check_casimir(gs: GeneratorSet) -> RelationCheck:
     return _relation_check("casimir", f"casimir = {eigen}", _combine(terms))
 
 
-_STRUCTURE_NAMES = ("F1..F8 hermitian", "F1..F8 traceless")
-
-
-def _structure_lines(herm_bad: list[int], trace_bad: list[int]) -> list[RelationCheck]:
-    """The hermitian and traceless lines from their offender lists."""
+def _structure_lines(mats: Mapping[str, RadMatrix], hypotheses: _Hypotheses) -> list[RelationCheck]:
+    """The hermitian and traceless lines of F1..F8, each offender list
+    ascending in k, with no Fk built: Fk is sqrt(radicand) S for S the sum of
+    c X over its ``GELL_MANN_TABLE`` row.  A row that names only rational
+    diagonal Cartan matrices, or one ladder pair in ``hypotheses.adjoint``,
+    is hermitian; any other row's S is summed and tested for S = S^T ("re")
+    or S = -S^T ("im").  Each trace is the sum of c tr(X), O(nnz)."""
+    rational = {h for h, diag in hypotheses.diagonals.items() if diag is not None}
+    pairs = [{x, LADDER_PAIRS[x]} for x in hypotheses.adjoint]
+    traces = {name: m.trace() for name, m in mats.items()}
+    herm_bad, trace_bad = [], []
+    for k, (part, _, terms) in GELL_MANN_TABLE.items():
+        names = {name for _, name in terms}
+        if not (names <= rational or names in pairs):
+            s = _combine((c, mats[name]) for c, name in terms)
+            if not s.is_transpose_of(s, 1 if part == "re" else -1):
+                herm_bad.append(k)
+        if sum(c * traces[name] for c, name in terms):
+            trace_bad.append(k)
     return [
         RelationCheck(name if not bad else f"{name} (violated by F{bad})",
                       not bad, 0.0 if not bad else 1.0, kind="structure")
-        for name, bad in zip(_STRUCTURE_NAMES, (herm_bad, trace_bad))
+        for name, bad in (("F1..F8 hermitian", herm_bad), ("F1..F8 traceless", trace_bad))
     ]
-
-
-def check_structure(fs: Mapping[int, ComplexMatrix]) -> list[RelationCheck]:
-    """Hermiticity and tracelessness of F1..F8, fs as ``to_gell_mann``
-    returns it; each offender list ascends in k."""
-    return _structure_lines(
-        [k for k in GELL_MANN_TABLE if not fs[k].is_hermitian()],
-        [k for k in GELL_MANN_TABLE if not fs[k].is_traceless()],
-    )
-
-
-def _trace_offenders(mats: Mapping[str, RadMatrix]) -> list[int]:
-    """The k whose Fk has a nonzero trace, sqrt(radicand) times the sum of
-    c * tr(X) over GELL_MANN_TABLE[k]'s terms; O(nnz), and no Fk is built."""
-    traces = {name: m.trace() for name, m in mats.items()}
-    return [k for k, (_, _, terms) in GELL_MANN_TABLE.items()
-            if sum(c * traces[name] for c, name in terms)]
 
 
 # ---------------------------------------------------------------------------
@@ -503,9 +499,8 @@ def verify_irrep(p: int, q: int) -> CheckReport:
     certificate) is read once, on the set built here.  The Casimir line is an
     exact PASS by Schur's lemma when all 28 rows and the weight certificate
     hold, and computed otherwise.  The hermitian and traceless lines are read
-    off the ladder matrices when T3 and U3 are rational diagonals and
-    adjointness holds, and computed from F1..F8 otherwise.  The third
-    structure line is the weight certificate, which names the irrep."""
+    off the eight matrices, with no Fk built (``_structure_lines``).  The
+    third structure line is the weight certificate, which names the irrep."""
     gs = build_generator_set(p, q)
     mats = gs.matrices()
     hypotheses = _Hypotheses.read(mats)
@@ -517,11 +512,7 @@ def verify_irrep(p: int, q: int) -> CheckReport:
         entries.append(RelationCheck(f"casimir = {eigen}", True, 0.0, "casimir"))
     else:
         entries.append(check_casimir(gs))
-    if hypotheses.adjoint and None not in hypotheses.diagonals.values():
-        # hermitian by adjointness and the diagonals
-        entries.extend(_structure_lines([], _trace_offenders(mats)))
-    else:
-        entries.extend(check_structure(to_gell_mann(gs)))
+    entries.extend(_structure_lines(mats, hypotheses))
     entries.append(weights)
     return CheckReport(p, q, tuple(entries))
 

@@ -28,14 +28,12 @@ from su3rep import (
     build_generator_set,
     check_casimir,
     check_commutators,
-    check_structure,
     dimension,
-    to_gell_mann,
 )
 from su3rep.cli import main, render_report
 from su3rep.generators import GELL_MANN_NAMES, MATRIX_NAMES
 from su3rep.verify import _Hypotheses, _weights_line
-from test_verify import _plus_sqrt7_at_first_entry
+from test_verify import _plus_sqrt7_at_first_entry, _reference_structure_lines
 
 RECORD = Path(__file__).with_name("golden_outputs.json")
 # The 64 digests of `generate` for all 16 matrices of (8, 4) and (4, 8), d = 315,
@@ -96,12 +94,12 @@ def verify_output(p, q) -> dict:
 
 def corrupted_report_text(p, q, field) -> str:
     """render_report of (p, q) with sqrt(7) added to the first entry of one
-    matrix: every line computed, the third structure line verify's weight
-    certificate."""
+    matrix: every line computed, the hermitian and traceless lines from the
+    built F1..F8, the third structure line verify's weight certificate."""
     bad_set = _plus_sqrt7_at_first_entry(build_generator_set(p, q), field)
     relations = list(check_commutators(bad_set).relations)
     relations.append(check_casimir(bad_set))
-    relations.extend(check_structure(to_gell_mann(bad_set)))
+    relations.extend(_reference_structure_lines(bad_set))
     relations.append(_weights_line(bad_set, _Hypotheses.read(bad_set.matrices()).diagonals))
     return render_report(CheckReport(p, q, tuple(relations)))
 

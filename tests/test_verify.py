@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import su3rep
 from su3rep import (
     CheckReport,
+    ComplexMatrix,
     ConsistencyError,
     RadicalSum,
     RelationCheck,
@@ -20,7 +22,6 @@ from su3rep import (
     casimir_eigenvalue,
     check_casimir,
     check_commutators,
-    check_structure,
     compare_with_oracle,
     dimension,
     oracle_solve,
@@ -32,6 +33,7 @@ from su3rep import (
 )
 from su3rep import generators
 from su3rep import verify as verify_module
+from su3rep.generators import GELL_MANN_TABLE
 from su3rep.matrices import RadMatrix, _combine
 from su3rep.verify import (
     COMMUTATOR_TABLE,
@@ -84,21 +86,37 @@ class TestCasimir:
         assert check_casimir(build_generator_set(2, 3)).exact
 
 
+def _reference_structure_lines(gs):
+    """The hermitian and traceless lines of the built F1..F8, each Fk tested
+    by ``ComplexMatrix.is_hermitian`` and ``is_traceless``: the reference for
+    verify's lines, which build no Fk."""
+    fs = to_gell_mann(gs)
+    lines = []
+    for name, holds in (("F1..F8 hermitian", ComplexMatrix.is_hermitian),
+                        ("F1..F8 traceless", ComplexMatrix.is_traceless)):
+        bad = [k for k, f in fs.items() if not holds(f)]
+        lines.append(RelationCheck(f"{name} (violated by F{bad})" if bad else name,
+                                   not bad, 1.0 if bad else 0.0, "structure"))
+    return tuple(lines)
+
+
 class TestStructure:
     @pytest.mark.parametrize("p,q", [(1, 0), (2, 1), (1, 2)])
     def test_passes(self, p, q):
-        checks = check_structure(to_gell_mann(build_generator_set(p, q)))
-        assert [c.name for c in checks] == ["F1..F8 hermitian", "F1..F8 traceless"]
-        assert all(c.exact for c in checks)
+        lines = verify_irrep(p, q).of_kind("structure").relations[:2]
+        assert [c.name for c in lines] == ["F1..F8 hermitian", "F1..F8 traceless"]
+        assert all(c.exact for c in lines)
+        assert lines == _reference_structure_lines(build_generator_set(p, q))
 
     def test_corrupted_f3_fails(self):
-        fs = to_gell_mann(build_generator_set(1, 0))
-        bad_re = RadMatrix(3)
-        for r, c, v in fs[3].re.items():
-            bad_re.put(r, c, v)
-        bad_re.put(0, 0, bad_re.get(0, 0) + 1)
-        checks = check_structure({**fs, 3: dataclasses.replace(fs[3], re=bad_re)})
-        assert not all(c.exact for c in checks)
+        # 1 added at (0, 0) of T3: F3 = T3 and F8 = (2 U3 + T3)/sqrt(3) gain a trace
+        gs = build_generator_set(1, 0)
+        bad = dataclasses.replace(gs, t_three=_added(gs.t_three, 0, 0, 1))
+        lines, summed = _verify_structure_lines(bad)
+        assert lines[:2] == _reference_structure_lines(bad)
+        assert [c.name for c in lines[:2] if not c.exact] == [
+            "F1..F8 traceless (violated by F[3, 8])"]
+        assert summed == []  # T3 is still a rational diagonal
 
 
 class TestOracle:
@@ -944,34 +962,50 @@ def test_one_corrupted_entry_fails_verify(data):
 
 
 # ---------------------------------------------------------------------------
-# The structure lines of verify_irrep: read off the ladder matrices while T3
-# and U3 are rational diagonals and adjointness holds, computed otherwise
+# The structure lines of verify_irrep: each hermitian row settled by the
+# hypotheses or tested on its own sum, the traceless line read off the traces
 
 
 def _verify_structure_lines(gs):
-    """verify_irrep's structure lines on gs, and whether it called
-    to_gell_mann and check_structure."""
-    with mock.patch.object(verify_module, "build_generator_set", return_value=gs), \
-            mock.patch.object(verify_module, "to_gell_mann", side_effect=to_gell_mann) as fs, \
-            mock.patch.object(verify_module, "check_structure",
-                              side_effect=check_structure) as checked:
+    """verify_irrep's structure lines on gs, and the ``GELL_MANN_TABLE`` rows
+    whose sum it handed to ``_combine``, in call order.  It must build no Fk:
+    every su3rep binding of to_gell_mann and gell_mann_matrix is spied on."""
+    mats = gs.matrices()
+    rows = {tuple((c, id(mats[name])) for c, name in terms): k
+            for k, (_, _, terms) in GELL_MANN_TABLE.items()}
+    summed = []
+
+    def recording(terms):
+        terms = list(terms)
+        key = tuple((t[0], id(t[1])) for t in terms if len(t) == 2)
+        if len(key) == len(terms) and key in rows:
+            summed.append(rows[key])
+        return _combine(terms)
+
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(verify_module, "build_generator_set",
+                                              return_value=gs))
+        stack.enter_context(mock.patch.object(verify_module, "_combine", recording))
+        builders = [stack.enter_context(mock.patch.object(module, name, wraps=getattr(module, name)))
+                    for module in (su3rep, generators, verify_module)
+                    for name in ("to_gell_mann", "gell_mann_matrix") if hasattr(module, name)]
         lines = verify_irrep(gs.p, gs.q).of_kind("structure").relations
-    return lines, (fs.called, checked.called)
+    assert builders and not any(b.called for b in builders)
+    return lines, summed
 
 
 def _computed_structure(gs):
-    return (*check_structure(to_gell_mann(gs)), _weights(gs))
+    return (*_reference_structure_lines(gs), _weights(gs))
 
 
 @settings(max_examples=100, deadline=None)
 @given(_corrupted_sets())
 def test_verify_structure_lines_match_computed(drawn):
     gs, kind = drawn
-    lines, called = _verify_structure_lines(gs)
+    lines, summed = _verify_structure_lines(gs)
     assert lines == _computed_structure(gs)
     # only these kinds break adjointness or a rational diagonal T3, U3
-    computed = kind in ("one ladder", "off-diagonal", "irrational diagonal")
-    assert called == (computed, computed)
+    assert bool(summed) == (kind in ("one ladder", "off-diagonal", "irrational diagonal"))
 
 
 def _u_plus_alone(gs):
@@ -980,12 +1014,19 @@ def _u_plus_alone(gs):
     return bad
 
 
-# Each breaks one hypothesis of the structure read
+# Each breaks one hypothesis of the structure read: the rows it no longer
+# settles, each summed and tested on its own, and the one line that fails
 _STRUCTURE_BREAKERS = {
-    "sqrt 7 on a T3 diagonal entry": lambda gs: _plus_sqrt7_at_first_entry(gs, "t_three"),
-    "off-diagonal U3 entry": lambda gs: dataclasses.replace(
-        gs, u_three=_added(gs.u_three, 0, 1, 1)),
-    "U+ corrupted alone": _u_plus_alone,
+    "sqrt 7 on a T3 diagonal entry": (
+        lambda gs: _plus_sqrt7_at_first_entry(gs, "t_three"), [3, 8],
+        "F1..F8 traceless (violated by F[3, 8])"),
+    "off-diagonal T3 entry": (
+        lambda gs: dataclasses.replace(gs, t_three=_added(gs.t_three, 0, 1, 1)), [3, 8],
+        "F1..F8 hermitian (violated by F[3, 8])"),
+    "off-diagonal U3 entry": (
+        lambda gs: dataclasses.replace(gs, u_three=_added(gs.u_three, 0, 1, 1)), [8],
+        "F1..F8 hermitian (violated by F[8])"),
+    "U+ corrupted alone": (_u_plus_alone, [6, 7], "F1..F8 hermitian (violated by F[6, 7])"),
 }
 
 
@@ -993,13 +1034,14 @@ class TestStructureRead:
     def test_sweep_range_in_both_orientations(self):
         for label in _SWEEP_LABELS:
             gs = _generator_set(*label)
-            lines, _ = _verify_structure_lines(gs)
+            lines, summed = _verify_structure_lines(gs)
             assert lines == _computed_structure(gs) and all(r.exact for r in lines), label
+            assert summed == [], label
 
     @pytest.mark.parametrize("p,q", [(5, 3), (3, 5)])
     def test_clean_set_builds_no_f(self, p, q):
-        lines, called = _verify_structure_lines(build_generator_set(p, q))
-        assert called == (False, False)
+        lines, summed = _verify_structure_lines(build_generator_set(p, q))
+        assert summed == []
         assert [r.name for r in lines] == [
             "F1..F8 hermitian", "F1..F8 traceless", f"weights of ({p}, {q})",
         ]
@@ -1008,10 +1050,26 @@ class TestStructureRead:
     @pytest.mark.parametrize("label", [(5, 3), (3, 5)])
     @pytest.mark.parametrize("kind", sorted(_STRUCTURE_BREAKERS))
     def test_broken_hypothesis_computes_the_lines(self, label, kind):
-        bad = _STRUCTURE_BREAKERS[kind](build_generator_set(*label))
-        lines, called = _verify_structure_lines(bad)
-        assert called == (True, True)
+        corrupt, rows, failed = _STRUCTURE_BREAKERS[kind]
+        bad = corrupt(build_generator_set(*label))
+        lines, summed = _verify_structure_lines(bad)
+        assert summed == rows
         assert lines == _computed_structure(bad)
+        assert [r.name for r in lines[:2] if not r.exact] == [failed]
+
+    @pytest.mark.parametrize("label", [(3, 2), (2, 3)])
+    @pytest.mark.parametrize("plus", ["Tp", "Up", "Vp"])
+    def test_imaginary_row_is_tested_for_antisymmetry(self, label, plus):
+        # X- replaced by X+ plus 1 at (0, 0): the "im" row's sum is that one
+        # diagonal entry over 2, symmetric, so only S = -S^T names it
+        gs = _generator_set(*label)
+        mats = gs.matrices()
+        bad = dataclasses.replace(gs, **{_FIELDS[_PARTNER[plus]]: _added(mats[plus], 0, 0, 1)})
+        lines, summed = _verify_structure_lines(bad)
+        rows = {"Tp": [1, 2], "Vp": [4, 5], "Up": [6, 7]}[plus]
+        assert summed == rows
+        assert lines[0].name == f"F1..F8 hermitian (violated by F{rows})"
+        assert lines[:2] == _reference_structure_lines(bad)
 
     @pytest.mark.parametrize("label", [(3, 2), (2, 3)])
     @pytest.mark.parametrize("plus", ["Tp", "Up", "Vp"])
@@ -1022,8 +1080,8 @@ class TestStructureRead:
         mats = gs.matrices()
         bad = dataclasses.replace(gs, **{_FIELDS[x]: _added(mats[x], 0, 0, 1)
                                          for x in (plus, _PARTNER[plus])})
-        lines, called = _verify_structure_lines(bad)
-        assert called == (False, False)
+        lines, summed = _verify_structure_lines(bad)
+        assert summed == []
         assert lines == _computed_structure(bad)
         real_f = {"Tp": 1, "Vp": 4, "Up": 6}[plus]
         assert [r.name for r in lines if not r.exact] == [
