@@ -6,8 +6,8 @@ per admissible block whose entries are fixed radical multiples of a single
 block constant.  Each lowering matrix is its raising partner's transpose
 (``LADDER_PAIRS``).  T3 and U3 are diagonal and come from one walk of the
 blocks: T3 steps down by 1 from the block's spin, U3 up by 1/2 from its lead
-component.  For q > p the matrices are the negative transposes of the (q, p)
-set.
+component.  For q > p the raising and Cartan matrices are the negative
+transposes of the (q, p) ones, flipped before the lowering ones are taken.
 
 All eight matrices are real; complex values appear only in the hermitian
 basis F1..F8, stored as (real, imaginary) matrix pairs.
@@ -175,23 +175,25 @@ def build_matrices(p: int, q: int, names: Iterable[str]) -> dict[str, RadMatrix]
     """The named matrices of (p, q), either orientation, keyed by name in
     ``MATRIX_NAMES`` order.
 
-    Only what the names need is built: T3, U3 or both from one walk of the
-    blocks; T+ only for Tp or Tm; U+ only for Up or Um and V+ only for Vp or
-    Vm, both from one walk of the unit blocks when both are needed.  Each
-    named lowering matrix is its raising partner's transpose.  For q > p
-    each named matrix is the negative transpose of its (q, p) namesake, and
-    only the named ones are transposed.
+    Only what the names need is built, at (max(p, q), min(p, q)): T3, U3 or
+    both from one walk of the blocks; T+ only for Tp or Tm; U+ only for Up
+    or Um and V+ only for Vp or Vm, both from one walk of the unit blocks
+    when both are needed.  For q > p each raising and Cartan matrix built
+    is then flipped to its negative transpose.  Each named lowering matrix
+    is its raising partner's transpose in either orientation: the conjugate
+    X- = -(X+^T)^T = -X+ is the transpose of the flipped X+, -X+^T.
     """
     _check_label(p, q)
     wanted = set(names)
-    if q > p:
-        return {name: m.transpose(-1) for name, m in build_matrices(q, p, wanted).items()}
+    hi, lo = max(p, q), min(p, q)
     pluses = {plus for plus, minus in LADDER_PAIRS.items() if wanted & {plus, minus}}
-    built = build_cartan(p, q, wanted) if wanted & {"T3", "U3"} else {}
+    built = build_cartan(hi, lo, wanted) if wanted & {"T3", "U3"} else {}
     if "Tp" in pluses:
-        built["Tp"] = build_t_plus(p, q)
+        built["Tp"] = build_t_plus(hi, lo)
     if pluses & {"Up", "Vp"}:
-        built.update(build_raising(p, q, block_unknown_squares(p, q), pluses))
+        built.update(build_raising(hi, lo, block_unknown_squares(hi, lo), pluses))
+    if q > p:
+        built = {name: m.transpose(-1) for name, m in built.items()}
     built.update((minus, built[plus].transpose())
                  for plus, minus in LADDER_PAIRS.items() if minus in wanted)
     return {name: built[name] for name in sorted(wanted, key=MATRIX_NAMES.index)}

@@ -65,21 +65,19 @@ class RadicalSum:
         return out
 
     @classmethod
-    def from_terms(cls, terms: Iterable[tuple[_RationalLike, int]]) -> "RadicalSum":
-        """Build from (coefficient, radicand) pairs, canonicalizing each radicand."""
+    def _summed(cls, pairs: Iterable[tuple[int, Fraction]]) -> "RadicalSum":
+        """The sum of (square-free radicand, coefficient) pairs, zeros dropped."""
         acc: dict[int, Fraction] = {}
-        for coeff, radicand in terms:
-            c = Fraction(coeff)
-            if not c:
-                continue
-            k, m = split_square(radicand)
-            c *= k
-            tot = acc.get(m, _ZERO_FRACTION) + c
-            if tot:
-                acc[m] = tot
-            else:
-                acc.pop(m, None)
-        return cls._raw(acc)
+        for m, c in pairs:
+            acc[m] = acc.get(m, 0) + c
+        return cls._raw({m: c for m, c in acc.items() if c})
+
+    @classmethod
+    def from_terms(cls, terms: Iterable[tuple[_RationalLike, int]]) -> "RadicalSum":
+        """Build from (coefficient, radicand) pairs, canonicalizing each radicand.
+        A zero coefficient is skipped before its radicand is split."""
+        split = ((Fraction(c), split_square(r)) for c, r in terms if c)
+        return cls._summed((m, c * k) for c, (k, m) in split)
 
     # -- queries ---------------------------------------------------------
 
@@ -120,18 +118,7 @@ class RadicalSum:
     def __add__(self, other: "RadicalSum | _RationalLike") -> "RadicalSum":
         if not isinstance(other, RadicalSum):
             other = RadicalSum(other)
-        if not other._terms:
-            return self
-        if not self._terms:
-            return other
-        acc = dict(self._terms)
-        for m, c in other._terms.items():
-            tot = acc.get(m, _ZERO_FRACTION) + c
-            if tot:
-                acc[m] = tot
-            else:
-                del acc[m]
-        return RadicalSum._raw(acc)
+        return RadicalSum._summed([*self._terms.items(), *other._terms.items()])
 
     __radd__ = __add__
 
@@ -142,28 +129,15 @@ class RadicalSum:
 
     def __mul__(self, other: "RadicalSum | _RationalLike") -> "RadicalSum":
         if not isinstance(other, RadicalSum):
-            c = Fraction(other)
-            if not c:
-                return _ZERO
-            return RadicalSum._raw({m: co * c for m, co in self._terms.items()})
-        if not self._terms or not other._terms:
-            return _ZERO
-        acc: dict[int, Fraction] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                # sqrt(m1)*sqrt(m2) = g*sqrt((m1/g)(m2/g)) with g = gcd:
-                # the cofactors are coprime and square-free, so no refactoring.
-                if m1 == m2:
-                    c, m = c1 * c2 * m1, 1
-                else:
-                    g = math.gcd(m1, m2)
-                    c, m = c1 * c2 * g, (m1 // g) * (m2 // g)
-                tot = acc.get(m, _ZERO_FRACTION) + c
-                if tot:
-                    acc[m] = tot
-                else:
-                    acc.pop(m, None)
-        return RadicalSum._raw(acc)
+            other = RadicalSum(other)
+        # sqrt(m1)*sqrt(m2) = g*sqrt((m1/g)(m2/g)) with g = gcd: the
+        # cofactors are coprime and square-free, so no refactoring.
+        return RadicalSum._summed(
+            ((m1 // g) * (m2 // g), c1 * c2 * g)
+            for m1, c1 in self._terms.items()
+            for m2, c2 in other._terms.items()
+            for g in (math.gcd(m1, m2),)
+        )
 
     __rmul__ = __mul__
 
@@ -196,10 +170,6 @@ class RadicalSum:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-_ZERO_FRACTION = Fraction(0)
-_ZERO = RadicalSum._raw({})
-
-
 def sqrt_of_rational(r: _RationalLike) -> RadicalSum:
     """Exact square root of a nonnegative rational as a single radical term.
 
@@ -209,7 +179,5 @@ def sqrt_of_rational(r: _RationalLike) -> RadicalSum:
     r = Fraction(r)
     if r < 0:
         raise ValueError("negative radicand")
-    if r == 0:
-        return _ZERO
-    k, m = split_square(r.numerator * r.denominator)
-    return RadicalSum._raw({m: Fraction(k, r.denominator)})
+    a, b = r.numerator, r.denominator
+    return RadicalSum.from_terms([(Fraction(1, b), a * b)] if a else ())

@@ -2,8 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from su3rep import ComplexMatrix, RadicalSum
+from su3rep import ComplexMatrix, RadicalSum, dimension
 from su3rep.matrices import RadMatrix
+
+
+def labels_below(max_d):
+    """Every p >= q label with d < max_d, in (p, q) order."""
+    p = 0
+    while dimension(p, 0) < max_d:
+        yield from ((p, q) for q in range(p + 1) if dimension(p, q) < max_d)
+        p += 1
 
 
 def _complex3(re_entries, im_entries):

@@ -15,7 +15,7 @@ from su3rep import (
     generators,
     to_gell_mann,
 )
-from su3rep.generators import GELL_MANN_NAMES, MATRIX_NAMES
+from su3rep.generators import GELL_MANN_NAMES, LADDER_PAIRS, MATRIX_NAMES
 from su3rep import cli, structure
 from su3rep import verify as verify_module
 from su3rep.cli import main
@@ -165,8 +165,11 @@ class TestGenerate:
             assert calls[family].call_count == bool(_FAMILIES[family] & reads), family
         # T-, U- and V- are transposes of T+, U+ and V+, built only when read
         assert calls["transpose"][1] == len(reads & {"Tm", "Um", "Vm"})
-        # for q > p, exactly the matrices read are negative-transposed
-        assert calls["transpose"][-1] == (len(reads) if q > p else 0)
+        # for q > p, each raising and Cartan matrix built is negative-
+        # transposed once, and no lowering matrix is
+        partner = {minus: plus for plus, minus in LADDER_PAIRS.items()}
+        built = {partner.get(name, name) for name in reads}
+        assert calls["transpose"][-1] == (len(built) if q > p else 0)
 
     @pytest.mark.parametrize("p,q", _EXPORT_LABELS)
     def test_export_equals_the_full_build(self, capsys, p, q):

@@ -29,14 +29,7 @@ from su3rep.matrices import _combine
 from su3rep.structure import ConsistencyError, state_labels
 from su3rep.verify import sweep_labels
 
-
-def all_labels(max_d):
-    p = 0
-    while dimension(p, 0) <= max_d:
-        for q in range(p + 1):
-            if dimension(p, q) <= max_d:
-                yield p, q
-        p += 1
+from conftest import labels_below
 
 
 def diagonal_values(mat):
@@ -84,7 +77,7 @@ def _reference_set(p, q):
 
 
 # every p >= q irrep with d < 300, and the sweep's q > p spot checks
-_ASSEMBLY_LABELS = list(all_labels(299)) + [(0, 1), (1, 2), (2, 3), (3, 5)]
+_ASSEMBLY_LABELS = list(labels_below(300)) + [(0, 1), (1, 2), (2, 3), (3, 5)]
 
 
 class TestAssemblyMatchesReference:
@@ -252,7 +245,7 @@ class TestRaisingMatrices:
     def test_in_block_recursion(self):
         # consecutive entries on a block diagonal of U+ are locked together:
         # r-(t, sigma + 1/2) * u(sigma - 1) = r-(s, sigma) * u(sigma)
-        for p, q in all_labels(300):
+        for p, q in labels_below(301):
             gs = build_generator_set(p, q)
             offsets = block_offsets(p, q)
             spins = tspin_list(p, q)

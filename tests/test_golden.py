@@ -28,11 +28,11 @@ from su3rep import (
     build_generator_set,
     check_casimir,
     check_commutators,
-    dimension,
 )
 from su3rep.cli import main, render_report
 from su3rep.generators import GELL_MANN_NAMES, MATRIX_NAMES
 from su3rep.verify import _Hypotheses, _weights_line
+from conftest import labels_below
 from test_verify import _plus_sqrt7_at_first_entry, _reference_structure_lines
 
 RECORD = Path(__file__).with_name("golden_outputs.json")
@@ -111,23 +111,15 @@ def sweep_output() -> dict:
     return result
 
 
-def _labels_below(max_d: int):
-    """Every p >= q label with d < max_d, in (p, q) order."""
-    p = 0
-    while dimension(p, 0) < max_d:
-        yield from ((p, q) for q in range(p + 1) if dimension(p, q) < max_d)
-        p += 1
-
-
 def unknowns_digests() -> dict[str, str]:
     """sha256 of `unknowns` stdout for every p >= q irrep with d < UNKNOWNS_MAX_D."""
     return {f"{p},{q}": _digest("unknowns", "--p", str(p), "--q", str(q))
-            for p, q in _labels_below(UNKNOWNS_MAX_D)}
+            for p, q in labels_below(UNKNOWNS_MAX_D)}
 
 
 def weights_digests() -> dict[str, str]:
     """sha256 of `weights` stdout for every irrep with d < DIAGONAL_MAX_D, both orientations."""
-    labels = sorted({label for p, q in _labels_below(DIAGONAL_MAX_D) for label in ((p, q), (q, p))})
+    labels = sorted({label for p, q in labels_below(DIAGONAL_MAX_D) for label in ((p, q), (q, p))})
     return {f"{p},{q}": _digest("weights", "--p", str(p), "--q", str(q)) for p, q in labels}
 
 
@@ -139,7 +131,7 @@ def diagonal_csv_digests() -> dict[str, dict[str, str]]:
             name: _digest("generate", "--p", str(p), "--q", str(q), "--matrix", name, "--format", "csv")
             for name in ("T3", "U3")
         }
-        for p, q in _labels_below(DIAGONAL_MAX_D)
+        for p, q in labels_below(DIAGONAL_MAX_D)
     }
 
 

@@ -143,12 +143,32 @@ def test_mul_distributes(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
-@given(_radsums)
-def test_canonical_form(a):
-    for coeff, radicand in a.terms():
-        assert coeff != 0
-        k, m = split_square(radicand)
-        assert k == 1 and m == radicand
+# (coefficient, radicand) lists with repeats and non-square-free radicands
+_raw_terms = st.lists(st.tuples(_fractions, st.integers(1, 60)), max_size=6)
+
+
+@given(_radsums, _radsums, _fractions, _raw_terms)
+def test_canonical_form(a, b, c, raw):
+    # square-free keys and no zero coefficient, after every operation
+    built = RadicalSum.from_terms(raw)
+    for v in (a, a + b, a - b, a * b, a * c, c * a, a * 0, a + c, built, built * a):
+        for coeff, radicand in v.terms():
+            assert isinstance(coeff, Fraction) and coeff != 0
+            assert split_square(radicand) == (1, radicand)
+    # equal values reached along different paths compare and hash alike
+    one_by_one = sum((RadicalSum.from_terms([t]) for t in raw), RadicalSum())
+    scaled = RadicalSum.from_terms((coeff * c, m) for coeff, m in a.terms())
+    for x, y in ((built, one_by_one), (built, RadicalSum.from_terms(raw[::-1])),
+                 (a * c, scaled), (a - a, a * 0), (a * 0, RadicalSum()),
+                 ((a + b) - b, a), (a * b, b * a)):
+        assert x == y and hash(x) == hash(y)
+
+
+def test_from_terms_skips_zero_coefficients_unsplit():
+    # a zero coefficient never reaches split_square, which rejects radicand <= 0
+    assert RadicalSum.from_terms([(0, 0)]).is_zero
+    assert RadicalSum.from_terms([(0, -3)]).is_zero
+    assert RadicalSum.from_terms([(Fraction(0), 0), (2, 8)]).to_triples() == [(4, 1, 2)]
 
 
 @given(_radsums, _radsums)

@@ -14,6 +14,8 @@ from su3rep import (
 from su3rep.cli import DEFAULT_MAX_D
 from su3rep.verify import sweep_labels
 
+from conftest import labels_below
+
 # (5, 3) reference data: the three-region T-spin display and the three
 # doubled lead-component lists.
 TSPINS_53 = (0, 1, 1, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 5, 5, 5, 5, 6, 6, 6, 7, 7, 8)
@@ -38,15 +40,6 @@ def _assert_weight_symmetries(p, q):
     assert {((x + y) // 2, (3 * x - y) // 2): n for (x, y), n in counts.items()} == counts
     assert weight_multiplicities(q, p) == {(-x, -y): n for (x, y), n in counts.items()}
     assert counts[(p, p + 2 * q)] == 1
-
-
-def all_labels(max_d):
-    p = 0
-    while dimension(p, 0) <= max_d:
-        for q in range(p + 1):
-            if dimension(p, q) <= max_d:
-                yield p, q
-        p += 1
 
 
 class TestDimension:
@@ -79,7 +72,7 @@ class TestTSpinList:
             tspin_list(1, 2)
 
     def test_state_count_matches_dimension(self):
-        for p, q in all_labels(300):
+        for p, q in labels_below(301):
             spins = tspin_list(p, q)
             assert len(spins) == (p + 1) * (q + 1)
             assert sum(s + 1 for s in spins) == dimension(p, q)
@@ -107,7 +100,7 @@ class TestU3Leads:
         assert u3_leads(3, 2) == (-1, -3, 0, -5, -2, 1, -4, -1, 2, -3, 0, -2)
 
     def test_leads_increase_within_equal_spin_runs(self):
-        for p, q in all_labels(300):
+        for p, q in labels_below(301):
             spins = tspin_list(p, q)
             leads = u3_leads(p, q)
             for k in range(1, len(spins)):

@@ -3,19 +3,12 @@ from itertools import product
 
 import pytest
 
-from su3rep import admissible_blocks, block_unknown_squares, dimension, tspin_list
+from su3rep import admissible_blocks, block_unknown_squares, tspin_list
 from su3rep.generators import unit_raising_blocks
 from su3rep.structure import _block_table, block_offsets, state_labels
 from su3rep.unknowns import shift_minus_square, shift_plus_square
 
-
-def all_labels(max_d):
-    p = 0
-    while dimension(p, 0) <= max_d:
-        for q in range(p + 1):
-            if dimension(p, q) <= max_d:
-                yield p, q
-        p += 1
+from conftest import labels_below
 
 
 class TestKnownMaps:
@@ -53,7 +46,7 @@ class TestStructuralInvariants:
     def test_keys_are_admissible_blocks_or_run_overhangs_below_1000(self):
         # positive squares on exactly the admissible blocks; a zero on
         # (first, last) of each spin run of two or more blocks; nothing else
-        for p, q in all_labels(999):
+        for p, q in labels_below(1000):
             admissible = {(i, j) for i, j, _ in admissible_blocks(p, q)}
             spins = tspin_list(p, q)
             overhang = {
@@ -126,7 +119,7 @@ class TestClosedFormIdentities:
                 if _residual(relation, p, q, 0, 0, 0)] == []
 
     def test_coefficients_are_the_squared_unit_entries_below_1000(self):
-        for p, q in all_labels(999):
+        for p, q in labels_below(1000):
             spins, _, pairs = _block_table(p, q)
             offsets = block_offsets(p, q)
             states = [(a, b, alpha) for (a, b), two_s in zip(pairs, spins)
