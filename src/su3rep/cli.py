@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
-from collections.abc import Iterator
 
 from .generators import (
     GELL_MANN_NAMES,
@@ -26,6 +24,8 @@ from .generators import (
     build_matrices,
     gell_mann_matrix,
 )
+from .matrices import RadMatrix
+from .radical import float_of_triples
 from .structure import dimension, weight_multiplicities
 from .unknowns import block_unknown_squares
 from .verify import CheckReport, casimir_eigenvalue, sweep, verify_irrep
@@ -138,58 +138,46 @@ def _write(text: str, output: str | None) -> int:
 # generate
 
 
-def _cells(p: int, q: int, name: str) -> Iterator[tuple]:
-    """The nonzero cells of one basis matrix in (row, col) order, 1-based:
-    (row, col, ((part, triples), ...)), part "value" for the eight ladder
-    matrices and "re", "im" for F1..F8, and triples as in
-    ``RadicalSum.to_triples``.  Only the matrices the name reads are built.
-    Fk's other part is always zero (``GELL_MANN_TABLE``), so the cells are
-    its one part's, with the other part's terms [] in each."""
+def _exported(p: int, q: int, name: str) -> tuple[str, RadMatrix]:
+    """The part of a basis matrix that generate prints, and its name: "value"
+    for a ladder matrix, or the one part, "re" or "im", that
+    ``GELL_MANN_TABLE`` gives Fk; Fk's other part is always zero."""
     if name in MATRIX_NAMES:
-        for r, c, triples in build_matrices(p, q, (name,))[name].triple_items():
-            yield r + 1, c + 1, (("value", triples),)
-        return
+        return "value", build_matrices(p, q, (name,))[name]
     k = GELL_MANN_NAMES.index(name) + 1
     part, _, terms = GELL_MANN_TABLE[k]
-    fmat = gell_mann_matrix(build_matrices(p, q, [x for _, x in terms]), k)
-    for r, c, triples in getattr(fmat, part).triple_items():
-        yield r + 1, c + 1, ((("re", triples), ("im", [])) if part == "re"
-                             else (("re", []), ("im", triples)))
-
-
-def _approx(triples: list[tuple[int, int, int]]) -> float:
-    """The float value of an entry, summed in ascending sf as
-    ``RadicalSum.to_float`` sums it."""
-    return sum(num / den * math.sqrt(sf) for num, den, sf in triples)
+    return part, getattr(gell_mann_matrix(build_matrices(p, q, [x for _, x in terms]), k), part)
 
 
 def _generate_json(p: int, q: int, name: str, approx: bool) -> str:
     import json  # only generate --format json needs it
 
+    part, mat = _exported(p, q, name)
+    parts = ("value",) if part == "value" else ("re", "im")
     entries = []
-    for row, col, parts in _cells(p, q, name):
-        entry = {"row": row, "col": col}
-        for part, triples in parts:
-            entry[part] = [{"num": num, "den": den, "sf": sf} for num, den, sf in triples]
+    for row, col, triples in mat.triple_items():
+        entry = {"row": row + 1, "col": col + 1, **dict.fromkeys(parts, [])}
+        entry[part] = [{"num": num, "den": den, "sf": sf} for num, den, sf in triples]
         if approx:
-            floats = {part: _approx(triples) for part, triples in parts}
-            entry["approx"] = floats["value"] if "value" in floats else floats
+            value = float_of_triples(triples)
+            entry["approx"] = (value if part == "value"
+                               else {x: value if x == part else 0 for x in parts})
         entries.append(entry)
     payload = {"p": p, "q": q, "d": dimension(p, q), "matrix": name, "entries": entries}
     return json.dumps(payload) + "\n"
 
 
 def _generate_csv(p: int, q: int, name: str, approx: bool) -> str:
-    header = "row,col,num,den,sf" if name in MATRIX_NAMES else "row,col,part,num,den,sf"
+    part, mat = _exported(p, q, name)
+    label = "" if part == "value" else f"{part},"
+    header = "row,col,num,den,sf" if part == "value" else "row,col,part,num,den,sf"
     lines = [header + ",approx" if approx else header]
-    for row, col, parts in _cells(p, q, name):
-        for part, triples in parts:
-            cell = f"{row},{col}," if part == "value" else f"{row},{col},{part},"
-            for num, den, sf in triples:
-                line = f"{cell}{num},{den},{sf}"
-                if approx:
-                    line += f",{_approx([(num, den, sf)])!r}"
-                lines.append(line)
+    for row, col, triples in mat.triple_items():
+        for num, den, sf in triples:
+            line = f"{row + 1},{col + 1},{label}{num},{den},{sf}"
+            if approx:
+                line += f",{float_of_triples([(num, den, sf)])!r}"
+            lines.append(line)
     return "\n".join(lines) + "\n"
 
 

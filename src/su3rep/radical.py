@@ -44,6 +44,12 @@ def split_square(n: int) -> tuple[int, int]:
     return k, m * n
 
 
+def float_of_triples(triples: Iterable[tuple[int, int, int]]) -> float:
+    """The float value of sum (num/den)*sqrt(sf) over (num, den, sf) triples,
+    summed in their order; 0.0 for none."""
+    return sum((num / den * math.sqrt(sf) for num, den, sf in triples), 0.0)
+
+
 class RadicalSum:
     """Immutable exact scalar: a finitely supported map square-free -> Fraction.
 
@@ -92,7 +98,7 @@ class RadicalSum:
 
     def to_float(self) -> float:
         """The float value, summed in ascending radicand, so equal sums agree."""
-        return sum((float(c) * math.sqrt(m) for c, m in self.terms()), 0.0)
+        return float_of_triples(self.to_triples())
 
     # -- arithmetic ------------------------------------------------------
 

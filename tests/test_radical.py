@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from su3rep.radical import RadicalSum, split_square, sqrt_of_rational
+from su3rep.radical import RadicalSum, float_of_triples, split_square, sqrt_of_rational
 
 
 def test_split_square():
@@ -86,6 +86,9 @@ class TestQueries:
         terms = [(Fraction(-69, 8), 3), (Fraction(95, 8), 2), (3, 7)]
         a, b = RadicalSum.from_terms(terms), RadicalSum.from_terms(terms[::-1])
         assert a == b and a.to_float() == b.to_float()
+        # to_float and generate's --approx share one rule over the triples
+        assert a.to_float() == float_of_triples(a.to_triples())
+        assert RadicalSum(0).to_float() == float_of_triples([]) == 0.0
 
     def test_hashable(self):
         a = sqrt_of_rational(2) + 1
