@@ -149,22 +149,28 @@ def _exported(p: int, q: int, name: str) -> tuple[str, RadMatrix]:
     return part, getattr(gell_mann_matrix(build_matrices(p, q, [x for _, x in terms]), k), part)
 
 
-def _generate_json(p: int, q: int, name: str, approx: bool) -> str:
-    import json  # only generate --format json needs it
+# Per exported part: an entry's keys after "col", terms at {}, and its approx value
+_JSON_PARTS = {
+    "value": ('"value": [{}]', "{!r}"),
+    "re": ('"re": [{}], "im": []', '{{"re": {!r}, "im": 0}}'),
+    "im": ('"re": [], "im": [{}]', '{{"re": 0, "im": {!r}}}'),
+}
 
+
+def _generate_json(p: int, q: int, name: str, approx: bool) -> str:
+    """The export in json.dumps's default spelling, written in one pass of ``triple_items``."""
     part, mat = _exported(p, q, name)
-    parts = ("value",) if part == "value" else ("re", "im")
+    exact, approx_value = _JSON_PARTS[part]
     entries = []
     for row, col, triples in mat.triple_items():
-        entry = {"row": row + 1, "col": col + 1, **dict.fromkeys(parts, [])}
-        entry[part] = [{"num": num, "den": den, "sf": sf} for num, den, sf in triples]
+        terms = ", ".join([f'{{"num": {num}, "den": {den}, "sf": {sf}}}'
+                           for num, den, sf in triples])
+        entry = f'{{"row": {row + 1}, "col": {col + 1}, {exact.format(terms)}'
         if approx:
-            value = float_of_triples(triples)
-            entry["approx"] = (value if part == "value"
-                               else {x: value if x == part else 0 for x in parts})
-        entries.append(entry)
-    payload = {"p": p, "q": q, "d": dimension(p, q), "matrix": name, "entries": entries}
-    return json.dumps(payload) + "\n"
+            entry += ', "approx": ' + approx_value.format(float_of_triples(triples))
+        entries.append(entry + "}")
+    return (f'{{"p": {p}, "q": {q}, "d": {dimension(p, q)}, "matrix": "{name}", '
+            f'"entries": [{", ".join(entries)}]}}\n')
 
 
 def _generate_csv(p: int, q: int, name: str, approx: bool) -> str:

@@ -212,10 +212,9 @@ def gell_mann_matrix(matrices: Mapping[str, RadMatrix], k: int) -> ComplexMatrix
     if not 1 <= k <= 8:
         raise IndexError("F index must be 1..8")
     part, radicand, terms = GELL_MANN_TABLE[k]
-    n = matrices[terms[0][1]].n
-    root = () if radicand == 1 else (
-        RadMatrix.from_entries(n, ((i, i, 1, radicand, 1) for i in range(n))),)
-    value, zero = _combine((c, matrices[name], *root) for c, name in terms), RadMatrix(n)
+    value = _combine((c, matrices[name]) for c, name in terms)
+    value = value if radicand == 1 else value.times_sqrt(radicand)
+    zero = RadMatrix(value.n)
     return ComplexMatrix(value, zero) if part == "re" else ComplexMatrix(zero, value)
 
 

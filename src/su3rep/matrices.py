@@ -64,8 +64,7 @@ class RadMatrix:
     the keys that name its cell.  Instances come from ``from_entries`` or an
     operation below and are not mutated afterwards, except by ``put`` in
     tests and corrupted controls.  Cells are read in (row, col) order by one
-    sorted walk of the terms, ``_entries``, which ``items`` and
-    ``triple_items`` share.
+    sorted walk of the terms, ``triple_items``, which ``items`` wraps.
     """
 
     __slots__ = ("n", "den", "_terms")
@@ -146,20 +145,26 @@ class RadMatrix:
         return RadicalSum._raw({key // n2: Fraction(v, den)
                                 for key, v in self._terms.items() if key % n2 == cell})
 
-    def items(self) -> Iterator[tuple[int, int, RadicalSum]]:
-        """Nonzero entries sorted by (row, col)."""
-        den = self.den
-        for r, c, terms in self._entries():
-            yield r, c, RadicalSum._raw({sf: Fraction(v, den) for sf, v in terms})
-
-    def triple_items(self) -> Iterator[tuple[int, int, list[tuple[int, int, int]]]]:
+    def triple_items(self) -> list[tuple[int, int, list[tuple[int, int, int]]]]:
         """Nonzero entries sorted by (row, col), each as its ``to_triples``:
-        (num, den, sf) in lowest terms, ascending by sf.  Each term is its
-        stored numerator v over ``den`` divided by g = gcd(v, den), with no
-        ``Fraction`` or ``RadicalSum`` in between."""
-        den, gcd = self.den, math.gcd
-        for r, c, terms in self._entries():
-            yield r, c, [(v // g, den // g, sf) for sf, v in terms for g in (gcd(v, den),)]
+        (num, den, sf) in lowest terms, ascending by sf.  One loop over one
+        sort of the terms as (row * n + col, sf, numerator) divides each v / den
+        by gcd(v, den), with no ``Fraction`` or ``RadicalSum`` in between."""
+        n, n2, den, gcd = self.n, self.n * self.n, self.den, math.gcd
+        out, cell = [], -1
+        for rc, sf, v in sorted((key % n * n + key // n % n, key // n2, v)
+                                for key, v in self._terms.items()):
+            if rc != cell:
+                cell, triples = rc, []
+                out.append((rc // n, rc % n, triples))
+            g = gcd(v, den)
+            triples.append((v // g, den // g, sf))
+        return out
+
+    def items(self) -> Iterator[tuple[int, int, RadicalSum]]:
+        """Nonzero entries sorted by (row, col): ``triple_items`` as ``RadicalSum``s."""
+        for r, c, triples in self.triple_items():
+            yield r, c, RadicalSum._raw({sf: Fraction(num, d) for num, d, sf in triples})
 
     def _decoded(self) -> list[tuple[int, int, int, int]]:
         """(row, col, sf, numerator) of every stored term, in storage order:
@@ -167,25 +172,6 @@ class RadMatrix:
         n = self.n
         return [(r, c, sf, v) for key, v in self._terms.items()
                 for rest, r in (divmod(key, n),) for sf, c in (divmod(rest, n),)]
-
-    def _entries(self) -> Iterator[tuple[int, int, list[tuple[int, int]]]]:
-        """(row, col, [(sf, numerator), ...]) of each nonzero entry, sorted by
-        (row, col) and by sf within an entry: one sort of the terms as
-        (row * n + col, sf, numerator), grouped by cell as they come, for
-        ``items`` and ``triple_items``."""
-        n = self.n
-        n2 = n * n
-        decoded = sorted((key % n * n + key // n % n, key // n2, v)
-                         for key, v in self._terms.items())
-        cell, terms = -1, []
-        for rc, sf, v in decoded:
-            if rc != cell:
-                if terms:
-                    yield cell // n, cell % n, terms
-                cell, terms = rc, []
-            terms.append((sf, v))
-        if terms:
-            yield cell // n, cell % n, terms
 
     @property
     def nnz(self) -> int:
@@ -212,6 +198,14 @@ class RadMatrix:
             c, r = divmod(key % n2, n)
             terms[key + (r - c) * step] = sign * v
         return RadMatrix._raw(n, self.den, terms)
+
+    def times_sqrt(self, m: int) -> "RadMatrix":
+        """sqrt(m) * self for square-free m, each term's radicand moved as in
+        ``_combine``'s products: sqrt(m) sqrt(sf) = g sqrt((m/g)(sf/g)), g = gcd(m, sf)."""
+        n2 = self.n * self.n
+        return RadMatrix._raw(self.n, self.den, {
+            (m // g) * (sf // g) * n2 + cell: v * g for key, v in self._terms.items()
+            for sf, cell in (divmod(key, n2),) for g in (math.gcd(m, sf),)})
 
     def is_transpose_of(self, other: "RadMatrix", sign: int = 1) -> bool:
         """self == sign * other^T in O(nnz), building nothing: each stored term,

@@ -28,9 +28,11 @@ from su3rep import (
     build_generator_set,
     check_casimir,
     check_commutators,
+    dimension,
 )
-from su3rep.cli import main, render_report
+from su3rep.cli import _exported, main, render_report
 from su3rep.generators import GELL_MANN_NAMES, MATRIX_NAMES
+from su3rep.radical import float_of_triples
 from su3rep.verify import _Hypotheses, _weights_line
 from conftest import labels_below
 from test_verify import _plus_sqrt7_at_first_entry, _reference_structure_lines
@@ -168,6 +170,41 @@ def test_export_digests_at_d_315(p, q, fmt):
     want = {name: recorded[f"generate({p},{q}) {name} {fmt}"]
             for name in MATRIX_NAMES + GELL_MANN_NAMES}
     assert generate_digests(p, q, fmt, False) == want
+
+
+def _reference_json_payload(p, q, name, approx) -> dict:
+    """The JSON export as dicts for json.dumps, one per cell and one per term,
+    Fk's other part [] (approx 0): the reference for the emitter's text."""
+    part, mat = _exported(p, q, name)
+    parts = ("value",) if part == "value" else ("re", "im")
+    entries = []
+    for row, col, triples in mat.triple_items():
+        entry = {"row": row + 1, "col": col + 1, **dict.fromkeys(parts, [])}
+        entry[part] = [{"num": num, "den": den, "sf": sf} for num, den, sf in triples]
+        if approx:
+            value = float_of_triples(triples)
+            entry["approx"] = (value if part == "value"
+                               else {x: value if x == part else 0 for x in parts})
+        entries.append(entry)
+    return {"p": p, "q": q, "d": dimension(p, q), "matrix": name, "entries": entries}
+
+
+@pytest.mark.parametrize("approx", [False, True])
+@pytest.mark.parametrize("p,q", GENERATE_IRREPS + EXPORT_IRREPS)
+def test_json_text_is_what_json_dumps_writes(p, q, approx):
+    # the emitter writes its text directly; it must be json.dumps's bytes
+    # of the reference payload, and survive a round trip through json
+    flag = ["--approx"] if approx else []
+    for name in MATRIX_NAMES + GELL_MANN_NAMES:
+        result = _run("generate", "--p", str(p), "--q", str(q), "--matrix", name,
+                      "--format", "json", *flag)
+        text = result["out"]
+        assert (result["code"], result["err"]) == (0, ""), name
+        # compared as lists split at ", " (join inverts split, so this is byte
+        # equality) so that a failure names its first differing item quickly
+        want = json.dumps(_reference_json_payload(p, q, name, approx)) + "\n"
+        assert text.split(", ") == want.split(", "), name
+        assert (json.dumps(json.loads(text)) + "\n").split(", ") == text.split(", "), name
 
 
 @pytest.mark.parametrize("p,q,oracle", VERIFY_CASES)

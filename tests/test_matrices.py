@@ -371,6 +371,36 @@ def test_sorted_walk_matches_get_and_dense_reference(drawn):
         assert all(den > 0 and math.gcd(num, den) == 1 for num, den, _ in cell)
 
 
+def test_triple_items_reduce_each_term_of_a_multi_radicand_entry():
+    # den = 12 left unreduced: (1, 2) holds 8/12 sqrt(30), -6/12 sqrt(2) and
+    # 12/12 sqrt(7), stored out of sf order; (0, 1) holds 3/12
+    mat = RadMatrix._raw(3, 12, {(30 * 3 + 2) * 3 + 1: 8, (1 * 3 + 1) * 3 + 0: 3,
+                                 (7 * 3 + 2) * 3 + 1: 12, (2 * 3 + 2) * 3 + 1: -6})
+    assert mat.triple_items() == [
+        (0, 1, [(1, 4, 1)]),
+        (1, 2, [(-1, 2, 2), (1, 1, 7), (2, 3, 30)]),
+    ]
+    assert list(mat.items()) == [
+        (0, 1, RadicalSum(Fraction(1, 4))),
+        (1, 2, _rad((Fraction(-1, 2), 2), (1, 7), (Fraction(2, 3), 30))),
+    ]
+
+
+def test_empty_matrix_has_no_cells():
+    for mat in (RadMatrix(3), RadMatrix(0)):
+        assert mat.triple_items() == []
+        assert list(mat.items()) == []
+
+
+@given(_stored_forms(), st.sampled_from([1, 2, 3, 5, 6, 7, 30]))
+def test_times_sqrt_is_the_product_with_sqrt_m_times_identity(mat, m):
+    root = RadMatrix.from_entries(mat.n, ((i, i, 1, m, 1) for i in range(mat.n)))
+    moved = mat.times_sqrt(m)
+    product = _combine(((1, mat, root),))
+    assert (moved.den, moved._terms) == (product.den, product._terms)
+    assert moved.nnz == mat.nnz and _stores_no_zero_numerator(moved)
+
+
 def test_put_get_round_trips_a_multi_radicand_entry():
     mat = RadMatrix(3)
     mat.put(2, 0, _rad((Fraction(1, 6), 5)))

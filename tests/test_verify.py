@@ -799,12 +799,44 @@ def _both_orientations(labels):
     return sorted(set(labels) | {(q, p) for p, q in labels})
 
 
+def _verify_lines(gs):
+    """One verify_irrep on gs under every spy: its Casimir line and whether it
+    called check_casimir, its structure lines, and the ``GELL_MANN_TABLE``
+    rows whose sum it handed to ``_combine``, in call order.  It must build
+    no Fk: every su3rep binding of to_gell_mann and gell_mann_matrix is
+    spied on."""
+    mats = gs.matrices()
+    rows = {tuple((c, id(mats[name])) for c, name in terms): k
+            for k, (_, _, terms) in GELL_MANN_TABLE.items()}
+    summed = []
+
+    def recording(terms):
+        terms = list(terms)
+        key = tuple((t[0], id(t[1])) for t in terms if len(t) == 2)
+        if len(key) == len(terms) and key in rows:
+            summed.append(rows[key])
+        return _combine(terms)
+
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(verify_module, "build_generator_set",
+                                              return_value=gs))
+        stack.enter_context(mock.patch.object(verify_module, "_combine", recording))
+        spy = stack.enter_context(mock.patch.object(verify_module, "check_casimir",
+                                                    side_effect=check_casimir))
+        builders = [stack.enter_context(mock.patch.object(module, name, wraps=getattr(module, name)))
+                    for module in (su3rep, generators, verify_module)
+                    for name in ("to_gell_mann", "gell_mann_matrix") if hasattr(module, name)]
+        report = verify_irrep(gs.p, gs.q)
+    assert builders and not any(b.called for b in builders)
+    (casimir,) = report.of_kind("casimir").relations
+    return SimpleNamespace(casimir=casimir, computed=spy.called,
+                           structure=report.of_kind("structure").relations, summed=summed)
+
+
 def _verify_casimir_line(gs):
     """verify_irrep's Casimir line on gs, and whether it called check_casimir."""
-    with mock.patch.object(verify_module, "build_generator_set", return_value=gs), \
-            mock.patch.object(verify_module, "check_casimir", side_effect=check_casimir) as spy:
-        (line,) = verify_irrep(gs.p, gs.q).of_kind("casimir").relations
-    return line, spy.called
+    run = _verify_lines(gs)
+    return run.casimir, run.computed
 
 
 def _weights(gs):
@@ -968,30 +1000,9 @@ def test_one_corrupted_entry_fails_verify(data):
 
 def _verify_structure_lines(gs):
     """verify_irrep's structure lines on gs, and the ``GELL_MANN_TABLE`` rows
-    whose sum it handed to ``_combine``, in call order.  It must build no Fk:
-    every su3rep binding of to_gell_mann and gell_mann_matrix is spied on."""
-    mats = gs.matrices()
-    rows = {tuple((c, id(mats[name])) for c, name in terms): k
-            for k, (_, _, terms) in GELL_MANN_TABLE.items()}
-    summed = []
-
-    def recording(terms):
-        terms = list(terms)
-        key = tuple((t[0], id(t[1])) for t in terms if len(t) == 2)
-        if len(key) == len(terms) and key in rows:
-            summed.append(rows[key])
-        return _combine(terms)
-
-    with contextlib.ExitStack() as stack:
-        stack.enter_context(mock.patch.object(verify_module, "build_generator_set",
-                                              return_value=gs))
-        stack.enter_context(mock.patch.object(verify_module, "_combine", recording))
-        builders = [stack.enter_context(mock.patch.object(module, name, wraps=getattr(module, name)))
-                    for module in (su3rep, generators, verify_module)
-                    for name in ("to_gell_mann", "gell_mann_matrix") if hasattr(module, name)]
-        lines = verify_irrep(gs.p, gs.q).of_kind("structure").relations
-    assert builders and not any(b.called for b in builders)
-    return lines, summed
+    whose sum it handed to ``_combine``; see ``_verify_lines``."""
+    run = _verify_lines(gs)
+    return run.structure, run.summed
 
 
 def _computed_structure(gs):
