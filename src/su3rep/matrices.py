@@ -233,6 +233,18 @@ class RadMatrix:
             diag[r] = v
         return diag
 
+    def shifts_hold(self, *reads: tuple[list[int], int, Fraction]) -> bool:
+        """Whether ``shift_residual(diag, den, alpha)`` is zero for every read
+        (diag, den, alpha), all tested in one walk that builds nothing."""
+        n = self.n
+        tests = [(diag, alpha.denominator, alpha.numerator * den) for diag, den, alpha in reads]
+        for key in self._terms:
+            r, c = key % n, key // n % n
+            for diag, a_den, a_num in tests:
+                if (diag[r] - diag[c]) * a_den != a_num:
+                    return False
+        return True
+
     def shift_residual(self, diag: list[int], den: int, alpha: Fraction) -> "RadMatrix":
         """[D, self] - alpha * self for D = diag(diag) / den, in O(nnz).
 
@@ -240,7 +252,7 @@ class RadMatrix:
         is one integer comparison, and the residual is built only when some
         term joins two states whose D differs by anything but alpha."""
         n, a_num, a_den, terms = self.n, alpha.numerator * den, alpha.denominator, self._terms
-        if all((diag[key % n] - diag[key // n % n]) * a_den == a_num for key in terms):
+        if self.shifts_hold((diag, den, alpha)):
             return RadMatrix(n)
         return RadMatrix._raw(n, self.den * den * a_den, {
             key: v * ((diag[key % n] - diag[key // n % n]) * a_den - a_num)

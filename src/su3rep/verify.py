@@ -19,8 +19,10 @@ read them in four steps.
 - The 13 rows with T3 or U3 as an operand need no product when that operand
   is diagonal and rational: [h, X] - alpha X has entry
   (h_r - h_c - alpha) X_rc, so the row holds iff every stored term of X joins
-  two states whose h differs by alpha (``RadMatrix.shift_residual``), and
-  [T3, U3] = 0 holds because both are diagonal.
+  two states whose h differs by alpha.  One walk of each X+ reads its T3 and
+  U3 rows (``RadMatrix.shifts_hold``); X- = X+^T then needs none, as
+  [h, X-] = -([h, X+])^T; and [T3, U3] = 0 as both are diagonal.  Any other
+  row is read alone (``RadMatrix.shift_residual``).
 - When those rows hold and each lowering matrix is the transpose of its
   raising partner (``RadMatrix.is_transpose_of``), four products remain:
   [T+,T-] = 2 T3, [U+,U-] = 2 U3, [T+,U-] = 0 and [T+,U+] = V+.  The first
@@ -69,8 +71,9 @@ rational diagonal Cartan matrices, or one ladder pair c X+ + conj(c) X- whose
 lowering matrix is its raising partner's transpose (its adjoint is
 conj(c) X+^T + c X-^T, itself), is hermitian by the hypotheses; any other
 row's S is summed and tested with ``RadMatrix.is_transpose_of``, so every
-offender is that row's own.  The trace of S is the sum of c tr(X), so the
-traceless line reads the eight traces, O(nnz), whatever the hypotheses.
+offender is that row's own.  The trace of S is the sum of c tr(X): T3's and
+U3's diagonal sums when every ladder's reads hold (alpha != 0 in its T3 row,
+so it stores no diagonal term), and otherwise the eight traces, O(nnz).
 (That each Fk lies in the part its row names needs no line:
 ``gell_mann_matrix`` leaves the other part zero whatever its input.)
 
@@ -81,9 +84,9 @@ the weights are not, so a PASS names its irrep.  On failure the line names
 the first (2 T3, 3Y), in ascending order, whose count differs, or the
 Cartan matrix that is not a rational diagonal.
 
-The diagonals, adjointness and the certificate are each read once per
-``verify_irrep`` and handed to the commutator rows, the Schur step and the
-structure lines.
+The diagonals, adjointness, the raising reads and the certificate are each
+read once per ``verify_irrep`` and handed to the commutator rows, the Schur
+step and the structure lines.
 """
 
 from __future__ import annotations
@@ -192,34 +195,47 @@ _CHEVALLEY_ROWS = tuple(k for k, (a, b, _) in enumerate(COMMUTATOR_TABLE)
                         if (a, b) in CHEVALLEY_RELATIONS)
 _DERIVED_ROWS = tuple(k for k in range(len(COMMUTATOR_TABLE))
                       if k not in _CARTAN_ROWS and k not in _CHEVALLEY_ROWS)
+_RELATION_NAMES = tuple(_relation_name(*row) for row in COMMUTATOR_TABLE)
+# (X, h) -> alpha in the Cartan row [h, X] = alpha X of each ladder matrix X
+_SHIFTS = {(x, h): sign * c for a, b, rhs in COMMUTATOR_TABLE for c, x in rhs
+           for h, sign in ((a, 1), (b, -1)) if h in ("T3", "U3")}
+_LADDERS = frozenset(LADDER_PAIRS) | frozenset(LADDER_PAIRS.values())
 
 
 @dataclass(frozen=True)
 class _Hypotheses:
     """What the checks read off a set before any product, each read once:
     T3's and U3's numerators when each stores only rational diagonal terms
-    (None otherwise), and the raising names in ``LADDER_PAIRS`` whose
-    lowering partner is their transpose (a rational diagonal T3 or U3 is its
-    own transpose)."""
+    (None otherwise), the raising names in ``LADDER_PAIRS`` whose lowering
+    partner is their transpose (a rational diagonal T3 or U3 is its own
+    transpose), and the ladder matrices whose T3 and U3 rows the reads settle."""
 
     diagonals: dict[str, list[int] | None]
     adjoint: frozenset[str]
+    shifts: frozenset[str]
 
     @classmethod
     def read(cls, mats: Mapping[str, RadMatrix]) -> "_Hypotheses":
-        return cls({h: mats[h].rational_diagonal() for h in ("T3", "U3")},
-                   frozenset(x for x, y in LADDER_PAIRS.items()
-                             if mats[x].is_transpose_of(mats[y])))
+        diagonals = {h: mats[h].rational_diagonal() for h in ("T3", "U3")}
+        adjoint = frozenset(x for x, y in LADDER_PAIRS.items() if mats[x].is_transpose_of(mats[y]))
+        held = [] if None in diagonals.values() else [
+            x for x in LADDER_PAIRS
+            if mats[x].shifts_hold(*[(d, mats[h].den, _SHIFTS[x, h]) for h, d in diagonals.items()])]
+        held += [LADDER_PAIRS[x] for x in held if x in adjoint]  # [h, X-] = -([h, X+])^T
+        return cls(diagonals, adjoint, frozenset(held))
 
 
-def _weight_read(mats: dict[str, RadMatrix], diagonals: dict[str, list[int] | None],
+def _weight_read(mats: dict[str, RadMatrix], hypotheses: _Hypotheses,
                  a: str, b: str, rhs: tuple[tuple[Fraction, str], ...]) -> RadMatrix | None:
     """The residual of [a,b] = rhs read off a rational diagonal operand h in
     O(nnz), when rhs names only the other operand x: [h,x] - alpha x, or
-    [x,h] - alpha x = [-h,x] - alpha x.  None when no operand qualifies."""
+    [x,h] - alpha x = [-h,x] - alpha x; zero with no walk when x is in
+    ``hypotheses.shifts`` or diagonal too.  None when no operand qualifies."""
     for h, x, sign in ((a, b, 1), (b, a, -1)):
-        diag = diagonals.get(h)
+        diag = hypotheses.diagonals.get(h)
         if diag is not None and {key for _, key in rhs} <= {x}:
+            if x in hypotheses.shifts or not rhs and hypotheses.diagonals.get(x) is not None:
+                return RadMatrix(len(diag))
             alpha = sum((c for c, _ in rhs), Fraction(0))
             return mats[x].shift_residual([sign * v for v in diag], mats[h].den, alpha)
     return None
@@ -235,8 +251,7 @@ def check_commutators(gs: GeneratorSet) -> CheckReport:
 def _commutator_report(gs: GeneratorSet, hypotheses: _Hypotheses) -> CheckReport:
     """``check_commutators`` on hypotheses already read off gs."""
     mats = gs.matrices()
-    residuals = {k: _weight_read(mats, hypotheses.diagonals, *COMMUTATOR_TABLE[k])
-                 for k in _CARTAN_ROWS}
+    residuals = {k: _weight_read(mats, hypotheses, *COMMUTATOR_TABLE[k]) for k in _CARTAN_ROWS}
 
     def computed(ks: tuple[int, ...]) -> dict[int, RadMatrix]:
         return dict(zip(ks, _combine_all(
@@ -255,8 +270,8 @@ def _commutator_report(gs: GeneratorSet, hypotheses: _Hypotheses) -> CheckReport
     unsettled = tuple(k for k in range(len(COMMUTATOR_TABLE)) if residuals.get(k) is None)
     if unsettled:
         residuals.update(computed(unsettled))
-    checks = tuple(_relation_check("commutator", _relation_name(*row), residuals[k])
-                   for k, row in enumerate(COMMUTATOR_TABLE))
+    checks = tuple(_relation_check("commutator", name, residuals[k])
+                   for k, name in enumerate(_RELATION_NAMES))
     return CheckReport(gs.p, gs.q, checks)
 
 
@@ -319,10 +334,13 @@ def _structure_lines(mats: Mapping[str, RadMatrix], hypotheses: _Hypotheses) -> 
     c X over its ``GELL_MANN_TABLE`` row.  A row that names only rational
     diagonal Cartan matrices, or one ladder pair in ``hypotheses.adjoint``,
     is hermitian; any other row's S is summed and tested for S = S^T ("re")
-    or S = -S^T ("im").  Each trace is the sum of c tr(X), O(nnz)."""
+    or S = -S^T ("im").  The trace of S is the sum of c tr(X)."""
     rational = {h for h, diag in hypotheses.diagonals.items() if diag is not None}
     pairs = [{x, LADDER_PAIRS[x]} for x in hypotheses.adjoint]
-    traces = {name: m.trace() for name, m in mats.items()}
+    # alpha != 0 in each T3 row, so a held ladder stores no diagonal term: trace 0
+    traces = ({name: Fraction(sum(hypotheses.diagonals.get(name, ())), m.den)
+               for name, m in mats.items()} if hypotheses.shifts == _LADDERS
+              else {name: m.trace() for name, m in mats.items()})
     herm_bad, trace_bad = [], []
     for k, (part, _, terms) in GELL_MANN_TABLE.items():
         names = {name for _, name in terms}

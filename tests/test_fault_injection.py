@@ -4,17 +4,24 @@ labelled.  Under the fault the set must PASS, which shows that the shortcut
 alone stands between it and a wrong verdict; without the fault it must FAIL
 on the line the shortcut settles.  A case whose set fails under its fault no
 longer guards that shortcut: verify has stopped relying on it, or the set no
-longer reaches it."""
+longer reaches it.
+
+Some shortcuts settle only lines that another line, computed either way,
+already fails on every wrong set: a wrong weight read or a lowering matrix
+at a wrong weight also breaks a product, the adjointness test or the weight
+certificate.  Their cases assert instead that the lines the shortcut settles
+read exact under the fault and fail without it."""
 
 import dataclasses
 from unittest import mock
 
 import pytest
 
-from su3rep import RelationCheck, build_generator_set, verify_irrep
+from su3rep import RadicalSum, RelationCheck, build_generator_set, verify_irrep
 from su3rep import verify as verify_module
+from su3rep.generators import LADDER_PAIRS
 from su3rep.matrices import RadMatrix
-from test_verify import _added
+from test_verify import _HYPOTHESIS_CONTROLS, _added, _one_entry_at_a_wrong_weight
 
 
 def _v_minus_first_entry_doubled(p, q):
@@ -42,6 +49,55 @@ _CASES = {
 }
 
 
+_READ = verify_module._Hypotheses.read
+
+
+def _lowering_rows_without_adjointness(mats):
+    """The hypotheses with each raising matrix's read also settling its
+    lowering partner's rows, adjoint or not."""
+    read = _READ(mats)
+    return dataclasses.replace(read, shifts=read.shifts | {
+        LADDER_PAIRS[x] for x in read.shifts & LADDER_PAIRS.keys()})
+
+
+def _diagonal_ladder_pair(p, q):
+    """(p, q) with 1 added at (0, 0) of T+ and of T-: adjointness and the
+    diagonals hold, T+'s read fails, and F1 gains trace 1."""
+    gs = build_generator_set(p, q)
+    return dataclasses.replace(gs, t_plus=_added(gs.t_plus, 0, 0, 1),
+                               t_minus=_added(gs.t_minus, 0, 0, 1))
+
+
+_RESCALED = _HYPOTHESIS_CONTROLS["T, U times 2; V, T3, U3 times 4"][0]
+# the 12 rows [h, X] = alpha X on a ladder matrix X, each settled by a read
+_LADDER_CARTAN_ROWS = [name for name, (a, b, _) in zip(verify_module._RELATION_NAMES,
+                                                       verify_module.COMMUTATOR_TABLE)
+                       if {a, b} & {"T3", "U3"} and {a, b} != {"T3", "U3"}]
+
+# (patched object, attribute, fault, the set, the lines its shortcut settles),
+# each line named up to any " (violated ...)"
+_LINE_CASES = {
+    "raising reads always hold, (3,2) with T, U times 2 and V, T3, U3 times 4": (
+        RadMatrix, "shifts_hold", lambda *args: True,
+        lambda: _RESCALED(build_generator_set(3, 2)), _LADDER_CARTAN_ROWS),
+    "raising reads always hold, (2,3) with T, U times 2 and V, T3, U3 times 4": (
+        RadMatrix, "shifts_hold", lambda *args: True,
+        lambda: _RESCALED(build_generator_set(2, 3)), _LADDER_CARTAN_ROWS),
+    "lowering rows derived without adjointness, (3,2) with T- alone at a wrong weight": (
+        verify_module._Hypotheses, "read", _lowering_rows_without_adjointness,
+        lambda: _one_entry_at_a_wrong_weight(build_generator_set(3, 2), "Tm"),
+        ["[T3,Tm] = -Tm", "[Tm,U3] = -1/2*Tm"]),
+    "lowering rows derived without adjointness, (2,3) with V- alone at a wrong weight": (
+        verify_module._Hypotheses, "read", _lowering_rows_without_adjointness,
+        lambda: _one_entry_at_a_wrong_weight(build_generator_set(2, 3), "Vm"),
+        ["[U3,Vm] = -1/2*Vm"]),  # its T3 shift is V-'s: that row holds
+    # T3 and U3 are traceless here, so only the ladder traces change
+    "ladder traces taken as zero, (3,2) with 1 at (0, 0) of T+ and T-": (
+        RadMatrix, "trace", lambda self: RadicalSum(),
+        lambda: _diagonal_ladder_pair(3, 2), ["F1..F8 traceless"]),
+}
+
+
 def _verify(gs):
     with mock.patch.object(verify_module, "build_generator_set", return_value=gs):
         return verify_irrep(gs.p, gs.q)
@@ -56,3 +112,19 @@ def test_fault_lets_a_wrong_set_pass(case):
     assert failed in [r.name for r in report.failures()]
     with mock.patch.object(target, attr, fault):
         assert _verify(gs).passed
+
+
+def _lines(report, stems):
+    return [r for stem in stems for r in report.relations
+            if r.name == stem or r.name.startswith(stem + " (")]
+
+
+@pytest.mark.parametrize("case", sorted(_LINE_CASES))
+def test_fault_passes_the_lines_its_shortcut_settles(case):
+    target, attr, fault, wrong_set, stems = _LINE_CASES[case]
+    gs = wrong_set()
+    lines = _lines(_verify(gs), stems)
+    assert len(lines) == len(stems) and not any(r.exact for r in lines)
+    with mock.patch.object(target, attr, fault):
+        lines = _lines(_verify(gs), stems)
+    assert len(lines) == len(stems) and all(r.exact for r in lines)

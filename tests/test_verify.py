@@ -590,6 +590,30 @@ def _groups_handed_to_kernel():
         yield calls
 
 
+@contextlib.contextmanager
+def _walks():
+    """Record the matrix each O(nnz) read outside the products walks, by method."""
+    walks = {name: [] for name in ("rational_diagonal", "is_transpose_of", "shifts_hold",
+                                   "shift_residual", "trace")}
+
+    def spy(name):
+        original = getattr(RadMatrix, name)
+
+        def recording(self, *args):
+            walks[name].append(self)
+            return original(self, *args)
+        return recording
+
+    with contextlib.ExitStack() as stack:
+        for name in walks:
+            stack.enter_context(mock.patch.object(RadMatrix, name, spy(name)))
+        yield walks
+
+
+def _name_of(mats, m):
+    return next(name for name, x in mats.items() if x is m)
+
+
 def _counts(calls):
     return [len(groups) for groups in calls]
 
@@ -621,11 +645,24 @@ def _wrong_shift_pair(gs):
                                t_minus=_added(gs.t_minus, 1, 0, 1))
 
 
-# Each corruption keeps adjointness and breaks one hypothesis of the Serre
-# shortcut: a Chevalley product, a weight read or a rational diagonal.  The
-# value is the work handed to _combine_all: 4 Chevalley groups then the other
-# 11 ladder rows, or all 15 ladder rows in one call (plus T3's 6 rows when T3 is
-# irrational, since [T3,U3] is still read off U3).
+def _one_entry_at_a_wrong_weight(gs, name):
+    """gs with 1 added at (1, 0) of one lowering matrix alone, which joins
+    two states whose (T3, U3) shift is not that matrix's."""
+    mats = gs.matrices()
+    bad = _added(mats[name], 1, 0, 1)
+    reads = [(mats[h].rational_diagonal(), mats[h].den, verify_module._SHIFTS[name, h])
+             for h in ("T3", "U3")]
+    assert mats[name].shifts_hold(*reads) and not bad.shifts_hold(*reads)
+    return dataclasses.replace(gs, **{_FIELDS[name]: bad})
+
+
+# Each corruption breaks one hypothesis of the Serre shortcut: a Chevalley
+# product, a weight read or a rational diagonal; all but the two lowering
+# matrices alone keep adjointness.  The value is the work handed to
+# _combine_all: 4 Chevalley groups then the other 11 ladder rows, or all 15
+# ladder rows in one call (plus T3's 6 rows when T3 is irrational, since
+# [T3,U3] is still read off U3).  A lowering matrix alone is not its partner's
+# transpose, so its two Cartan rows are not derived: each is its own read.
 _HYPOTHESIS_CONTROLS = {
     "T3 + I": (lambda gs: _shifted(gs, "T3", 1), [4, 11]),
     "U3 + 2I": (lambda gs: _shifted(gs, "U3", 2), [4, 11]),
@@ -638,6 +675,8 @@ _HYPOTHESIS_CONTROLS = {
                                 "Vp": 4, "Vm": 4, "T3": 4, "U3": 4}), [15]),
     "sqrt 7 on a T3 diagonal entry": (lambda gs: _plus_sqrt7_at_first_entry(gs, "t_three"),
                                       [21]),
+    "T- alone at a wrong weight": (lambda gs: _one_entry_at_a_wrong_weight(gs, "Tm"), [15]),
+    "V- alone at a wrong weight": (lambda gs: _one_entry_at_a_wrong_weight(gs, "Vm"), [15]),
 }
 
 
@@ -673,6 +712,53 @@ class TestSerreWorkCounts:
         ladder = [(a, b) for a, b, _ in COMMUTATOR_TABLE if a in _LADDERS and b in _LADDERS]
         assert len(ladder) == 15
         assert set(CHEVALLEY_RELATIONS) < set(ladder)
+
+    def test_relation_names_are_formatted_once(self):
+        assert verify_module._RELATION_NAMES == _RELATION_NAMES
+        with mock.patch.object(verify_module, "_relation_name") as spy:
+            report = check_commutators(build_generator_set(3, 2))
+        assert not spy.called
+        assert tuple(r.name for r in report.relations) == _RELATION_NAMES
+
+    def test_lowering_shifts_are_the_raising_ones_negated(self):
+        # [h, X-] = -([h, X+])^T for X- = X+^T, so a raising read settles its
+        # partner's rows; and alpha_T != 0 leaves a ladder no diagonal term
+        shifts = verify_module._SHIFTS
+        rows = {frozenset((a, b)): (a, rhs) for a, b, rhs in COMMUTATOR_TABLE}
+        assert sorted(shifts) == sorted((x, h) for x in _LADDERS for h in ("T3", "U3"))
+        for (x, h), alpha in shifts.items():
+            a, rhs = rows[frozenset((x, h))]
+            assert rhs == ((alpha if a == h else -alpha, x),)
+        for plus, minus in generators.LADDER_PAIRS.items():
+            for h in ("T3", "U3"):
+                assert shifts[minus, h] == -shifts[plus, h]
+        assert all(shifts[x, "T3"] != 0 for x in _LADDERS)
+
+    @pytest.mark.parametrize("p,q", [(5, 3), (3, 5)])
+    def test_clean_verify_walks_each_raising_matrix_once(self, p, q):
+        gs = build_generator_set(p, q)
+        mats = gs.matrices()
+        with _walks() as walks, mock.patch.object(verify_module, "build_generator_set",
+                                                  return_value=gs):
+            report = verify_irrep(p, q)
+        assert report.passed
+        assert {name: [_name_of(mats, m) for m in ms] for name, ms in walks.items()} == {
+            "rational_diagonal": ["T3", "U3"],
+            "is_transpose_of": ["Tp", "Up", "Vp"],
+            "shifts_hold": ["Tp", "Up", "Vp"],
+            "shift_residual": [],
+            "trace": [],
+        }
+        assert sum(map(len, walks.values())) == 8
+
+    @pytest.mark.parametrize("p,q", [(3, 2), (2, 3)])
+    def test_lowering_matrix_alone_is_read_on_its_own(self, p, q):
+        bad = _one_entry_at_a_wrong_weight(build_generator_set(p, q), "Tm")
+        mats = bad.matrices()
+        with _walks() as walks:
+            check_commutators(bad)
+        # T+ is not T-'s transpose, so T-'s rows are not derived from T+'s read
+        assert [_name_of(mats, m) for m in walks["shift_residual"]] == ["Tm", "Tm"]
 
     @pytest.mark.parametrize("p,q", [(5, 3), (3, 5)])
     def test_clean_set_hands_the_kernel_four_groups(self, p, q):
