@@ -1,13 +1,13 @@
 """Assembly of the eight basis matrices for any (p, q) irrep.
 
-For p >= q three raising matrices are built directly: T+ is block-diagonal
-from the standard spin raising blocks, and U+/V+ have one nonzero diagonal
-per admissible block whose entries are fixed radical multiples of a single
-block constant.  Each lowering matrix is its raising partner's transpose
-(``LADDER_PAIRS``).  T3 and U3 are diagonal and come from one walk of the
-blocks: T3 steps down by 1 from the block's spin, U3 up by 1/2 from its lead
-component.  For q > p the raising and Cartan matrices are the negative
-transposes of the (q, p) ones, flipped before the lowering ones are taken.
+For p >= q each matrix built is one walk of its blocks into one
+``RadMatrix.from_roots``, each entry's root split once.  T+ is block-diagonal
+from the spin raising blocks; U+/V+ have one nonzero diagonal per admissible
+block, its unit entries (``unit_raising_blocks``) times the block constant.
+T3 and U3 are rational diagonals from one walk: T3 steps down by 1 from the
+block's spin, U3 up by 1/2 from its lead component.  Each lowering matrix is
+its raising partner's transpose (``LADDER_PAIRS``).  For q > p the raising and
+Cartan matrices are the (q, p) ones flipped to their negative transposes first.
 
 All eight matrices are real; complex values appear only in the hermitian
 basis F1..F8, stored as (real, imaginary) matrix pairs.
@@ -15,11 +15,12 @@ basis F1..F8, stored as (real, imaginary) matrix pairs.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from .matrices import Entry, RadMatrix, _combine
+from .matrices import RadMatrix, Root, _combine
+from .radical import split_square
 from .structure import (
     ConsistencyError,
     _check_label,
@@ -91,14 +92,17 @@ class ComplexMatrix:
 
 # Each raising matrix and its lowering partner, which is its transpose.
 LADDER_PAIRS = {"Tp": "Tm", "Up": "Um", "Vp": "Vm"}
+# One block's unit entries of U+ or V+, (row, col, sign, a's, b): see unit_raising_blocks.
+UnitRun = tuple[int, int, int, Sequence[int], int]
 
 
 def build_t_plus(p: int, q: int) -> RadMatrix:
     """T+, block-diagonal from the standard spin raising blocks."""
-    return RadMatrix.from_entries(dimension(p, q), [
-        (off + r, off + c, sign, a, b)
+    return RadMatrix.from_roots(dimension(p, q), [
+        (off + r, off + c, sign * k, m, b)
         for off, two_s in zip(block_offsets(p, q), tspin_list(p, q))
         for r, c, sign, a, b in spin_entries(two_s)
+        for k, m in (split_square(a * b),)
     ])
 
 
@@ -111,16 +115,21 @@ def build_cartan(p: int, q: int, names: Iterable[str]) -> dict[str, RadMatrix]:
         doubled["T3"].extend(range(two_s, -two_s - 1, -2))
         doubled["U3"].extend(range(two_lead, two_lead + two_s + 1))
     wanted = set(names)
-    # v / 2, a rational entered as the root of its square
-    return {name: RadMatrix.from_entries(len(values), [
-        (k, k, 1 if v > 0 else -1, v * v, 4) for k, v in enumerate(values)
+    # v / 2, entered as 2v / 4: den 4, the form from_entries gives sqrt(v * v / 4)
+    return {name: RadMatrix.from_roots(len(values), [
+        (k, k, 2 * v, 1, 4) for k, v in enumerate(values)
     ]) for name, values in doubled.items() if name in wanted}
 
 
-def unit_raising_blocks(p: int, q: int) -> list[tuple[tuple[int, int], list[Entry], list[Entry]]]:
+def unit_raising_blocks(
+    p: int, q: int, names: Collection[str]
+) -> list[tuple[tuple[int, int], dict[str, UnitRun]]]:
     """For each admissible block (i, j), in ``admissible_blocks`` order, the
-    entries of U+ and V+ when that block's squared unknown is 1 and every
-    other is 0.  The real U+ and V+ are these scaled by sqrt(x_ij).
+    entries of U+ ("Up") and V+ ("Vp") that ``names`` holds when that block's
+    squared unknown is 1 and every other is 0: ``build_raising`` scales them
+    by sqrt(x_ij), and the oracle reads them as they are.  A family's entries
+    in a block lie on one diagonal run (row, col, sign, a's, b): its t-th
+    entry is sign * sqrt(a_t / b) at (row + t, col + t), every a_t >= 1.
 
     With two_s the doubled row spin and a the 0-based row position
     (sigma = s - a): for shift -1 the U+ entry sqrt(a) sits at column a-1
@@ -132,15 +141,15 @@ def unit_raising_blocks(p: int, q: int) -> list[tuple[tuple[int, int], list[Entr
     spins = tspin_list(p, q)
     out = []
     for i, j, shift in admissible_blocks(p, q):
-        two_s = spins[i - 1]
-        row0, col0 = offsets[i - 1], offsets[j - 1]
-        if shift == -1:
-            unit_u = [(row0 + a, col0 + a - 1, 1, a, 1) for a in range(1, two_s + 1)]
-            unit_v = [(row0 + a, col0 + a, 1, two_s - a, 1) for a in range(two_s)]
-        else:
-            unit_u = [(row0 + a, col0 + a, 1, two_s - a + 1, two_s + 1) for a in range(two_s + 1)]
-            unit_v = [(row0 + a, col0 + a + 1, -1, a + 1, two_s + 1) for a in range(two_s + 1)]
-        out.append(((i, j), unit_u, unit_v))
+        two_s, row0, col0 = spins[i - 1], offsets[i - 1], offsets[j - 1]
+        runs: dict[str, UnitRun] = {}
+        if "Up" in names:
+            runs["Up"] = ((row0 + 1, col0, 1, range(1, two_s + 1), 1) if shift == -1
+                          else (row0, col0, 1, range(two_s + 1, 0, -1), two_s + 1))
+        if "Vp" in names:
+            runs["Vp"] = ((row0, col0, 1, range(two_s, 0, -1), 1) if shift == -1
+                          else (row0, col0 + 1, -1, range(1, two_s + 2), two_s + 1))
+        out.append(((i, j), runs))
     return out
 
 
@@ -148,27 +157,29 @@ def build_raising(
     p: int, q: int, unknowns: dict[tuple[int, int], Fraction], names: Iterable[str]
 ) -> dict[str, RadMatrix]:
     """U+ ("Up") and V+ ("Vp"), those of the two that ``names`` holds, from
-    the squared block unknowns (positive roots): each entry is one root
-    sqrt(u^2 * x), u the unit entry, x the square.  One walk of
-    ``unit_raising_blocks`` and one ``from_entries`` per matrix built."""
+    the squared block unknowns (positive roots), in one walk of the unit
+    runs of the families asked for: each unit entry sign * sqrt(a/b) of
+    block (i, j), times sqrt(x_ij) = sqrt(x/y), is one split of a * b * x * y
+    over b * y, and each matrix is one ``from_roots``."""
     wanted = set(names)
-    entries: dict[str, list[Entry]] = {name: [] for name in ("Up", "Vp") if name in wanted}
-    for (i, j), unit_u, unit_v in unit_raising_blocks(p, q):
+    roots: dict[str, list[Root]] = {name: [] for name in ("Up", "Vp") if name in wanted}
+    for (i, j), runs in unit_raising_blocks(p, q, roots):
         square = unknowns.get((i, j))
         if square is None:
             raise ConsistencyError(
                 f"no block unknown for admissible block ({i},{j}) of ({p},{q})"
             )
-        if square < 0:
+        x, y = square.numerator, square.denominator
+        if x < 0:
             raise ConsistencyError(
                 f"negative squared unknown {square} at ({i},{j}) of ({p},{q})"
             )
-        x, y = square.numerator, square.denominator
-        for name, unit in (("Up", unit_u), ("Vp", unit_v)):
-            if name in entries:
-                entries[name].extend((r, c, sign, a * x, b * y) for r, c, sign, a, b in unit)
-    d = dimension(p, q)
-    return {name: RadMatrix.from_entries(d, part) for name, part in entries.items()}
+        for name, (row, col, sign, nums, b) in runs.items():
+            append, by, bxy = roots[name].append, b * y, b * x * y
+            for t, a in enumerate(nums):
+                k, m = split_square(a * bxy) if bxy else (0, 1)
+                append((row + t, col + t, sign * k, m, by))
+    return {name: RadMatrix.from_roots(dimension(p, q), part) for name, part in roots.items()}
 
 
 def build_matrices(p: int, q: int, names: Iterable[str]) -> dict[str, RadMatrix]:

@@ -14,10 +14,10 @@ a square-free radicand sf; the entry at (r, c) is
 The radicand is the key's top digit, so keys never collide however large a
 product's radicand grows, and key % (n * n) = col * n + row names the cell.
 
-Entries come out as ``RadicalSum``s.  They go in as integer roots
-sign * sqrt(a/b) through ``from_entries`` (or as ``RadicalSum``s through
-``put``), and the arithmetic runs on integers and builds no ``Fraction`` per
-entry, which is where nearly all of a verification's time would otherwise go.
+Entries come out as ``RadicalSum``s.  They go in as split roots (k/b) sqrt(m)
+through ``from_roots``, as roots sign * sqrt(a/b) through ``from_entries``, or
+as ``RadicalSum``s through ``put``, and the arithmetic runs on integers and
+builds no ``Fraction`` per entry, where most of a verification's time would go.
 
 Why this is exact.  A matrix is a finite set of rational coefficients, one
 per stored term (an entry with several terms, such as a corrupted one,
@@ -54,6 +54,7 @@ from .radical import RadicalSum, split_square
 
 _Scalar = Union[int, Fraction, RadicalSum]
 Entry = tuple[int, int, int, int, int]  # (row, col, sign, a, b): sign * sqrt(a/b)
+Root = tuple[int, int, int, int, int]  # (row, col, k, m, b): (k / b) * sqrt(m), m square-free
 
 
 class RadMatrix:
@@ -61,7 +62,7 @@ class RadMatrix:
 
     ``_terms`` maps the flat key (sf * n + col) * n + row to a numerator:
     the entry at (row, col) is the sum of (numerator / den) * sqrt(sf) over
-    the keys that name its cell.  Instances come from ``from_entries`` or an
+    the keys that name its cell.  Instances come from ``from_roots`` or an
     operation below and are not mutated afterwards, except by ``put`` in
     tests and corrupted controls.  Cells are read in (row, col) order by one
     sorted walk of the terms, ``triple_items``, which ``items`` wraps.
@@ -85,35 +86,39 @@ class RadMatrix:
         return out
 
     @classmethod
-    def from_entries(cls, n: int, entries: Iterable[Entry]) -> "RadMatrix":
-        """The n x n matrix with sign * sqrt(a/b) at each (row, col, sign, a, b),
-        where sign is +1 or -1, a >= 0 and b > 0; a rational r/s enters as
-        sign(r) * sqrt(r*r / s*s).  sqrt(a/b) = k * sqrt(m) / b with
-        a * b = k * k * m, m square-free, and ``den`` is the lcm of the
-        distinct b's.  Each entry's cell c * n + r is computed once.
-        Entries with a = 0 are not stored.  A position outside n x n raises
-        IndexError, one given twice ValueError."""
-        seen: set[int] = set()
-        terms = []
-        n2 = n * n
-        for r, c, sign, a, b in entries:
+    def from_roots(cls, n: int, roots: Iterable[Root]) -> "RadMatrix":
+        """The n x n matrix with (k / b) * sqrt(m) at each (row, col, k, m, b),
+        where m is square-free and b > 0; ``den`` is the lcm of the distinct
+        b's of the nonzero entries.  Each entry's cell c * n + r is computed
+        once.  Entries with k = 0 are not stored.  A position outside n x n
+        raises IndexError, one given twice ValueError, zero entries included."""
+        cells: dict[int, Root] = {}
+        for root in roots:
+            r, c, k, m, b = root
             if not (0 <= r < n and 0 <= c < n):
                 raise IndexError(f"({r}, {c}) outside {n}x{n}")
             cell = c * n + r
-            if cell in seen:
+            if cell in cells:
                 raise ValueError(f"entry ({r}, {c}) given twice")
-            seen.add(cell)
-            if a:
-                k, m = split_square(a * b)
-                terms.append((m * n2 + cell, sign * k, b))
-        out = cls(n)
-        out.den = den = math.lcm(*{b for _, _, b in terms})
-        out._terms = {key: num * (den // b) for key, num, b in terms}
+            cells[cell] = root
+        n2, out = n * n, cls(n)
+        out.den = den = math.lcm(*{b for _, _, k, _, b in cells.values() if k})
+        out._terms = {m * n2 + cell: k * (den // b)
+                      for cell, (_, _, k, m, b) in cells.items() if k}
         return out
 
     @classmethod
+    def from_entries(cls, n: int, entries: Iterable[Entry]) -> "RadMatrix":
+        """The n x n matrix with sign * sqrt(a/b) at each (row, col, sign, a, b),
+        sign +1 or -1, a >= 0 and b > 0 (a rational r/s enters as sign(r) *
+        sqrt(r*r / s*s)): each root split, sqrt(a/b) = k sqrt(m) / b with
+        a * b = k * k * m, into ``from_roots``, which checks the positions."""
+        return cls.from_roots(n, ((r, c, sign * k, m, b) for r, c, sign, a, b in entries
+                                  for k, m in (split_square(a * b) if a else (0, 1),)))
+
+    @classmethod
     def identity(cls, n: int) -> "RadMatrix":
-        return cls.from_entries(n, ((i, i, 1, 1, 1) for i in range(n)))
+        return cls.from_roots(n, ((i, i, 1, 1, 1) for i in range(n)))
 
     # -- entry access (0-based) ------------------------------------------
 
@@ -246,18 +251,21 @@ class RadMatrix:
         return True
 
     def shift_residual(self, diag: list[int], den: int, alpha: Fraction) -> "RadMatrix":
-        """[D, self] - alpha * self for D = diag(diag) / den, in O(nnz).
+        """[D, self] - alpha * self for D = diag(diag) / den, in one O(nnz) walk.
 
         Entry (r, c) is (D_r - D_c - alpha) * self[r, c], so each stored term
-        is one integer comparison, and the residual is built only when some
-        term joins two states whose D differs by anything but alpha."""
-        n, a_num, a_den, terms = self.n, alpha.numerator * den, alpha.denominator, self._terms
-        if self.shifts_hold((diag, den, alpha)):
-            return RadMatrix(n)
-        return RadMatrix._raw(n, self.den * den * a_den, {
-            key: v * ((diag[key % n] - diag[key // n % n]) * a_den - a_num)
-            for key, v in terms.items()
-        })
+        is one integer comparison.  The residual is built only from the first
+        term that joins two states whose D differs by anything but alpha:
+        every term before it has factor zero."""
+        n, a_num, a_den = self.n, alpha.numerator * den, alpha.denominator
+        factors = ((key, v, (diag[key % n] - diag[key // n % n]) * a_den - a_num)
+                   for key, v in self._terms.items())
+        for key, v, factor in factors:
+            if factor:
+                residual = {key: v * factor}
+                residual.update((key, v * factor) for key, v, factor in factors)
+                return RadMatrix._raw(n, self.den * den * a_den, residual)
+        return RadMatrix(n)
 
     def trace(self) -> RadicalSum:
         # a diagonal term's cell c * n + r, c = r, is r * (n + 1)

@@ -431,26 +431,27 @@ def _diagonal_terms(p: int, q: int) -> tuple[list[tuple[int, int]], dict]:
     """The block keys, and (relation, state) -> [(block index, a, b), ...]:
     x_k * a/b on the diagonal of [U+,U-] (relation 0) or [V+,V-] (relation 1);
     a block has at most one entry in a row or column, never both for a state."""
-    units = unit_raising_blocks(p, q)
+    units = unit_raising_blocks(p, q, ("Up", "Vp"))
     terms: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    for k, (_, u_entries, v_entries) in enumerate(units):
-        for relation, entries in enumerate((u_entries, v_entries)):
-            for r, c, _, a, b in entries:
-                terms.setdefault((relation, r), []).append((k, a, b))
-                terms.setdefault((relation, c), []).append((k, -a, b))
-    return [key for key, _, _ in units], terms
+    for k, (_, runs) in enumerate(units):
+        for relation, name in enumerate(("Up", "Vp")):
+            row, col, _, nums, b = runs[name]
+            for t, a in enumerate(nums):
+                terms.setdefault((relation, row + t), []).append((k, a, b))
+                terms.setdefault((relation, col + t), []).append((k, -a, b))
+    return [key for key, _ in units], terms
 
 
 def oracle_solve(p: int, q: int, max_dim: int = ORACLE_MAX_DIM) -> dict[tuple[int, int], Fraction]:
     """Solve the commutation relations directly for the squared block unknowns.
 
     One unknown x_k per admissible block k.  ``unit_raising_blocks``, the
-    walk ``build_raising`` scales by sqrt(x_k), gives each block's unit
-    entries (x_k = 1, every other square 0) as (r, c, sign, a, b), the root
-    sign * sqrt(a/b).  Each matrix position lies in exactly one block, so
-    entry (s, s) of X+ X+^T - X+^T X+ is the sum over k of x_k times the a/b
-    of block k's unit entries in row s minus those in column s: linear in
-    the x_k, rational, with no cross terms and no radicals.  The diagonals
+    runs ``build_raising`` scales by sqrt(x_k), gives each block's unit
+    entries (x_k = 1, every other square 0), entry t of a run the root
+    sign * sqrt(a_t/b) at (row + t, col + t).  Each position lies in one
+    block, so entry (s, s) of X+ X+^T - X+^T X+ is the sum over k of x_k
+    times the a/b of block k's unit entries in row s minus those in column
+    s: linear in the x_k, rational, with no cross terms and no radicals.  The diagonals
     of [U+,U-] = 2 U3 and [V+,V-] = 2 U3 + 2 T3 give two such equations per
     state, each scaled to integers by the lcm of its b's and solved in
     integers.  Nothing else is added: a square these equations leave free

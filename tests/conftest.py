@@ -14,6 +14,13 @@ def labels_below(max_d):
         p += 1
 
 
+def run_entries(run):
+    """The entries (row, col, sign, a, b), each sign * sqrt(a/b), of one unit
+    run (row, col, sign, a's, b) of ``generators.unit_raising_blocks``."""
+    row, col, sign, nums, b = run
+    return [(row + t, col + t, sign, a, b) for t, a in enumerate(nums)]
+
+
 def _complex3(re_entries, im_entries):
     re = RadMatrix(3)
     im = RadMatrix(3)

@@ -21,7 +21,7 @@ from su3rep import RadicalSum, RelationCheck, build_generator_set, verify_irrep
 from su3rep import verify as verify_module
 from su3rep.generators import LADDER_PAIRS
 from su3rep.matrices import RadMatrix
-from test_verify import _HYPOTHESIS_CONTROLS, _added, _one_entry_at_a_wrong_weight
+from test_verify import _HYPOTHESIS_CONTROLS, _added, _one_entry_at_a_wrong_weight, _scaled
 
 
 def _v_minus_first_entry_doubled(p, q):
@@ -32,6 +32,11 @@ def _v_minus_first_entry_doubled(p, q):
 
 def _weights_always_pass(gs, diagonals):
     return RelationCheck(f"weights of ({gs.p}, {gs.q})", True, 0.0, kind="structure")
+
+
+def _zero_sums(groups):
+    """Every group handed to the kernel read as a zero matrix."""
+    return (RadMatrix(group[0][1].n) for group in groups)
 
 
 # (patched object, attribute, fault, the set, a line that fails without the fault)
@@ -46,6 +51,13 @@ _CASES = {
         verify_module, "_weights_line", _weights_always_pass,
         lambda: dataclasses.replace(build_generator_set(3, 2), p=2, q=3),
         "weights of (2, 3) (violated at (2 T3, 3Y) = (-5, -1): 0 states, not 1)"),
+    # the weight reads and adjointness hold, and only Chevalley's products fail
+    "Chevalley products read as zero, (3,2) with U+ and U- times 2": (
+        verify_module, "_combine_all", _zero_sums,
+        lambda: _scaled(build_generator_set(3, 2), {"Up": 2, "Um": 2}), "[Up,Um] = 2*U3"),
+    "Chevalley products read as zero, (2,3) with U+ and U- times 2": (
+        verify_module, "_combine_all", _zero_sums,
+        lambda: _scaled(build_generator_set(2, 3), {"Up": 2, "Um": 2}), "[Up,Um] = 2*U3"),
 }
 
 
@@ -91,6 +103,10 @@ _LINE_CASES = {
         verify_module._Hypotheses, "read", _lowering_rows_without_adjointness,
         lambda: _one_entry_at_a_wrong_weight(build_generator_set(2, 3), "Vm"),
         ["[U3,Vm] = -1/2*Vm"]),  # its T3 shift is V-'s: that row holds
+    "Cartan rows read alone as zero, (3,2) with T- alone at a wrong weight": (
+        RadMatrix, "shift_residual", lambda self, *args: RadMatrix(self.n),
+        lambda: _one_entry_at_a_wrong_weight(build_generator_set(3, 2), "Tm"),
+        ["[T3,Tm] = -Tm", "[Tm,U3] = -1/2*Tm"]),
     # T3 and U3 are traceless here, so only the ladder traces change
     "ladder traces taken as zero, (3,2) with 1 at (0, 0) of T+ and T-": (
         RadMatrix, "trace", lambda self: RadicalSum(),

@@ -24,12 +24,13 @@ from su3rep import (
     tspin_list,
     u3_leads,
 )
-from su3rep.generators import GELL_MANN_TABLE, MATRIX_NAMES, unit_raising_blocks
+from su3rep.generators import GELL_MANN_TABLE, LADDER_PAIRS, MATRIX_NAMES, unit_raising_blocks
 from su3rep.matrices import _combine
 from su3rep.structure import ConsistencyError, state_labels
+from su3rep.su2 import spin_entries
 from su3rep.verify import sweep_labels
 
-from conftest import labels_below
+from conftest import labels_below, run_entries
 
 
 def diagonal_values(mat):
@@ -76,11 +77,60 @@ def _reference_set(p, q):
     return GeneratorSet(p, q, tp, tm, t3, up, up.transpose(), u3, vp, vp.transpose())
 
 
+def _from_entries_reference(p, q):
+    """The eight matrices of (p, q), either orientation, assembled through
+    ``RadMatrix.from_entries``: T+ over ``spin_entries``; T3 and U3 as the
+    roots (k, k, +-1, v*v, 4), v / 2, of their doubled values v; U+ and V+ as
+    each unit entry sign * sqrt(a/b) of block (i, j) times the block's square
+    x/y, the root sign * sqrt(a*x / (b*y)).  For q > p the raising and Cartan
+    matrices are the (q, p) ones flipped, and each lowering matrix is its
+    raising partner's transpose."""
+    hi, lo = max(p, q), min(p, q)
+    d = dimension(hi, lo)
+    mats = {"Tp": RadMatrix.from_entries(d, [
+        (off + r, off + c, sign, a, b)
+        for off, two_s in zip(block_offsets(hi, lo), tspin_list(hi, lo))
+        for r, c, sign, a, b in spin_entries(two_s)])}
+    doubled = {"T3": [], "U3": []}
+    for two_s, two_lead in zip(tspin_list(hi, lo), u3_leads(hi, lo)):
+        doubled["T3"] += range(two_s, -two_s - 1, -2)
+        doubled["U3"] += range(two_lead, two_lead + two_s + 1)
+    for name, values in doubled.items():
+        mats[name] = RadMatrix.from_entries(d, [(k, k, 1 if v > 0 else -1, v * v, 4)
+                                                for k, v in enumerate(values)])
+    squares = block_unknown_squares(hi, lo)
+    units = unit_raising_blocks(hi, lo, ("Up", "Vp"))
+    for name in ("Up", "Vp"):
+        mats[name] = RadMatrix.from_entries(d, [
+            (r, c, sign, a * squares[key].numerator, b * squares[key].denominator)
+            for key, runs in units for r, c, sign, a, b in run_entries(runs[name])])
+    if q > p:
+        mats = {name: m.transpose(-1) for name, m in mats.items()}
+    mats.update((minus, mats[plus].transpose()) for plus, minus in LADDER_PAIRS.items())
+    return mats
+
+
+def _stored_form_mismatches(p, q):
+    """(names asked for, name) wherever ``build_matrices(p, q, names)`` stores
+    another ``den`` or ``_terms`` than ``_from_entries_reference``, for all
+    eight names and for each name alone; [] when every stored form agrees."""
+    reference = _from_entries_reference(p, q)
+    return [(names, name)
+            for names in [MATRIX_NAMES] + [(name,) for name in MATRIX_NAMES]
+            for name, mat in build_matrices(p, q, names).items()
+            if (mat.den, mat._terms) != (reference[name].den, reference[name]._terms)]
+
+
 # every p >= q irrep with d < 300, and the sweep's q > p spot checks
 _ASSEMBLY_LABELS = list(labels_below(300)) + [(0, 1), (1, 2), (2, 3), (3, 5)]
 
 
 class TestAssemblyMatchesReference:
+    @pytest.mark.parametrize("p,q", sorted(set(labels_below(300))
+                                           | {(q, p) for p, q in labels_below(300)}))
+    def test_stored_forms_equal_the_from_entries_reference(self, p, q):
+        assert _stored_form_mismatches(p, q) == []
+
     @pytest.mark.parametrize("p,q", _ASSEMBLY_LABELS)
     def test_eight_matrices(self, p, q):
         built = build_generator_set(p, q).matrices()
@@ -93,22 +143,21 @@ class TestAssemblyMatchesReference:
     def test_unit_blocks_scaled_by_roots(self, p, q):
         d = dimension(p, q)
         squares = block_unknown_squares(p, q)
-        units = unit_raising_blocks(p, q)
-        assert [key for key, _, _ in units] == [(i, j) for i, j, _ in admissible_blocks(p, q)]
+        units = unit_raising_blocks(p, q, ("Up", "Vp"))
+        assert [key for key, _ in units] == [(i, j) for i, j, _ in admissible_blocks(p, q)]
         built = build_raising(p, q, squares, ("Up", "Vp"))
         assert list(built) == ["Up", "Vp"]
-        up, vp = built["Up"], built["Vp"]
         roots = {}  # sqrt(x) * I by x, entry by entry
-        for x in {squares[unit[0]] for unit in units}:
+        for x in {squares[key] for key, _ in units}:
             roots[x], root = RadMatrix(d), sqrt_of_rational(x)
             for k in range(d):
                 roots[x].put(k, k, root)
-        for built, part in ((up, 1), (vp, 2)):
+        for name, mat in built.items():
             total = _combine([(1, RadMatrix(d))] + [  # the zero term sizes a sum of no blocks
-                (1, RadMatrix.from_entries(d, unit[part]), roots[squares[unit[0]]])
-                for unit in units])
-            assert total == built
-            assert list(total.items()) == list(built.items())
+                (1, RadMatrix.from_entries(d, run_entries(runs[name])), roots[squares[key]])
+                for key, runs in units])
+            assert total == mat
+            assert list(total.items()) == list(mat.items())
 
 
 class TestTMatrices:

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from su3rep import RadicalSum, build_generator_set, sqrt_of_rational
 from su3rep.matrices import RadMatrix, _combine, _combine_all
+from su3rep.radical import split_square
 
 # Small coefficients and radicands that are not all square-free (8 = 4*2,
 # 12 = 4*3), so that entries and their products cancel often.
@@ -554,6 +555,41 @@ class TestFromEntries:
     def test_repeated_position_raises(self, second):
         with pytest.raises(ValueError, match=r"\(0, 1\) given twice"):
             RadMatrix.from_entries(2, [(0, 1, 1, 2, 1), second])
+
+    @pytest.mark.parametrize("r,c", [(2, 0), (0, 2), (-1, 0), (0, -1)])
+    def test_from_roots_out_of_range_raises_like_from_entries(self, r, c):
+        for build in (RadMatrix.from_entries, RadMatrix.from_roots):
+            with pytest.raises(IndexError, match=rf"\({r}, {c}\) outside 2x2"):
+                build(2, [(0, 0, 1, 1, 1), (r, c, 1, 1, 1)])
+
+    @pytest.mark.parametrize("second", [(0, 1, 1, 2, 1), (0, 1, 3, 1, 2), (0, 1, 0, 1, 1)])
+    def test_from_roots_repeated_position_raises(self, second):
+        # (0, 1, 0, 1, 1) is a zero entry: it still claims its cell
+        with pytest.raises(ValueError, match=r"\(0, 1\) given twice"):
+            RadMatrix.from_roots(2, [(0, 1, 1, 2, 1), second])
+        with pytest.raises(ValueError, match=r"\(0, 1\) given twice"):
+            RadMatrix.from_roots(2, [second, (0, 1, 1, 2, 1)])
+
+    @given(st.lists(st.tuples(st.integers(-1, 2), st.integers(-1, 2), st.sampled_from([1, -1]),
+                              st.integers(0, 30), st.integers(1, 12)), max_size=6))
+    def test_from_roots_raises_or_stores_as_from_entries(self, entries):
+        # the first bad entry in order decides the error, whichever constructor
+        roots = [(r, c, sign * k, m, b) for r, c, sign, a, b in entries
+                 for k, m in [split_square(a * b) if a else (0, 1)]]
+        outcomes = []
+        for build, given_entries in ((RadMatrix.from_entries, entries),
+                                     (RadMatrix.from_roots, roots)):
+            try:
+                mat = build(2, given_entries)
+                outcomes.append((mat.den, mat._terms))
+            except (IndexError, ValueError) as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
+
+    def test_from_roots_takes_split_roots_as_given(self):
+        # (2/3) sqrt(6) and -5/4 at (1, 1): den is the lcm of the b's, 12
+        mat = RadMatrix.from_roots(2, [(0, 1, 2, 6, 3), (1, 1, -5, 1, 4), (1, 0, 0, 7, 5)])
+        assert mat.den == 12 and mat._terms == {(6 * 2 + 1) * 2 + 0: 8, (1 * 2 + 1) * 2 + 1: -15}
 
     @given(st.dictionaries(_positions, st.tuples(
         st.sampled_from([1, -1]), st.integers(0, 30), st.integers(1, 12)), max_size=8))

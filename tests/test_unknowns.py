@@ -8,7 +8,7 @@ from su3rep.generators import unit_raising_blocks
 from su3rep.structure import _block_table, block_offsets, state_labels
 from su3rep.unknowns import shift_minus_square, shift_plus_square
 
-from conftest import labels_below
+from conftest import labels_below, run_entries
 
 
 class TestKnownMaps:
@@ -126,11 +126,12 @@ class TestClosedFormIdentities:
                       for alpha in range(two_s + 1)]
             for (a, b, alpha), lbl in zip(states, state_labels(p, q)):
                 assert (lbl.two_u3, lbl.two_sigma) == (a - 2 * b - p + q + alpha, a + b - 2 * alpha)
-            blocks = zip(admissible_blocks(p, q), unit_raising_blocks(p, q))
-            for (i, j, shift), (key, unit_u, unit_v) in blocks:
+            blocks = zip(admissible_blocks(p, q), unit_raising_blocks(p, q, ("Up", "Vp")))
+            for (i, j, shift), (key, runs) in blocks:
                 assert key == (i, j)
                 side = 0 if shift == -1 else 1
-                for relation, entries in (("U", unit_u), ("V", unit_v)):
+                for relation, name in (("U", "Up"), ("V", "Vp")):
+                    entries = run_entries(runs[name])
                     for end, block in enumerate((i, j)):  # the row side, then the column
                         got = {entry[end]: Fraction(entry[3], entry[4]) for entry in entries}
                         assert len(got) == len(entries), (p, q, key, relation)

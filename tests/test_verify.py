@@ -189,10 +189,9 @@ class TestOracle:
     def test_no_equations_is_an_error_not_a_guess(self, monkeypatch):
         # a copy of the last block under a new key: every equation holds the
         # two squares only as their sum, so neither is determined
-        def doubled(p, q):
-            units = generators.unit_raising_blocks(p, q)
-            _, u_entries, v_entries = units[-1]
-            return units + [((0, 0), u_entries, v_entries)]
+        def doubled(p, q, names):
+            units = generators.unit_raising_blocks(p, q, names)
+            return units + [((0, 0), units[-1][1])]
 
         monkeypatch.setattr("su3rep.verify.unit_raising_blocks", doubled)
         with pytest.raises(ConsistencyError, match="underdetermined"):
@@ -200,10 +199,11 @@ class TestOracle:
 
     def test_raised_v_unit_entry_is_inconsistent(self, monkeypatch):
         # one V+ unit square off by 1/b: no squares solve both diagonals
-        def raised(p, q):
-            units = generators.unit_raising_blocks(p, q)
-            key, u_entries, ((r, c, sign, a, b), *rest) = units[0]
-            units[0] = (key, u_entries, [(r, c, sign, a + 1, b), *rest])
+        def raised(p, q, names):
+            units = generators.unit_raising_blocks(p, q, names)
+            key, runs = units[0]
+            row, col, sign, (a, *rest), b = runs["Vp"]
+            units[0] = (key, {**runs, "Vp": (row, col, sign, [a + 1, *rest], b)})
             return units
 
         monkeypatch.setattr("su3rep.verify.unit_raising_blocks", raised)
@@ -217,10 +217,12 @@ class TestOracle:
         # commutator check is what catches the sign
         original = generators.unit_raising_blocks
 
-        def flipped(p, q):
-            units = original(p, q)
-            key, u_entries, v_entries = units[0]
-            units[0] = (key, u_entries, [(r, c, -sign, a, b) for r, c, sign, a, b in v_entries])
+        def flipped(p, q, names):
+            units = original(p, q, names)
+            key, runs = units[0]
+            if "Vp" in runs:
+                row, col, sign, nums, b = runs["Vp"]
+                units[0] = (key, {**runs, "Vp": (row, col, -sign, nums, b)})
             return units
 
         monkeypatch.setattr(generators, "unit_raising_blocks", flipped)
@@ -759,6 +761,16 @@ class TestSerreWorkCounts:
             check_commutators(bad)
         # T+ is not T-'s transpose, so T-'s rows are not derived from T+'s read
         assert [_name_of(mats, m) for m in walks["shift_residual"]] == ["Tm", "Tm"]
+
+    def test_failed_cartan_row_walks_its_matrix_once(self):
+        # each of T-'s two rows fails, and its residual is built in the walk
+        # that finds the offending term
+        bad = _one_entry_at_a_wrong_weight(build_generator_set(3, 2), "Tm")
+        mats = bad.matrices()
+        with _walks() as walks:
+            check_commutators(bad)
+        assert [name for name, ms in walks.items() for m in ms if m is mats["Tm"]] == [
+            "shift_residual", "shift_residual"]
 
     @pytest.mark.parametrize("p,q", [(5, 3), (3, 5)])
     def test_clean_set_hands_the_kernel_four_groups(self, p, q):
