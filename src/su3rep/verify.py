@@ -95,7 +95,7 @@ import math
 import os
 import time
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -360,9 +360,9 @@ def _structure_lines(mats: Mapping[str, RadMatrix], hypotheses: _Hypotheses) -> 
 # ---------------------------------------------------------------------------
 # Brute-force oracle for the block unknowns
 
-# The oracle's default size bound.  oracle_solve(20, 10), d = 3696, takes 0.10
-# to 0.15 s, and all 150 p >= q irreps with d < 1000 1.4 to 1.5 s (best of 5,
-# over runs on a shared 2-CPU Linux x86-64 machine, CPython 3.11.7).
+# The oracle's default size bound.  oracle_solve(20, 10), d = 3696, takes 0.037
+# to 0.042 s, and all 150 p >= q irreps with d < 1000 0.44 to 0.49 s (best of
+# 5, over runs on a shared 2-CPU Linux x86-64 machine, CPython 3.11.7).
 ORACLE_MAX_DIM = 4000
 
 
@@ -391,8 +391,21 @@ def _primitive(row: dict[int, int], rhs: int, lead: int) -> tuple[dict[int, int]
     return {v: c // g for v, c in row.items()}, rhs // g
 
 
+def _holds_at_solution(row: dict[int, int], rhs: int, solved: dict[int, tuple[int, int]]) -> bool:
+    """Whether row . x = rhs at x_v = r/c, (r, c) = solved[v] for each v of
+    row: sum of coeff * r * (L/c) = rhs * L, L the lcm of the c's, grown term by term."""
+    total, scale = 0, 1
+    for v, coeff in row.items():
+        r, c = solved[v]
+        if scale % c:
+            g = c // math.gcd(scale, c)
+            total, scale = total * g, scale * g
+        total += coeff * r * (scale // c)
+    return total == rhs * scale
+
+
 def _rref_solve(
-    rows: list[tuple[dict[int, int], int]], nvars: int
+    rows: Iterable[tuple[dict[int, int], int]], nvars: int
 ) -> tuple[list[Fraction | None], list[int]]:
     """Exact sparse Gauss-Jordan on integer equations; returns per-variable
     solutions (None if free) and the list of free variable indices.  Raises
@@ -400,10 +413,18 @@ def _rref_solve(
 
     Each pivot row is primitive, positive at its pivot and 0 at every other
     pivot, so one pass over the pivots fully reduces a new row, and a
-    solution is one Fraction, rhs over the pivot coefficient.
+    solution is one Fraction, rhs over the coefficient of a one-term pivot
+    row (``solved``).  A row whose unknowns are all solved is checked at the
+    solution (``_holds_at_solution``): eliminated, it would reduce to 0 = 0
+    exactly when it holds there.
     """
     pivots: dict[int, tuple[dict[int, int], int]] = {}
+    solved: dict[int, tuple[int, int]] = {}
     for row, rhs in rows:
+        if row.keys() <= solved.keys():
+            if not _holds_at_solution(row, rhs, solved):
+                raise ConsistencyError("oracle equations are inconsistent")
+            continue
         row = {v: c for v, c in row.items() if c}
         for var in [v for v in row if v in pivots]:
             row, rhs = _eliminate(row, rhs, var, *pivots[var])
@@ -415,30 +436,29 @@ def _rref_solve(
         row, rhs = _primitive(row, rhs, new)
         for var, (prow, prhs) in pivots.items():
             if new in prow:
-                pivots[var] = _primitive(*_eliminate(prow, prhs, new, row, rhs), var)
+                prow, prhs = pivots[var] = _primitive(*_eliminate(prow, prhs, new, row, rhs), var)
+                if len(prow) == 1:
+                    solved[var] = prhs, prow[var]
         pivots[new] = (row, rhs)
-    solution: list[Fraction | None] = [None] * nvars
-    free = []
-    for var in range(nvars):
-        if var in pivots and len(pivots[var][0]) == 1:
-            solution[var] = Fraction(pivots[var][1], pivots[var][0][var])
-        else:
-            free.append(var)  # no pivot, or one entangled with a free variable
-    return solution, free
+        if len(row) == 1:
+            solved[new] = rhs, row[new]
+    # a free variable has no pivot, or one entangled with another free one
+    return ([Fraction(*solved[v]) if v in solved else None for v in range(nvars)],
+            [v for v in range(nvars) if v not in solved])
 
 
-def _diagonal_terms(p: int, q: int) -> tuple[list[tuple[int, int]], dict]:
-    """The block keys, and (relation, state) -> [(block index, a, b), ...]:
-    x_k * a/b on the diagonal of [U+,U-] (relation 0) or [V+,V-] (relation 1);
-    a block has at most one entry in a row or column, never both for a state."""
+def _diagonal_terms(p: int, q: int) -> tuple[list[tuple[int, int]], list[list]]:
+    """The block keys, and at 2 * state + relation [(k, a, b), ...]: x_k * a/b
+    on the diagonal of [U+,U-] (relation 0) or [V+,V-] (relation 1); a block
+    has at most one entry in a row or column, never both for a state."""
     units = unit_raising_blocks(p, q, ("Up", "Vp"))
-    terms: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    terms: list[list[tuple[int, int, int]]] = [[] for _ in range(2 * dimension(p, q))]
     for k, (_, runs) in enumerate(units):
         for relation, name in enumerate(("Up", "Vp")):
             row, col, _, nums, b = runs[name]
             for t, a in enumerate(nums):
-                terms.setdefault((relation, row + t), []).append((k, a, b))
-                terms.setdefault((relation, col + t), []).append((k, -a, b))
+                terms[2 * (row + t) + relation].append((k, a, b))
+                terms[2 * (col + t) + relation].append((k, -a, b))
     return [key for key, _ in units], terms
 
 
@@ -451,13 +471,15 @@ def oracle_solve(p: int, q: int, max_dim: int = ORACLE_MAX_DIM) -> dict[tuple[in
     sign * sqrt(a_t/b) at (row + t, col + t).  Each position lies in one
     block, so entry (s, s) of X+ X+^T - X+^T X+ is the sum over k of x_k
     times the a/b of block k's unit entries in row s minus those in column
-    s: linear in the x_k, rational, with no cross terms and no radicals.  The diagonals
-    of [U+,U-] = 2 U3 and [V+,V-] = 2 U3 + 2 T3 give two such equations per
-    state, each scaled to integers by the lcm of its b's and solved in
-    integers.  Nothing else is added: a square these equations leave free
-    is an error, never a guess.  Signs do not enter, so the relative signs
-    of the U+ and V+ unit entries and T-'s radicals are not the oracle's to
-    test: ``check_commutators`` proves them on every assembled set.
+    s: linear in the x_k, rational, with no cross terms and no radicals.  The
+    diagonals of [U+,U-] = 2 U3 and [V+,V-] = 2 U3 + 2 T3 give two such
+    equations per state, each scaled to integers by the lcm of its b's and
+    solved in integers as it is built; one whose unknowns are all solved is
+    checked by substitution.  Nothing else is added: a square these
+    equations leave free is an error, never a guess.  Signs do not enter, so
+    the relative signs of the U+ and V+ unit entries and T-'s radicals are
+    not the oracle's to test: ``check_commutators`` proves them on every
+    assembled set.
     """
     d = dimension(p, q)
     if p < q:
@@ -466,13 +488,10 @@ def oracle_solve(p: int, q: int, max_dim: int = ORACLE_MAX_DIM) -> dict[tuple[in
         raise ValueError(f"oracle_solve is desk-scale only (d = {d} > {max_dim})")
 
     blocks, terms = _diagonal_terms(p, q)  # the unit entry lists are freed here
-    equations = []
-    for s, lbl in enumerate(state_labels(p, q)):
-        for relation, rhs in enumerate((lbl.two_u3, lbl.two_u3 + lbl.two_sigma)):
-            found = terms.pop((relation, s), [])
-            scale = math.lcm(*(b for _, _, b in found))
-            row = {k: a * (scale // b) for k, a, b in found}
-            equations.append((row, rhs * scale))
+    sides = (rhs for lbl in state_labels(p, q) for rhs in (lbl.two_u3, lbl.two_u3 + lbl.two_sigma))
+    equations = (({k: a * (scale // b) for k, a, b in found}, rhs * scale)
+                 for found, rhs in zip(terms, sides)
+                 for scale in [math.lcm(*[b for _, _, b in found])])
 
     solution, free = _rref_solve(equations, len(blocks))
     if free:

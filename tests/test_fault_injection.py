@@ -10,18 +10,24 @@ Some shortcuts settle only lines that another line, computed either way,
 already fails on every wrong set: a wrong weight read or a lowering matrix
 at a wrong weight also breaks a product, the adjointness test or the weight
 certificate.  Their cases assert instead that the lines the shortcut settles
-read exact under the fault and fail without it."""
+read exact under the fault and fail without it.
+
+The oracle's shortcut, checking an equation whose unknowns are all solved by
+substitution, has its own case: under its fault a shifted right-hand side
+must go unseen, and without it must raise."""
 
 import dataclasses
 from unittest import mock
 
 import pytest
 
-from su3rep import RadicalSum, RelationCheck, build_generator_set, verify_irrep
+from su3rep import (ConsistencyError, RadicalSum, RelationCheck, build_generator_set,
+                    oracle_solve, verify_irrep)
 from su3rep import verify as verify_module
 from su3rep.generators import LADDER_PAIRS
 from su3rep.matrices import RadMatrix
-from test_verify import _HYPOTHESIS_CONTROLS, _added, _one_entry_at_a_wrong_weight, _scaled
+from test_verify import (_HYPOTHESIS_CONTROLS, _added, _one_entry_at_a_wrong_weight, _scaled,
+                         _shifted_labels)
 
 
 def _v_minus_first_entry_doubled(p, q):
@@ -144,3 +150,16 @@ def test_fault_passes_the_lines_its_shortcut_settles(case):
     with mock.patch.object(target, attr, fault):
         lines = _lines(_verify(gs), stems)
     assert len(lines) == len(stems) and all(r.exact for r in lines)
+
+
+@pytest.mark.parametrize("p,q", [(2, 1), (3, 3)])
+def test_substitution_check_forced_to_pass_lets_a_shifted_state_through(p, q):
+    # 2 U3 off by one at the last state, whose equations the oracle settles
+    # by substitution: with that check always passing, it returns squares
+    clean = oracle_solve(p, q)
+    with mock.patch.object(verify_module, "state_labels",
+                           return_value=_shifted_labels(p, q, -1)):
+        with pytest.raises(ConsistencyError, match="inconsistent"):
+            oracle_solve(p, q)
+        with mock.patch.object(verify_module, "_holds_at_solution", lambda *args: True):
+            assert oracle_solve(p, q) == clean

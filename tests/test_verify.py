@@ -231,15 +231,33 @@ class TestOracle:
         failures = [r.name for r in check_commutators(build_generator_set(p, q)).failures()]
         assert "[Tp,Up] = Vp" in failures
 
-    @pytest.mark.parametrize("p,q", [(1, 0), (2, 1), (3, 3)])
-    def test_shifted_right_hand_side_is_inconsistent(self, monkeypatch, p, q):
+    @pytest.mark.parametrize("p,q,state", [(1, 0, 0), (2, 1, 0), (3, 3, 0),
+                                           (1, 0, -1), (2, 1, -1), (3, 3, -1)],
+                             ids=["1-0", "2-1", "3-3", "1-0-last", "2-1-last", "3-3-last"])
+    def test_shifted_right_hand_side_is_inconsistent(self, monkeypatch, p, q, state):
         # 2 U3 off by one at a single state: [U+,U-] is traceless, so no
         # squares can solve the corrupted system
-        labels = verify_module.state_labels(p, q)
-        shifted = [dataclasses.replace(labels[0], two_u3=labels[0].two_u3 + 1)] + labels[1:]
-        monkeypatch.setattr("su3rep.verify.state_labels", lambda *_: shifted)
+        monkeypatch.setattr("su3rep.verify.state_labels", lambda *_: _shifted_labels(p, q, state))
+        verdicts, holds = [], verify_module._holds_at_solution
+
+        def recorded(*args):
+            verdicts.append(holds(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(verify_module, "_holds_at_solution", recorded)
         with pytest.raises(ConsistencyError, match="inconsistent"):
             oracle_solve(p, q)
+        if state == -1:
+            # every unknown is solved by the last state, so the substitution
+            # check is what raises
+            assert verdicts[-1] is False
+
+
+def _shifted_labels(p, q, state):
+    """``state_labels(p, q)`` with 2 U3 raised by one at one state."""
+    labels = state_labels(p, q)
+    labels[state] = dataclasses.replace(labels[state], two_u3=labels[state].two_u3 + 1)
+    return labels
 
 
 def _eq(coeffs, rhs):
@@ -283,6 +301,32 @@ class TestRrefSolve:
         rows = [_eq({0: 6, 1: 4}, 10), _eq({0: 6, 1: -4}, 2)]
         assert _rref_solve(rows, 2) == ([1, 1], [])
         assert _rref_solve([_eq({0: 6, 1: 4}, 10)], 2) == ([None, None], [0, 1])
+
+    def test_solved_unknown_checked_by_substitution(self):
+        # 2 x0 = 3 solves x0 = 3/2, at which 4 x0 = 6 holds and 4 x0 = 5 does not
+        assert _rref_solve([_eq({0: 2}, 3), _eq({0: 4}, 6)], 1) == ([Fraction(3, 2)], [])
+        with pytest.raises(ConsistencyError, match="inconsistent"):
+            _rref_solve([_eq({0: 2}, 3), _eq({0: 4}, 5)], 1)
+
+    def test_row_mixing_solved_and_unsolved_unknowns_pivots(self):
+        # x0 = 3/2 is substituted by elimination, and x1 pivots on what is left
+        rows = [_eq({0: 2}, 3), _eq({0: 4, 1: 3}, 12), _eq({0: 2, 1: 1}, 5)]
+        assert _rref_solve(rows, 2) == ([Fraction(3, 2), 2], [])
+        with pytest.raises(ConsistencyError, match="inconsistent"):
+            _rref_solve(rows[:2] + [_eq({0: 2, 1: 1}, 4)], 2)
+
+    def test_solved_rows_make_no_elimination(self):
+        # at (4,2), 93 of the 120 equations find every unknown solved and are
+        # checked by substitution; the other 27 make 50 eliminations, where
+        # eliminating every row made 294
+        with (mock.patch.object(verify_module, "_eliminate",
+                                wraps=verify_module._eliminate) as eliminate,
+              mock.patch.object(verify_module, "_holds_at_solution",
+                                wraps=verify_module._holds_at_solution) as holds):
+            assert compare_with_oracle(4, 2) == []
+        assert 2 * dimension(4, 2) == 120
+        assert holds.call_count == 93
+        assert eliminate.call_count == 50
 
     def test_inconsistent_only_after_integer_scaling(self):
         # 2x + 4y = 6 is x + 2y = 3, which 3x + 6y = 10 contradicts only
