@@ -9,6 +9,9 @@ a sweep bound above that default budget, included).
 All output is exact by default; --approx appends floating-point columns for
 human convenience.  Identical invocations produce byte-identical output
 (except the timing column of sweep).
+
+Only verify and sweep load su3rep.verify, inside their handlers, so importing
+this module and running generate, weights or unknowns never compile it.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from typing import TYPE_CHECKING
 
 from .generators import (
     GELL_MANN_NAMES,
@@ -28,7 +32,9 @@ from .matrices import RadMatrix
 from .radical import float_of_triples
 from .structure import dimension, weight_multiplicities
 from .unknowns import block_unknown_squares
-from .verify import CheckReport, casimir_eigenvalue, sweep, verify_irrep
+
+if TYPE_CHECKING:
+    from .verify import CheckReport
 
 
 def _nonnegative(text: str) -> int:
@@ -197,6 +203,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def render_report(report: CheckReport) -> str:
+    # imported here: generate, weights and unknowns never load su3rep.verify
+    from .verify import casimir_eigenvalue
+
     def exact_count(kind: str) -> str:
         checks = report.of_kind(kind).relations
         return f"{sum(1 for r in checks if r.exact)}/{len(checks)} exact"
@@ -216,6 +225,8 @@ def render_report(report: CheckReport) -> str:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import verify_irrep  # loaded on first use, as in render_report
+
     report = verify_irrep(args.p, args.q)
     sys.stdout.write(render_report(report))
     return 0 if report.passed else 1
@@ -226,6 +237,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return _usage_error(f"--max-d must be at least 2: no irrep has d < {args.max_d}")
     if args.max_d > DEFAULT_MAX_D + 1:
         return _usage_error(f"sweep --max-d is at most {DEFAULT_MAX_D + 1}, got {args.max_d}")
+    # loaded on first use, as in render_report, and before sweep forks its workers
+    from .verify import sweep
+
     summary = sweep(args.max_d, jobs=args.jobs)
     lines = ["p,q,d,commutators,casimir,structure,ms"]
     for row in summary.rows:

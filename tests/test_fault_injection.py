@@ -9,8 +9,10 @@ longer reaches it.
 Some shortcuts settle only lines that another line, computed either way,
 already fails on every wrong set: a wrong weight read or a lowering matrix
 at a wrong weight also breaks a product, the adjointness test or the weight
-certificate.  Their cases assert instead that the lines the shortcut settles
-read exact under the fault and fail without it.
+certificate; an off-diagonal T3 term also breaks [T+,T-] = 2 T3, and a
+set labelled with another irrep's weights fails their certificate.  Their
+cases assert instead that the lines the shortcut settles read exact under
+the fault and fail without it.
 
 The oracle's shortcut, checking an equation whose unknowns are all solved by
 substitution, has its own case: under its fault a shifted right-hand side
@@ -86,11 +88,49 @@ def _diagonal_ladder_pair(p, q):
                                t_minus=_added(gs.t_minus, 0, 0, 1))
 
 
+def _diagonal_ignoring_off_diagonal_keys(self):
+    """``RadMatrix.rational_diagonal`` with every off-diagonal key, one whose
+    col, (key // n) % n, is not its row, key % n, skipped."""
+    n = self.n
+    diag = [0] * n
+    for key, v in self._terms.items():
+        rest, r = divmod(key, n)
+        if rest % n == r:
+            if rest != n + r:  # an irrational diagonal term
+                return None
+            diag[r] = v
+    return diag
+
+
+def _t3_with_one_off_diagonal_term(p, q):
+    """(p, q) with 1 added at (1, 0) of T3: its diagonal is unchanged, and
+    [T+,T-] = 2 T3 fails either way."""
+    gs = build_generator_set(p, q)
+    return dataclasses.replace(gs, t_three=_added(gs.t_three, 1, 0, 1))
+
+
+_CHECK_CASIMIR = verify_module.check_casimir
+
+
+def _schur_whatever_the_weights(gs):
+    """check_casimir, which verify_irrep calls when it refuses the Schur step,
+    taking that step whenever the 28 rows hold."""
+    if verify_module.check_commutators(gs).passed:
+        eigen = verify_module.casimir_eigenvalue(gs.p, gs.q)
+        return RelationCheck(f"casimir = {eigen}", True, 0.0, kind="casimir")
+    return _CHECK_CASIMIR(gs)
+
+
 _RESCALED = _HYPOTHESIS_CONTROLS["T, U times 2; V, T3, U3 times 4"][0]
 # the 12 rows [h, X] = alpha X on a ladder matrix X, each settled by a read
 _LADDER_CARTAN_ROWS = [name for name, (a, b, _) in zip(verify_module._RELATION_NAMES,
                                                        verify_module.COMMUTATOR_TABLE)
                        if {a, b} & {"T3", "U3"} and {a, b} != {"T3", "U3"}]
+# T3's rows read off its diagonal, less its two T rows: whether an
+# off-diagonal term breaks those depends on where it sits
+_T3_DIAGONAL_ROWS = [name for name, (a, b, _) in zip(verify_module._RELATION_NAMES,
+                                                     verify_module.COMMUTATOR_TABLE)
+                     if a == "T3" and b not in ("Tp", "Tm")]
 
 # (patched object, attribute, fault, the set, the lines its shortcut settles),
 # each line named up to any " (violated ...)"
@@ -117,6 +157,21 @@ _LINE_CASES = {
     "ladder traces taken as zero, (3,2) with 1 at (0, 0) of T+ and T-": (
         RadMatrix, "trace", lambda self: RadicalSum(),
         lambda: _diagonal_ladder_pair(3, 2), ["F1..F8 traceless"]),
+    "off-diagonal keys ignored in the diagonal read, (3,2) with 1 at (1, 0) of T3": (
+        RadMatrix, "rational_diagonal", _diagonal_ignoring_off_diagonal_keys,
+        lambda: _t3_with_one_off_diagonal_term(3, 2),
+        _T3_DIAGONAL_ROWS + ["F1..F8 hermitian", "weights of (3, 2)"]),
+    "off-diagonal keys ignored in the diagonal read, (2,3) with 1 at (1, 0) of T3": (
+        RadMatrix, "rational_diagonal", _diagonal_ignoring_off_diagonal_keys,
+        lambda: _t3_with_one_off_diagonal_term(2, 3),
+        _T3_DIAGONAL_ROWS + ["F1..F8 hermitian", "weights of (2, 3)"]),
+    # both d = 15, with eigenvalues 28/3 and 16/3; the weights line fails either way
+    "Schur step taken whatever the weights say, (4,0) labelled (2,1)": (
+        verify_module, "check_casimir", _schur_whatever_the_weights,
+        lambda: dataclasses.replace(build_generator_set(4, 0), p=2, q=1), ["casimir = 16/3"]),
+    "Schur step taken whatever the weights say, (0,4) labelled (1,2)": (
+        verify_module, "check_casimir", _schur_whatever_the_weights,
+        lambda: dataclasses.replace(build_generator_set(0, 4), p=1, q=2), ["casimir = 16/3"]),
 }
 
 
