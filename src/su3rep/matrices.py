@@ -50,7 +50,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
-from .radical import RadicalSum, split_square
+from .radical import RadicalSum, float_of_triples, split_square
 
 _Scalar = Union[int, Fraction, RadicalSum]
 Entry = tuple[int, int, int, int, int]  # (row, col, sign, a, b): sign * sqrt(a/b)
@@ -239,8 +239,9 @@ class RadMatrix:
         return diag
 
     def shifts_hold(self, *reads: tuple[list[int], int, Fraction]) -> bool:
-        """Whether ``shift_residual(diag, den, alpha)`` is zero for every read
-        (diag, den, alpha), all tested in one walk that builds nothing."""
+        """Whether [D, self] = alpha * self, D = diag(diag) / den, for every read
+        (diag, den, alpha), in one walk that builds nothing: entry (r, c) of the
+        difference is (D_r - D_c - alpha) * self[r, c]."""
         n = self.n
         tests = [(diag, alpha.denominator, alpha.numerator * den) for diag, den, alpha in reads]
         for key in self._terms:
@@ -249,23 +250,6 @@ class RadMatrix:
                 if (diag[r] - diag[c]) * a_den != a_num:
                     return False
         return True
-
-    def shift_residual(self, diag: list[int], den: int, alpha: Fraction) -> "RadMatrix":
-        """[D, self] - alpha * self for D = diag(diag) / den, in one O(nnz) walk.
-
-        Entry (r, c) is (D_r - D_c - alpha) * self[r, c], so each stored term
-        is one integer comparison.  The residual is built only from the first
-        term that joins two states whose D differs by anything but alpha:
-        every term before it has factor zero."""
-        n, a_num, a_den = self.n, alpha.numerator * den, alpha.denominator
-        factors = ((key, v, (diag[key % n] - diag[key // n % n]) * a_den - a_num)
-                   for key, v in self._terms.items())
-        for key, v, factor in factors:
-            if factor:
-                residual = {key: v * factor}
-                residual.update((key, v * factor) for key, v, factor in factors)
-                return RadMatrix._raw(n, self.den * den * a_den, residual)
-        return RadMatrix(n)
 
     def trace(self) -> RadicalSum:
         # a diagonal term's cell c * n + r, c = r, is r * (n + 1)
@@ -280,7 +264,7 @@ class RadMatrix:
 
     def max_abs_float(self) -> float:
         """Largest |entry| in floating point; 0.0 for the zero matrix."""
-        return max((abs(v.to_float()) for _, _, v in self.items()), default=0.0)
+        return max((abs(float_of_triples(t)) for _, _, t in self.triple_items()), default=0.0)
 
     def __repr__(self) -> str:
         return f"RadMatrix(n={self.n}, nnz={self.nnz})"

@@ -21,8 +21,9 @@ read them in four steps.
   (h_r - h_c - alpha) X_rc, so the row holds iff every stored term of X joins
   two states whose h differs by alpha.  One walk of each X+ reads its T3 and
   U3 rows (``RadMatrix.shifts_hold``); X- = X+^T then needs none, as
-  [h, X-] = -([h, X+])^T; and [T3, U3] = 0 as both are diagonal.  Any other
-  row is read alone (``RadMatrix.shift_residual``).
+  [h, X-] = -([h, X+])^T, and any other X- takes its own walk; and
+  [T3, U3] = 0 as both are diagonal.  A row whose read fails, or that no
+  read settles, is computed by its product.
 - When those rows hold and each lowering matrix is the transpose of its
   raising partner (``RadMatrix.is_transpose_of``), four products remain:
   [T+,T-] = 2 T3, [U+,U-] = 2 U3, [T+,U-] = 0 and [T+,U+] = V+.  The first
@@ -50,8 +51,8 @@ read them in four steps.
 
 Every hypothesis is read off the matrices themselves.  When one fails (a
 T3 or U3 that is not rational and diagonal, a weight read, an adjoint test or
-one of the four products), the rows it would have settled are computed as
-products instead, so every reported residual is that row's own.
+one of the four products), the rows it would have settled are computed with
+every other unsettled row in one kernel call, so each residual is its own.
 
 ``verify_irrep`` takes the Schur step on the set it has just built.  When
 that set's 28 rows all hold exactly, the matrices carry a representation of
@@ -72,8 +73,9 @@ lowering matrix is its raising partner's transpose (its adjoint is
 conj(c) X+^T + c X-^T, itself), is hermitian by the hypotheses; any other
 row's S is summed and tested with ``RadMatrix.is_transpose_of``, so every
 offender is that row's own.  The trace of S is the sum of c tr(X): T3's and
-U3's diagonal sums when every ladder's reads hold (alpha != 0 in its T3 row,
-so it stores no diagonal term), and otherwise the eight traces, O(nnz).
+U3's diagonal sums when they are rational diagonals, 0 for a ladder whose
+reads hold (alpha != 0 in its T3 row, so it stores no diagonal term), and
+otherwise that matrix's trace, O(nnz).
 (That each Fk lies in the part its row names needs no line:
 ``gell_mann_matrix`` leaves the other part zero whatever its input.)
 
@@ -199,7 +201,6 @@ _RELATION_NAMES = tuple(_relation_name(*row) for row in COMMUTATOR_TABLE)
 # (X, h) -> alpha in the Cartan row [h, X] = alpha X of each ladder matrix X
 _SHIFTS = {(x, h): sign * c for a, b, rhs in COMMUTATOR_TABLE for c, x in rhs
            for h, sign in ((a, 1), (b, -1)) if h in ("T3", "U3")}
-_LADDERS = frozenset(LADDER_PAIRS) | frozenset(LADDER_PAIRS.values())
 
 
 @dataclass(frozen=True)
@@ -208,7 +209,8 @@ class _Hypotheses:
     T3's and U3's numerators when each stores only rational diagonal terms
     (None otherwise), the raising names in ``LADDER_PAIRS`` whose lowering
     partner is their transpose (a rational diagonal T3 or U3 is its own
-    transpose), and the ladder matrices whose T3 and U3 rows the reads settle."""
+    transpose), and the ladder matrices whose T3 and U3 rows hold.  A lowering
+    matrix that is not its raising partner's transpose takes its own walk."""
 
     diagonals: dict[str, list[int] | None]
     adjoint: frozenset[str]
@@ -218,32 +220,20 @@ class _Hypotheses:
     def read(cls, mats: Mapping[str, RadMatrix]) -> "_Hypotheses":
         diagonals = {h: mats[h].rational_diagonal() for h in ("T3", "U3")}
         adjoint = frozenset(x for x, y in LADDER_PAIRS.items() if mats[x].is_transpose_of(mats[y]))
-        held = [] if None in diagonals.values() else [
-            x for x in LADDER_PAIRS
-            if mats[x].shifts_hold(*[(d, mats[h].den, _SHIFTS[x, h]) for h, d in diagonals.items()])]
-        held += [LADDER_PAIRS[x] for x in held if x in adjoint]  # [h, X-] = -([h, X+])^T
+
+        def holds(x: str) -> bool:
+            return None not in diagonals.values() and mats[x].shifts_hold(
+                *[(d, mats[h].den, _SHIFTS[x, h]) for h, d in diagonals.items()])
+
+        held = [x for x in LADDER_PAIRS if holds(x)]
+        # [h, X-] = -([h, X+])^T when X- = X+^T; any other X- takes its own walk
+        held += [y for x, y in LADDER_PAIRS.items() if (x in held if x in adjoint else holds(y))]
         return cls(diagonals, adjoint, frozenset(held))
-
-
-def _weight_read(mats: dict[str, RadMatrix], hypotheses: _Hypotheses,
-                 a: str, b: str, rhs: tuple[tuple[Fraction, str], ...]) -> RadMatrix | None:
-    """The residual of [a,b] = rhs read off a rational diagonal operand h in
-    O(nnz), when rhs names only the other operand x: [h,x] - alpha x, or
-    [x,h] - alpha x = [-h,x] - alpha x; zero with no walk when x is in
-    ``hypotheses.shifts`` or diagonal too.  None when no operand qualifies."""
-    for h, x, sign in ((a, b, 1), (b, a, -1)):
-        diag = hypotheses.diagonals.get(h)
-        if diag is not None and {key for _, key in rhs} <= {x}:
-            if x in hypotheses.shifts or not rhs and hypotheses.diagonals.get(x) is not None:
-                return RadMatrix(len(diag))
-            alpha = sum((c for c, _ in rhs), Fraction(0))
-            return mats[x].shift_residual([sign * v for v in diag], mats[h].den, alpha)
-    return None
 
 
 def check_commutators(gs: GeneratorSet) -> CheckReport:
     """Evaluate all 28 commutation relations exactly: the Cartan rows by
-    weight reads where T3 or U3 allows, the ladder rows by Chevalley's four
+    weight reads where T3 and U3 allow, the ladder rows by Chevalley's four
     relations when every hypothesis holds, and every other row by its product."""
     return _commutator_report(gs, _Hypotheses.read(gs.matrices()))
 
@@ -251,7 +241,11 @@ def check_commutators(gs: GeneratorSet) -> CheckReport:
 def _commutator_report(gs: GeneratorSet, hypotheses: _Hypotheses) -> CheckReport:
     """``check_commutators`` on hypotheses already read off gs."""
     mats = gs.matrices()
-    residuals = {k: _weight_read(mats, hypotheses, *COMMUTATOR_TABLE[k]) for k in _CARTAN_ROWS}
+    # a Cartan row holds by the reads when T3 and U3 are rational diagonals
+    # and every ladder operand's reads hold ([T3,U3] has none)
+    rational = None not in hypotheses.diagonals.values()
+    residuals = {k: RadMatrix(gs.dim) for k in _CARTAN_ROWS
+                 if rational and {*COMMUTATOR_TABLE[k][:2]} <= hypotheses.shifts | {"T3", "U3"}}
 
     def computed(ks: tuple[int, ...]) -> dict[int, RadMatrix]:
         return dict(zip(ks, _combine_all(
@@ -259,15 +253,14 @@ def _commutator_report(gs: GeneratorSet, hypotheses: _Hypotheses) -> CheckReport
             for a, b, rhs in (COMMUTATOR_TABLE[k] for k in ks)
         )))
 
-    if (all(r is not None and r.is_zero() for r in residuals.values())
-            and hypotheses.adjoint == set(LADDER_PAIRS)):
+    if len(residuals) == len(_CARTAN_ROWS) and hypotheses.adjoint == set(LADDER_PAIRS):
         residuals.update(computed(_CHEVALLEY_ROWS))
         if all(residuals[k].is_zero() for k in _CHEVALLEY_ROWS):
             # the sl(2)-module argument, then Serre's theorem
             residuals.update((k, RadMatrix(gs.dim)) for k in _DERIVED_ROWS)
     # every row no hypothesis settled: the 11 derived rows when a Chevalley
-    # product fails, or the 15 ladder rows (and any unread Cartan row)
-    unsettled = tuple(k for k in range(len(COMMUTATOR_TABLE)) if residuals.get(k) is None)
+    # product fails, or the 15 ladder rows and every unsettled Cartan row
+    unsettled = tuple(k for k in range(len(COMMUTATOR_TABLE)) if k not in residuals)
     if unsettled:
         residuals.update(computed(unsettled))
     checks = tuple(_relation_check("commutator", name, residuals[k])
@@ -338,9 +331,9 @@ def _structure_lines(mats: Mapping[str, RadMatrix], hypotheses: _Hypotheses) -> 
     rational = {h for h, diag in hypotheses.diagonals.items() if diag is not None}
     pairs = [{x, LADDER_PAIRS[x]} for x in hypotheses.adjoint]
     # alpha != 0 in each T3 row, so a held ladder stores no diagonal term: trace 0
-    traces = ({name: Fraction(sum(hypotheses.diagonals.get(name, ())), m.den)
-               for name, m in mats.items()} if hypotheses.shifts == _LADDERS
-              else {name: m.trace() for name, m in mats.items()})
+    traces = {name: Fraction(sum(diag), m.den) if diag is not None
+              else 0 if name in hypotheses.shifts else m.trace()
+              for name, m in mats.items() for diag in [hypotheses.diagonals.get(name)]}
     herm_bad, trace_bad = [], []
     for k, (part, _, terms) in GELL_MANN_TABLE.items():
         names = {name for _, name in terms}

@@ -109,6 +109,16 @@ def _t3_with_one_off_diagonal_term(p, q):
     return dataclasses.replace(gs, t_three=_added(gs.t_three, 1, 0, 1))
 
 
+_STRUCTURE_LINES = verify_module._structure_lines
+
+
+def _every_row_hermitian(mats, hypotheses):
+    """``_structure_lines`` with every ladder pair taken as adjoint, so that
+    on a set whose T3 and U3 are rational diagonals every ``GELL_MANN_TABLE``
+    row is hermitian by the hypotheses and no S is tested."""
+    return _STRUCTURE_LINES(mats, dataclasses.replace(hypotheses, adjoint=frozenset(LADDER_PAIRS)))
+
+
 _CHECK_CASIMIR = verify_module.check_casimir
 
 
@@ -149,10 +159,21 @@ _LINE_CASES = {
         verify_module._Hypotheses, "read", _lowering_rows_without_adjointness,
         lambda: _one_entry_at_a_wrong_weight(build_generator_set(2, 3), "Vm"),
         ["[U3,Vm] = -1/2*Vm"]),  # its T3 shift is V-'s: that row holds
-    "Cartan rows read alone as zero, (3,2) with T- alone at a wrong weight": (
-        RadMatrix, "shift_residual", lambda self, *args: RadMatrix(self.n),
+    # T- and V- are not their partners' transposes, so each takes its own read
+    "lowering read always holds, (3,2) with T- alone at a wrong weight": (
+        RadMatrix, "shifts_hold", lambda *args: True,
         lambda: _one_entry_at_a_wrong_weight(build_generator_set(3, 2), "Tm"),
         ["[T3,Tm] = -Tm", "[Tm,U3] = -1/2*Tm"]),
+    "lowering read always holds, (2,3) with V- alone at a wrong weight": (
+        RadMatrix, "shifts_hold", lambda *args: True,
+        lambda: _one_entry_at_a_wrong_weight(build_generator_set(2, 3), "Vm"),
+        ["[U3,Vm] = -1/2*Vm"]),
+    "every F row hermitian by the hypotheses, (3,2) with V- doubled at its first entry": (
+        verify_module, "_structure_lines", _every_row_hermitian,
+        lambda: _v_minus_first_entry_doubled(3, 2), ["F1..F8 hermitian"]),
+    "every F row hermitian by the hypotheses, (2,3) with V- doubled at its first entry": (
+        verify_module, "_structure_lines", _every_row_hermitian,
+        lambda: _v_minus_first_entry_doubled(2, 3), ["F1..F8 hermitian"]),
     # T3 and U3 are traceless here, so only the ladder traces change
     "ladder traces taken as zero, (3,2) with 1 at (0, 0) of T+ and T-": (
         RadMatrix, "trace", lambda self: RadicalSum(),

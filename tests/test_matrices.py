@@ -229,16 +229,15 @@ def _shift_cases(draw):
 
 
 @given(_shift_cases())
-def test_shift_residual_matches_commutator(drawn):
+def test_shifts_hold_matches_commutator(drawn):
     diag, x, alpha = drawn
     numerators = diag.rational_diagonal()
     assert numerators is not None
-    got = x.shift_residual(numerators, diag.den, alpha)
     want = _combine(((1, diag, x), (-1, x, diag), (-alpha, x)))
-    assert got == want
-    assert got.is_zero() == want.is_zero()
-    assert got.max_abs_float() == want.max_abs_float()
-    assert _stores_no_zero(got)
+    assert x.shifts_hold((numerators, diag.den, alpha)) == want.is_zero()
+    # no stored term can shift D by both alpha and alpha + 1
+    assert x.shifts_hold((numerators, diag.den, alpha),
+                         (numerators, diag.den, alpha + 1)) == x.is_zero()
 
 
 def test_rational_diagonal_reads_only_rational_diagonals():

@@ -640,7 +640,7 @@ def _groups_handed_to_kernel():
 def _walks():
     """Record the matrix each O(nnz) read outside the products walks, by method."""
     walks = {name: [] for name in ("rational_diagonal", "is_transpose_of", "shifts_hold",
-                                   "shift_residual", "trace")}
+                                   "trace")}
 
     def spy(name):
         original = getattr(RadMatrix, name)
@@ -706,23 +706,24 @@ def _one_entry_at_a_wrong_weight(gs, name):
 # product, a weight read or a rational diagonal; all but the two lowering
 # matrices alone keep adjointness.  The value is the work handed to
 # _combine_all: 4 Chevalley groups then the other 11 ladder rows, or all 15
-# ladder rows in one call (plus T3's 6 rows when T3 is irrational, since
-# [T3,U3] is still read off U3).  A lowering matrix alone is not its partner's
-# transpose, so its two Cartan rows are not derived: each is its own read.
+# ladder rows in one call with every Cartan row the reads do not settle: the
+# two of each ladder whose read fails, and all 13 when T3 is irrational.  A
+# lowering matrix alone is not its partner's transpose, so its two Cartan
+# rows are not derived: it takes its own read, and fails it.
 _HYPOTHESIS_CONTROLS = {
     "T3 + I": (lambda gs: _shifted(gs, "T3", 1), [4, 11]),
     "U3 + 2I": (lambda gs: _shifted(gs, "U3", 2), [4, 11]),
     "T+ and T- times 2": (lambda gs: _scaled(gs, {"Tp": 2, "Tm": 2}), [4, 11]),
     "V+ and V- times 2": (lambda gs: _scaled(gs, {"Vp": 2, "Vm": 2}), [4, 11]),
-    "ladder pair at a wrong weight shift": (_wrong_shift_pair, [15]),
+    "ladder pair at a wrong weight shift": (_wrong_shift_pair, [19]),
     # every Chevalley product holds; only the weight reads see alpha scaled by 4
     "T, U times 2; V, T3, U3 times 4": (
         lambda gs: _scaled(gs, {"Tp": 2, "Tm": 2, "Up": 2, "Um": 2,
-                                "Vp": 4, "Vm": 4, "T3": 4, "U3": 4}), [15]),
+                                "Vp": 4, "Vm": 4, "T3": 4, "U3": 4}), [27]),
     "sqrt 7 on a T3 diagonal entry": (lambda gs: _plus_sqrt7_at_first_entry(gs, "t_three"),
-                                      [21]),
-    "T- alone at a wrong weight": (lambda gs: _one_entry_at_a_wrong_weight(gs, "Tm"), [15]),
-    "V- alone at a wrong weight": (lambda gs: _one_entry_at_a_wrong_weight(gs, "Vm"), [15]),
+                                      [28]),
+    "T- alone at a wrong weight": (lambda gs: _one_entry_at_a_wrong_weight(gs, "Tm"), [17]),
+    "V- alone at a wrong weight": (lambda gs: _one_entry_at_a_wrong_weight(gs, "Vm"), [17]),
 }
 
 
@@ -792,7 +793,6 @@ class TestSerreWorkCounts:
             "rational_diagonal": ["T3", "U3"],
             "is_transpose_of": ["Tp", "Up", "Vp"],
             "shifts_hold": ["Tp", "Up", "Vp"],
-            "shift_residual": [],
             "trace": [],
         }
         assert sum(map(len, walks.values())) == 8
@@ -803,18 +803,26 @@ class TestSerreWorkCounts:
         mats = bad.matrices()
         with _walks() as walks:
             check_commutators(bad)
-        # T+ is not T-'s transpose, so T-'s rows are not derived from T+'s read
-        assert [_name_of(mats, m) for m in walks["shift_residual"]] == ["Tm", "Tm"]
+        # T+ is not T-'s transpose, so T-'s rows are not derived from T+'s
+        # read: T- takes one walk of its own
+        assert [_name_of(mats, m) for m in walks["shifts_hold"]] == ["Tp", "Up", "Vp", "Tm"]
 
-    def test_failed_cartan_row_walks_its_matrix_once(self):
-        # each of T-'s two rows fails, and its residual is built in the walk
-        # that finds the offending term
-        bad = _one_entry_at_a_wrong_weight(build_generator_set(3, 2), "Tm")
+    @pytest.mark.parametrize("p,q", [(3, 2), (2, 3)])
+    def test_failed_cartan_rows_join_the_ladder_rows_in_one_call(self, p, q):
+        # T-'s read fails, so its two Cartan rows are computed by their
+        # products, in the one kernel call that computes the 15 ladder rows
+        bad = _one_entry_at_a_wrong_weight(build_generator_set(p, q), "Tm")
         mats = bad.matrices()
-        with _walks() as walks:
-            check_commutators(bad)
-        assert [name for name, ms in walks.items() for m in ms if m is mats["Tm"]] == [
-            "shift_residual", "shift_residual"]
+        with _groups_handed_to_kernel() as calls:
+            report = check_commutators(bad)
+        assert _counts(calls) == [17]
+        rows = [(_name_of(mats, a), _name_of(mats, b)) for (_, a, b), *_ in calls[0]]
+        ladder = [(a, b) for a, b, _ in COMMUTATOR_TABLE if a in _LADDERS and b in _LADDERS]
+        assert sorted(rows) == sorted(ladder + [("T3", "Tm"), ("Tm", "U3")])
+        cartan = {name for name, (a, b, _) in zip(_RELATION_NAMES, COMMUTATOR_TABLE)
+                  if {a, b} & {"T3", "U3"}}
+        assert [r.name for r in report.failures() if r.name in cartan] == [
+            "[T3,Tm] = -Tm", "[Tm,U3] = -1/2*Tm"]
 
     @pytest.mark.parametrize("p,q", [(5, 3), (3, 5)])
     def test_clean_set_hands_the_kernel_four_groups(self, p, q):
