@@ -2,11 +2,12 @@
 
 Everything here is a zero test in exact radical arithmetic: the 28
 commutation relations, the quadratic Casimir identity, the structural
-requirements on the hermitian basis, and a brute-force solver for the block
+requirements on the hermitian basis, and an independent solver for the block
 unknowns.  The solver reads linear equations in the squared unknowns off the
 diagonals of [U+,U-] and [V+,V-], from the unit entries of the assembly walk
-and the state labels; it builds no matrix and knows nothing about the
-closed-form families.
+and the state labels, and solves them by one pass of substitution in reverse
+state order; it builds no matrix and knows nothing about the closed-form
+families.
 
 The commutators follow Serre's presentation of sl(3) (Serre 1966, Algebres
 de Lie semi-simples complexes; Humphreys, Introduction to Lie Algebras,
@@ -97,7 +98,7 @@ import math
 import os
 import time
 from collections import Counter
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -351,93 +352,58 @@ def _structure_lines(mats: Mapping[str, RadMatrix], hypotheses: _Hypotheses) -> 
 
 
 # ---------------------------------------------------------------------------
-# Brute-force oracle for the block unknowns
+# Independent oracle for the block unknowns
 
-# The oracle's default size bound.  oracle_solve(20, 10), d = 3696, takes 0.037
-# to 0.042 s, and all 150 p >= q irreps with d < 1000 0.44 to 0.49 s (best of
-# 5, over runs on a shared 2-CPU Linux x86-64 machine, CPython 3.11.7).
+# The oracle's default size bound.  oracle_solve(20, 10), d = 3696, takes 0.043
+# to 0.075 s, and all 150 p >= q irreps with d < 1000 0.70 to 0.91 s (best of
+# 5 to 7, over runs on a busy shared 2-CPU Linux x86-64 machine, CPython 3.11.7).
 ORACLE_MAX_DIM = 4000
 
 
-def _eliminate(row: dict[int, int], rhs: int, var: int, pivot: dict[int, int],
-               prhs: int) -> tuple[dict[int, int], int]:
-    """(row, rhs) with var eliminated by the pivot equation, fraction-free:
-    row * (pc/g) - pivot * (f/g) with f = row[var], pc = pivot[var] and
-    g = gcd(f, pc), zeros dropped."""
-    f = row.get(var)
-    if not f:
-        return row, rhs
-    pc = pivot[var]
-    g = math.gcd(f, pc)
-    a, b = pc // g, f // g
-    out = {v: c * a for v, c in row.items()}
-    for v, c in pivot.items():
-        out[v] = out.get(v, 0) - b * c
-    return {v: c for v, c in out.items() if c}, rhs * a - prhs * b
+def _remainder(row: dict[int, int], rhs: int,
+               solved: dict[int, tuple[int, int]]) -> tuple[int, int, list[int]]:
+    """(num, den, new): num/den = rhs - sum of c x_v over the solved unknowns
+    v of row, x_v = r/s for (r, s) = solved[v] and den the lcm of those s,
+    grown term by term; new lists the row's unsolved unknowns, c != 0."""
+    total, scale, new = rhs, 1, []
+    for v, c in row.items():
+        if v in solved:
+            r, s = solved[v]
+            if scale % s:
+                g = s // math.gcd(scale, s)
+                total, scale = total * g, scale * g
+            total -= c * r * (scale // s)
+        elif c:
+            new.append(v)
+    return total, scale, new
 
 
-def _primitive(row: dict[int, int], rhs: int, lead: int) -> tuple[dict[int, int], int]:
-    """(row, rhs) over the gcd of its entries and rhs, positive at lead."""
-    g = math.gcd(*row.values(), rhs)
-    if row[lead] < 0:
-        g = -g
-    return {v: c // g for v, c in row.items()}, rhs // g
+def _substitute(rows: Iterable[tuple[dict[int, int], int, str]], names: Sequence) -> list[Fraction]:
+    """Solve integer equations (row, rhs, where), row . x = rhs, in one pass
+    of back substitution, in the order given; names[v] names unknown v.
 
-
-def _holds_at_solution(row: dict[int, int], rhs: int, solved: dict[int, tuple[int, int]]) -> bool:
-    """Whether row . x = rhs at x_v = r/c, (r, c) = solved[v] for each v of
-    row: sum of coeff * r * (L/c) = rhs * L, L the lcm of the c's, grown term by term."""
-    total, scale = 0, 1
-    for v, coeff in row.items():
-        r, c = solved[v]
-        if scale % c:
-            g = c // math.gcd(scale, c)
-            total, scale = total * g, scale * g
-        total += coeff * r * (scale // c)
-    return total == rhs * scale
-
-
-def _rref_solve(
-    rows: Iterable[tuple[dict[int, int], int]], nvars: int
-) -> tuple[list[Fraction | None], list[int]]:
-    """Exact sparse Gauss-Jordan on integer equations; returns per-variable
-    solutions (None if free) and the list of free variable indices.  Raises
-    on inconsistency.
-
-    Each pivot row is primitive, positive at its pivot and 0 at every other
-    pivot, so one pass over the pivots fully reduces a new row, and a
-    solution is one Fraction, rhs over the coefficient of a one-term pivot
-    row (``solved``).  A row whose unknowns are all solved is checked at the
-    solution (``_holds_at_solution``): eliminated, it would reduce to 0 = 0
-    exactly when it holds there.
+    A row with one unsolved unknown (a stored zero is none) solves it, kept
+    as a reduced integer pair; a row with none is checked at the solution
+    (its ``_remainder`` is 0 exactly when it holds).  A row with two unsolved
+    unknowns, or an unknown that no row solves, raises: the oracle's
+    equations are triangular in reverse state order for every (p, q)
+    (tests/test_unknowns.py::TestReverseStateOrder), and nothing is guessed.
     """
-    pivots: dict[int, tuple[dict[int, int], int]] = {}
     solved: dict[int, tuple[int, int]] = {}
-    for row, rhs in rows:
-        if row.keys() <= solved.keys():
-            if not _holds_at_solution(row, rhs, solved):
-                raise ConsistencyError("oracle equations are inconsistent")
-            continue
-        row = {v: c for v, c in row.items() if c}
-        for var in [v for v in row if v in pivots]:
-            row, rhs = _eliminate(row, rhs, var, *pivots[var])
-        if not row:
-            if rhs:
-                raise ConsistencyError("oracle equations are inconsistent")
-            continue
-        new = min(row)
-        row, rhs = _primitive(row, rhs, new)
-        for var, (prow, prhs) in pivots.items():
-            if new in prow:
-                prow, prhs = pivots[var] = _primitive(*_eliminate(prow, prhs, new, row, rhs), var)
-                if len(prow) == 1:
-                    solved[var] = prhs, prow[var]
-        pivots[new] = (row, rhs)
-        if len(row) == 1:
-            solved[new] = rhs, row[new]
-    # a free variable has no pivot, or one entangled with another free one
-    return ([Fraction(*solved[v]) if v in solved else None for v in range(nvars)],
-            [v for v in range(nvars) if v not in solved])
+    for row, rhs, where in rows:
+        num, den, new = _remainder(row, rhs, solved)
+        if len(new) > 1:
+            raise ConsistencyError(f"oracle equation at {where} holds two unsolved squares, of "
+                                   f"blocks {' and '.join(str(names[v]) for v in new[:2])}")
+        if new:
+            x = Fraction(num, den * row[new[0]])
+            solved[new[0]] = x.numerator, x.denominator
+        elif num:
+            raise ConsistencyError(f"oracle equations are inconsistent at {where}")
+    free = ", ".join(str(name) for v, name in enumerate(names) if v not in solved)
+    if free:
+        raise ConsistencyError(f"oracle underdetermined: no equation solves blocks {free}")
+    return [Fraction(*solved[v]) for v in range(len(names))]
 
 
 def _diagonal_terms(p: int, q: int) -> tuple[list[tuple[int, int]], list[list]]:
@@ -466,13 +432,14 @@ def oracle_solve(p: int, q: int, max_dim: int = ORACLE_MAX_DIM) -> dict[tuple[in
     times the a/b of block k's unit entries in row s minus those in column
     s: linear in the x_k, rational, with no cross terms and no radicals.  The
     diagonals of [U+,U-] = 2 U3 and [V+,V-] = 2 U3 + 2 T3 give two such
-    equations per state, each scaled to integers by the lcm of its b's and
-    solved in integers as it is built; one whose unknowns are all solved is
-    checked by substitution.  Nothing else is added: a square these
-    equations leave free is an error, never a guess.  Signs do not enter, so
-    the relative signs of the U+ and V+ unit entries and T-'s radicals are
-    not the oracle's to test: ``check_commutators`` proves them on every
-    assembled set.
+    equations per state, each scaled to integers by the lcm of its b's.  In
+    reverse state order they are triangular (``_substitute``): each solves at
+    most one new square as it is built, and one whose squares are all solved
+    is checked at that solution.  Nothing else is added: a square these
+    equations leave free, or an equation that meets two unsolved ones, is an
+    error, never a guess.  Signs do not enter, so the relative signs of the
+    U+ and V+ unit entries and T-'s radicals are not the oracle's to test:
+    ``check_commutators`` proves them on every assembled set.
     """
     d = dimension(p, q)
     if p < q:
@@ -481,24 +448,17 @@ def oracle_solve(p: int, q: int, max_dim: int = ORACLE_MAX_DIM) -> dict[tuple[in
         raise ValueError(f"oracle_solve is desk-scale only (d = {d} > {max_dim})")
 
     blocks, terms = _diagonal_terms(p, q)  # the unit entry lists are freed here
-    sides = (rhs for lbl in state_labels(p, q) for rhs in (lbl.two_u3, lbl.two_u3 + lbl.two_sigma))
-    equations = (({k: a * (scale // b) for k, a, b in found}, rhs * scale)
-                 for found, rhs in zip(terms, sides)
+    # in reverse state order, each state's [V+,V-] row, then its [U+,U-] row
+    sides = ((rhs, f"state {lbl.index}, {name}") for lbl in reversed(state_labels(p, q))
+             for rhs, name in ((lbl.two_u3 + lbl.two_sigma, "[V+,V-]"), (lbl.two_u3, "[U+,U-]")))
+    equations = (({k: a * (scale // b) for k, a, b in found}, rhs * scale, where)
+                 for found, (rhs, where) in zip(reversed(terms), sides)
                  for scale in [math.lcm(*[b for _, _, b in found])])
 
-    solution, free = _rref_solve(equations, len(blocks))
-    if free:
-        names = ", ".join(str(blocks[k]) for k in free)
-        raise ConsistencyError(f"oracle underdetermined for ({p},{q}): free blocks {names}")
-
-    out = {}
-    for (i, j), value in zip(blocks, solution):
-        assert value is not None
-        if value < 0:
-            raise ConsistencyError(
-                f"oracle found negative square {value} at ({i},{j}) for ({p},{q})"
-            )
-        out[(i, j)] = value
+    out = dict(zip(blocks, _substitute(equations, blocks)))
+    for (i, j), x in out.items():
+        if x < 0:
+            raise ConsistencyError(f"oracle found negative square {x} at ({i},{j}) for ({p},{q})")
     return out
 
 

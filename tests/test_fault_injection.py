@@ -14,9 +14,10 @@ set labelled with another irrep's weights fails their certificate.  Their
 cases assert instead that the lines the shortcut settles read exact under
 the fault and fail without it.
 
-The oracle's shortcut, checking an equation whose unknowns are all solved by
-substitution, has its own case: under its fault a shifted right-hand side
-must go unseen, and without it must raise."""
+The oracle solves its equations by substitution in reverse state order, and
+checks each equation whose unknowns are all solved at that solution.  That
+check has its own case: under its fault a right-hand side shifted at state 0,
+whose equations are all checks, must go unseen, and without it must raise."""
 
 import dataclasses
 from unittest import mock
@@ -228,14 +229,21 @@ def test_fault_passes_the_lines_its_shortcut_settles(case):
     assert len(lines) == len(stems) and all(r.exact for r in lines)
 
 
+def _solved_rows_read_zero(row, rhs, solved, _remainder=verify_module._remainder):
+    """The oracle's remainder, read as 0 on a row whose unknowns are all solved."""
+    num, den, new = _remainder(row, rhs, solved)
+    return (num if new else 0), den, new
+
+
 @pytest.mark.parametrize("p,q", [(2, 1), (3, 3)])
 def test_substitution_check_forced_to_pass_lets_a_shifted_state_through(p, q):
-    # 2 U3 off by one at the last state, whose equations the oracle settles
-    # by substitution: with that check always passing, it returns squares
+    # 2 U3 off by one at state 0, the last in reverse state order, whose two
+    # equations the oracle only checks: with that check always passing, it
+    # returns the clean squares
     clean = oracle_solve(p, q)
     with mock.patch.object(verify_module, "state_labels",
-                           return_value=_shifted_labels(p, q, -1)):
+                           return_value=_shifted_labels(p, q, 0)):
         with pytest.raises(ConsistencyError, match="inconsistent"):
             oracle_solve(p, q)
-        with mock.patch.object(verify_module, "_holds_at_solution", lambda *args: True):
+        with mock.patch.object(verify_module, "_remainder", _solved_rows_read_zero):
             assert oracle_solve(p, q) == clean

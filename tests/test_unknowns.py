@@ -139,3 +139,31 @@ class TestClosedFormIdentities:
                         want = {start + alpha: _coefficients(relation, *pair, alpha)[end][side]
                                 for alpha in range(spins[block - 1] + 1)}
                         assert got == {s: c for s, c in want.items() if c}, (p, q, key, end)
+
+
+class TestReverseStateOrder:
+    """Why the oracle's one substitution pass suffices for every (p, q).  At
+    the last state of block (a, b), alpha = n, the [U+,U-] equation drops the
+    square of (a, b - 1) -> (a, b) and the [V+,V-] one that of (a, b) ->
+    (a - 1, b); the state's other two squares, of (a + 1, b) -> (a, b) and
+    (a, b) -> (a, b + 1), are solved at the last states of blocks of spin
+    n + 1, which sort after (a, b).  So in reverse state order each equation
+    meets at most one unsolved square, and each one below alpha = n none."""
+
+    def test_last_state_meets_at_most_one_new_square(self):
+        # (a, b) = (0, 0) is the pole, n = 0, whose neighbours are all absent
+        for a, b in product(range(12), range(12)):
+            n = a + b
+            (u_minus, _), (_, u_plus_below) = _coefficients("U", a, b, n)
+            (v_minus, _), (_, v_plus_below) = _coefficients("V", a, b, n)
+            # U keeps (a, b) -> (a - 1, b) and drops (a, b - 1) -> (a, b); V the reverse
+            assert (u_plus_below, v_minus) == (0, 0), (a, b)
+            assert not n or (u_minus, v_plus_below) == (n, 1), (a, b)
+
+    def test_neighbours_of_spin_one_more_sort_after(self):
+        for p, q in labels_below(1000):
+            _, _, pairs = _block_table(p, q)
+            position = {pair: k for k, pair in enumerate(pairs)}
+            for (a, b), k in position.items():
+                later = [position.get(pair, k + 1) for pair in ((a + 1, b), (a, b + 1))]
+                assert min(later) > k, (p, q, a, b)

@@ -40,7 +40,7 @@ from su3rep.verify import (
     ORACLE_MAX_DIM,
     CHEVALLEY_RELATIONS,
     _relation_name,
-    _rref_solve,
+    _substitute,
     sweep_labels,
 )
 
@@ -188,14 +188,17 @@ class TestOracle:
 
     def test_no_equations_is_an_error_not_a_guess(self, monkeypatch):
         # a copy of the last block under a new key: every equation holds the
-        # two squares only as their sum, so neither is determined
+        # two squares only as their sum, so the first of them that meets the
+        # pair raises rather than guess either
         def doubled(p, q, names):
             units = generators.unit_raising_blocks(p, q, names)
             return units + [((0, 0), units[-1][1])]
 
         monkeypatch.setattr("su3rep.verify.unit_raising_blocks", doubled)
-        with pytest.raises(ConsistencyError, match="underdetermined"):
+        with pytest.raises(ConsistencyError) as raised:
             oracle_solve(1, 0)
+        assert str(raised.value) == ("oracle equation at state 3, [U+,U-] holds two unsolved "
+                                     "squares, of blocks (2, 1) and (0, 0)")
 
     def test_raised_v_unit_entry_is_inconsistent(self, monkeypatch):
         # one V+ unit square off by 1/b: no squares solve both diagonals
@@ -208,6 +211,18 @@ class TestOracle:
 
         monkeypatch.setattr("su3rep.verify.unit_raising_blocks", raised)
         with pytest.raises(ConsistencyError, match="inconsistent"):
+            oracle_solve(2, 1)
+
+    def test_negated_unit_entries_give_a_negative_square(self, monkeypatch):
+        # every a/b negated: the equations stay consistent, solved by the
+        # negated squares, which no real matrix can carry
+        def negated(p, q, names):
+            return [(key, {name: (row, col, sign, [-a for a in nums], b)
+                           for name, (row, col, sign, nums, b) in runs.items()})
+                    for key, runs in generators.unit_raising_blocks(p, q, names)]
+
+        monkeypatch.setattr("su3rep.verify.unit_raising_blocks", negated)
+        with pytest.raises(ConsistencyError, match=r"negative square -2 at \(1,2\) for \(2,1\)"):
             oracle_solve(2, 1)
 
     @pytest.mark.parametrize("p,q", [(2, 1), (3, 3)])
@@ -238,19 +253,28 @@ class TestOracle:
         # 2 U3 off by one at a single state: [U+,U-] is traceless, so no
         # squares can solve the corrupted system
         monkeypatch.setattr("su3rep.verify.state_labels", lambda *_: _shifted_labels(p, q, state))
-        verdicts, holds = [], verify_module._holds_at_solution
-
-        def recorded(*args):
-            verdicts.append(holds(*args))
-            return verdicts[-1]
-
-        monkeypatch.setattr(verify_module, "_holds_at_solution", recorded)
-        with pytest.raises(ConsistencyError, match="inconsistent"):
+        with pytest.raises(ConsistencyError, match="inconsistent") as raised:
             oracle_solve(p, q)
-        if state == -1:
-            # every unknown is solved by the last state, so the substitution
-            # check is what raises
-            assert verdicts[-1] is False
+        if state == 0:
+            # in reverse state order every unknown is solved before state 0,
+            # whose two equations are checks; the error names the first
+            assert str(raised.value) == "oracle equations are inconsistent at state 1, [V+,V-]"
+
+    def test_one_solve_per_admissible_block(self, monkeypatch):
+        # at (4,2), in reverse state order, 22 of the 120 equations each
+        # solve one new square, one per admissible block; the other 98 hold
+        # no unsolved square and are checked at the solution
+        remainder, kinds = verify_module._remainder, Counter()
+
+        def recorded(row, rhs, solved):
+            num, den, new = remainder(row, rhs, solved)
+            kinds["solve" if new else "check"] += 1
+            return num, den, new
+
+        monkeypatch.setattr(verify_module, "_remainder", recorded)
+        assert compare_with_oracle(4, 2) == []
+        assert 2 * dimension(4, 2) == 120 and len(su3rep.admissible_blocks(4, 2)) == 22
+        assert kinds == {"solve": 22, "check": 98}
 
 
 def _shifted_labels(p, q, state):
@@ -260,81 +284,77 @@ def _shifted_labels(p, q, state):
     return labels
 
 
-def _eq(coeffs, rhs):
-    return dict(coeffs), rhs
+def _eq(coeffs, rhs, where="an equation"):
+    return dict(coeffs), rhs, where
 
 
-class TestRrefSolve:
-    def test_back_elimination_into_earlier_pivot(self):
-        rows = [_eq({0: 1, 1: 1}, 3), _eq({1: 1}, 1)]
-        assert _rref_solve(rows, 2) == ([2, 1], [])
+class TestSubstitute:
+    """Rows in processing order: each solves at most one new unknown."""
 
-    def test_underdetermined_variables_are_free(self):
-        assert _rref_solve([_eq({0: 1, 1: 1}, 3)], 3) == ([None, None, None], [0, 1, 2])
+    def test_back_substitution(self):
+        assert _substitute([_eq({1: 1}, 1), _eq({0: 1, 1: 1}, 3)], range(2)) == [2, 1]
+
+    def test_two_unsolved_unknowns_raise(self):
+        with pytest.raises(ConsistencyError,
+                           match="at row 1 holds two unsolved squares, of blocks a and b"):
+            _substitute([_eq({0: 1, 1: 1}, 3, "row 1"), _eq({1: 1}, 1)], ["a", "b"])
+
+    def test_unsolved_unknown_is_underdetermined(self):
+        with pytest.raises(ConsistencyError, match="underdetermined: no equation solves blocks c"):
+            _substitute([_eq({0: 1}, 1), _eq({0: 1, 1: 1}, 3)], ["a", "b", "c"])
 
     def test_inconsistent_pair_raises(self):
-        with pytest.raises(ConsistencyError, match="inconsistent"):
-            _rref_solve([_eq({0: 1}, 1), _eq({0: 2}, 3)], 1)
+        with pytest.raises(ConsistencyError, match="inconsistent at row 2"):
+            _substitute([_eq({0: 1}, 1, "row 1"), _eq({0: 2}, 3, "row 2")], range(1))
 
     def test_duplicated_equation(self):
-        rows = [_eq({0: 1, 1: 1}, 3), _eq({0: 1, 1: -1}, 1), _eq({0: 2, 1: 2}, 6)]
-        assert _rref_solve(rows, 2) == ([2, 1], [])
+        rows = [_eq({1: 1}, 1), _eq({0: 1, 1: 1}, 3), _eq({0: 2, 1: 2}, 6)]
+        assert _substitute(rows, range(2)) == [2, 1]
 
-    def test_stored_zero_coefficient_is_not_a_pivot(self):
-        assert _rref_solve([_eq({0: 0, 1: 1}, 1)], 2) == ([None, 1], [0])
+    def test_stored_zero_coefficient_is_not_an_unknown(self):
+        rows = [_eq({0: 0, 1: 1}, 1), _eq({0: 1, 1: 1}, 3)]
+        assert _substitute(rows, range(2)) == [2, 1]
 
     def test_no_variables(self):
-        assert _rref_solve([], 0) == ([], [])
-        assert _rref_solve([_eq({}, 0)], 0) == ([], [])
+        assert _substitute([], []) == []
+        assert _substitute([_eq({}, 0)], []) == []
+        with pytest.raises(ConsistencyError, match="inconsistent"):
+            _substitute([_eq({}, 1)], [])
 
-    def test_non_unit_pivot_gives_a_rational(self):
-        solution, free = _rref_solve([_eq({0: 2}, 3)], 1)
-        assert (solution, free) == ([Fraction(3, 2)], [])
+    def test_non_unit_coefficient_gives_a_rational(self):
+        solution = _substitute([_eq({0: 2}, 3)], range(1))
+        assert solution == [Fraction(3, 2)]
         assert isinstance(solution[0], Fraction)
 
-    def test_negative_leading_coefficient(self):
-        rows = [_eq({0: -3, 1: 1}, -5), _eq({1: -2}, -2)]
-        assert _rref_solve(rows, 2) == ([2, 1], [])
-        assert _rref_solve([_eq({0: -4}, 2)], 1) == ([Fraction(-1, 2)], [])
+    def test_negative_coefficients(self):
+        rows = [_eq({1: -2}, -2), _eq({0: -3, 1: 1}, -5)]
+        assert _substitute(rows, range(2)) == [2, 1]
+        assert _substitute([_eq({0: -4}, 2)], range(1)) == [Fraction(-1, 2)]
 
     def test_common_factor_with_rhs(self):
-        rows = [_eq({0: 6, 1: 4}, 10), _eq({0: 6, 1: -4}, 2)]
-        assert _rref_solve(rows, 2) == ([1, 1], [])
-        assert _rref_solve([_eq({0: 6, 1: 4}, 10)], 2) == ([None, None], [0, 1])
+        assert _substitute([_eq({1: 4}, 4), _eq({0: 6, 1: 4}, 10)], range(2)) == [1, 1]
+        assert _substitute([_eq({0: 6}, 10)], range(1)) == [Fraction(5, 3)]
 
     def test_solved_unknown_checked_by_substitution(self):
         # 2 x0 = 3 solves x0 = 3/2, at which 4 x0 = 6 holds and 4 x0 = 5 does not
-        assert _rref_solve([_eq({0: 2}, 3), _eq({0: 4}, 6)], 1) == ([Fraction(3, 2)], [])
+        assert _substitute([_eq({0: 2}, 3), _eq({0: 4}, 6)], range(1)) == [Fraction(3, 2)]
         with pytest.raises(ConsistencyError, match="inconsistent"):
-            _rref_solve([_eq({0: 2}, 3), _eq({0: 4}, 5)], 1)
+            _substitute([_eq({0: 2}, 3), _eq({0: 4}, 5)], range(1))
 
-    def test_row_mixing_solved_and_unsolved_unknowns_pivots(self):
-        # x0 = 3/2 is substituted by elimination, and x1 pivots on what is left
+    def test_row_mixing_solved_and_unsolved_unknowns_solves_the_new_one(self):
+        # x0 = 3/2 is substituted, and x1 is solved from what is left
         rows = [_eq({0: 2}, 3), _eq({0: 4, 1: 3}, 12), _eq({0: 2, 1: 1}, 5)]
-        assert _rref_solve(rows, 2) == ([Fraction(3, 2), 2], [])
+        assert _substitute(rows, range(2)) == [Fraction(3, 2), 2]
         with pytest.raises(ConsistencyError, match="inconsistent"):
-            _rref_solve(rows[:2] + [_eq({0: 2, 1: 1}, 4)], 2)
-
-    def test_solved_rows_make_no_elimination(self):
-        # at (4,2), 93 of the 120 equations find every unknown solved and are
-        # checked by substitution; the other 27 make 50 eliminations, where
-        # eliminating every row made 294
-        with (mock.patch.object(verify_module, "_eliminate",
-                                wraps=verify_module._eliminate) as eliminate,
-              mock.patch.object(verify_module, "_holds_at_solution",
-                                wraps=verify_module._holds_at_solution) as holds):
-            assert compare_with_oracle(4, 2) == []
-        assert 2 * dimension(4, 2) == 120
-        assert holds.call_count == 93
-        assert eliminate.call_count == 50
+            _substitute(rows[:2] + [_eq({0: 2, 1: 1}, 4)], range(2))
 
     def test_inconsistent_only_after_integer_scaling(self):
-        # 2x + 4y = 6 is x + 2y = 3, which 3x + 6y = 10 contradicts only
-        # once both are scaled to a common x coefficient
+        # y = 1 makes 2x + 4y = 6 give x = 1, which 3x + 6y = 10 contradicts
+        # only once both are scaled to a common denominator
         with pytest.raises(ConsistencyError, match="inconsistent"):
-            _rref_solve([_eq({0: 2, 1: 4}, 6), _eq({0: 3, 1: 6}, 10)], 2)
-        assert _rref_solve([_eq({0: 2, 1: 4}, 6), _eq({0: 3, 1: 6}, 9), _eq({1: 5}, 5)],
-                           2) == ([1, 1], [])
+            _substitute([_eq({1: 5}, 5), _eq({0: 2, 1: 4}, 6), _eq({0: 3, 1: 6}, 10)], range(2))
+        assert _substitute([_eq({1: 5}, 5), _eq({0: 2, 1: 4}, 6), _eq({0: 3, 1: 6}, 9)],
+                           range(2)) == [1, 1]
 
 
 class TestNegativeControls:
